@@ -8,7 +8,8 @@ package-internal imports so it can be exercised standalone in tests.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Tuple
 
 KERNEL_BUILD = "python"
 
@@ -96,11 +97,7 @@ class CounterCore:
     def argmax(self) -> int:
         """Lowest row index holding the maximum count."""
         c = self._c
-        best = 0
-        for i in range(1, self.n_rows):
-            if c[i] > c[best]:
-                best = i
-        return best
+        return c.index(max(c))
 
     def count_at_least(self, threshold: int) -> int:
         return sum(1 for v in self._c if v >= threshold)
@@ -114,75 +111,67 @@ class TopQueue:
     minimum only if its count is strictly larger; among equal minima the
     higher-numbered row is displaced first (the lower row is retained).
     `pop_max` yields count-descending, row-ascending.
+
+    A `row -> count` dict answers membership, and `_keys` holds one
+    `(count, -row)` key per row in ascending order, so `_keys[0]` is the
+    eviction candidate and `_keys[-1]` is what `pop_max` returns.
     """
 
-    __slots__ = ("depth", "_rows", "_counts")
+    __slots__ = ("depth", "_counts", "_keys")
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
-        self._rows: List[int] = []
-        self._counts: List[int] = []
+        self._counts: Dict[int, int] = {}
+        self._keys: List[Tuple[int, int]] = []
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._keys)
 
     def update(self, row: int, count: int) -> int:
         """Returns the evicted row, -1 if none, -2 if rejected."""
-        rows = self._rows
         counts = self._counts
-        for i, r in enumerate(rows):
-            if r == row:
-                counts[i] = count
-                return -1
-        if len(rows) < self.depth:
-            rows.append(row)
-            counts.append(count)
-            return -1
-        mi = 0
-        for i in range(1, len(rows)):
-            if counts[i] < counts[mi] or (counts[i] == counts[mi]
-                                          and rows[i] > rows[mi]):
-                mi = i
-        if count <= counts[mi]:
-            return -2
-        evicted = rows[mi]
-        rows[mi] = row
-        counts[mi] = count
+        keys = self._keys
+        old = counts.get(row)
+        evicted = -1
+        if old is not None:
+            del keys[bisect_left(keys, (old, -row))]
+        elif len(keys) == self.depth:
+            low_count, low_neg_row = keys[0]
+            if count <= low_count:
+                return -2
+            del keys[0]
+            evicted = -low_neg_row
+            del counts[evicted]
+        counts[row] = count
+        insort(keys, (count, -row))
         return evicted
 
     def remove(self, row: int) -> bool:
-        for i, r in enumerate(self._rows):
-            if r == row:
-                self._rows.pop(i)
-                self._counts.pop(i)
-                return True
-        return False
+        count = self._counts.pop(row, None)
+        if count is None:
+            return False
+        keys = self._keys
+        del keys[bisect_left(keys, (count, -row))]
+        return True
 
     def pop_max(self) -> Optional[Tuple[int, int]]:
-        if not self._rows:
+        if not self._keys:
             return None
-        rows = self._rows
-        counts = self._counts
-        mi = 0
-        for i in range(1, len(rows)):
-            if counts[i] > counts[mi] or (counts[i] == counts[mi]
-                                          and rows[i] < rows[mi]):
-                mi = i
-        return rows.pop(mi), counts.pop(mi)
+        count, neg_row = self._keys.pop()
+        del self._counts[-neg_row]
+        return -neg_row, count
 
     def peek_max_count(self) -> int:
-        return max(self._counts) if self._counts else -1
+        return self._keys[-1][0] if self._keys else -1
 
     def min_count(self) -> int:
-        return min(self._counts) if self._counts else -1
+        return self._keys[0][0] if self._keys else -1
 
     def items(self) -> List[Tuple[int, int]]:
-        pairs = sorted(zip(self._rows, self._counts),
-                       key=lambda rc: (-rc[1], rc[0]))
-        return pairs
+        return [(-neg_row, count) for count, neg_row in reversed(self._keys)]
 
     def clear(self) -> None:
-        self._rows.clear()
         self._counts.clear()
+        self._keys.clear()

@@ -134,9 +134,13 @@ class BankEngine:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _log(self, t: int, kind: str, row: int, counter: int) -> None:
-        if self.collect_log:
-            self.log.append((t, self.bank_id, kind, row, counter))
+    def _log(self, t: int, kind: str, row: int) -> None:
+        """Record one event with `row`'s current counter (-1: no row).
+
+        Callers skip it when `collect_log` is off, so a run without a log
+        never reads counters for it."""
+        counter = self.scheme.bank.get(row) if row >= 0 else 0
+        self.log.append((t, self.bank_id, kind, row, counter))
 
     def _charge_block(self, t: int, dur: int) -> None:
         w = t // self._win_len
@@ -158,7 +162,8 @@ class BankEngine:
         self._t_free = t + self._tRFC
         self._charge_block(t, self._tRFC)
         self.metrics.refs_issued += 1
-        self._log(t, "REF", rows[0], self.scheme.bank.get(rows[0]))
+        if self.collect_log:
+            self._log(t, "REF", rows[0])
         if self._observer is not None:
             for r in rows:
                 self._observer.on_activation(r)
@@ -167,8 +172,9 @@ class BankEngine:
         if action is not None and action.kind == "ProactiveRefresh":
             # Runs inside the tRFC block; no extra time.
             self.metrics.proactive_count += 1
-            for r in action.rows:
-                self._log(t, "PROACT", r, self.scheme.bank.get(r))
+            if self.collect_log:
+                for r in action.rows:
+                    self._log(t, "PROACT", r)
             action = (self.scheme.take_pending_alert()
                       if self._state == _IDLE else None)
         if (action is not None and action.kind == "Alert"
@@ -180,8 +186,8 @@ class BankEngine:
         w = t // self._win_len
         self._win_alerts[w] = self._win_alerts.get(w, 0) + 1
         row = min(action.rows) if action.rows else -1
-        self._log(t, "ALERT", row,
-                  self.scheme.bank.get(row) if row >= 0 else 0)
+        if self.collect_log:
+            self._log(t, "ALERT", row)
         self._state = _WINDOW
         self._win_deadline = t + self.abo.tABO_ACT
         self._win_acts_left = self.abo.abo_act
@@ -202,12 +208,13 @@ class BankEngine:
             self.metrics.rfms_issued += 1
             w = t // self._win_len
             self._win_rfms[w] = self._win_rfms.get(w, 0) + 1
-            if applied:
-                for row, what in applied:
-                    if what != "act":
-                        self._log(t, "RFM", row, self.scheme.bank.get(row))
-            else:
-                self._log(t, "RFM", -1, 0)
+            if self.collect_log:
+                if applied:
+                    for row, what in applied:
+                        if what != "act":
+                            self._log(t, "RFM", row)
+                else:
+                    self._log(t, "RFM", -1)
             issued += 1
             cur = self._t_free
             if self.scheme.config.adaptive_rfm:
@@ -301,7 +308,8 @@ class BankEngine:
             self._observer.on_activation(row)
         action = self.scheme.on_act(row,
                                     alert_allowed=(self._state == _IDLE))
-        self._log(t, "ACT", row, self.scheme.bank.get(row))
+        if self.collect_log:
+            self._log(t, "ACT", row)
         return action
 
     def advance_to(self, t: int) -> None:

@@ -228,6 +228,23 @@ def test_identical_runs_emit_identical_logs():
     assert log_to_csv_lines(first) == log_to_csv_lines(second)
 
 
+def test_unlogged_run_does_no_log_work():
+    def run(collect_log):
+        engine = BankEngine(preset("PVAC", 8, 2), small_geometry(),
+                            collect_log=collect_log)
+        if not collect_log:
+            engine._log = lambda *event: pytest.fail(f"logged {event}")
+        metrics = engine.run_trace(saturation_act_stream([10, 17, 301], 400),
+                                   us(3000))
+        return engine, metrics
+    logged, logged_metrics = run(True)
+    assert {kind for _, _, kind, _, _ in logged.log} == {
+        "ACT", "REF", "ALERT", "RFM", "PROACT"}
+    unlogged, unlogged_metrics = run(False)
+    assert unlogged.log == []
+    assert unlogged_metrics == logged_metrics
+
+
 def test_csv_lines_render_nanoseconds():
     log = [(295000, 0, "ACT", 10, 3), (343500, 0, "RFM", 11, 0)]
     lines = log_to_csv_lines(log)

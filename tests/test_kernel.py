@@ -85,6 +85,28 @@ def test_kernel_builds_agree(ops):
     assert a.argmax() == b.argmax()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("act"), st.integers(0, 63),
+              st.sampled_from([AGG, VIC, NONE])),
+    st.tuples(st.just("reset"), st.integers(0, 63)),
+    st.tuples(st.just("reset_max"))), max_size=300))
+def test_python_build_max_and_argmax_match_brute_force(ops):
+    core = _kernel_py.CounterCore(64, 32, 2, 7)
+    for op in ops:
+        if op[0] == "act":
+            core.act(op[1], op[2])
+        elif op[0] == "reset":
+            core.reset(op[1])
+        else:
+            core.reset(core.argmax())
+        counts = core.snapshot()
+        peak = max(counts)
+        assert core.max_count() == peak
+        assert core.argmax() == min(
+            row for row, v in enumerate(counts) if v == peak)
+
+
 class QueueModel:
     """Dictionary reference for the bounded top-K queue."""
 
@@ -105,6 +127,16 @@ class QueueModel:
             self.counts[row] = count
             return victim
         return -2
+
+    def remove(self, row):
+        return self.counts.pop(row, None) is not None
+
+    def pop_max(self):
+        if not self.counts:
+            return None
+        row, count = self.items()[0]
+        del self.counts[row]
+        return row, count
 
     def items(self):
         return sorted(self.counts.items(), key=lambda rc: (-rc[1], rc[0]))
@@ -152,14 +184,19 @@ def test_queue_remove_and_len(mod):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6),
-       st.lists(st.tuples(st.integers(0, 20), st.integers(1, 50)),
-                max_size=120))
+       st.lists(st.one_of(
+           st.tuples(st.just("update"), st.integers(0, 20),
+                     st.integers(1, 50)),
+           st.tuples(st.just("remove"), st.integers(0, 20)),
+           st.tuples(st.just("pop_max"))), max_size=120))
 @pytest.mark.parametrize("mod", kernels())
 def test_queue_matches_reference_model(mod, depth, ops):
     q = mod.TopQueue(depth)
     model = QueueModel(depth)
-    for row, count in ops:
-        assert q.update(row, count) == model.update(row, count)
-    assert q.items() == model.items()
-    assert q.min_count() == (min(model.counts.values())
-                             if model.counts else -1)
+    for kind, *args in ops:
+        assert getattr(q, kind)(*args) == getattr(model, kind)(*args)
+        counts = model.counts.values()
+        assert len(q) == len(model.counts)
+        assert q.peek_max_count() == (max(counts) if counts else -1)
+        assert q.min_count() == (min(counts) if counts else -1)
+        assert q.items() == model.items()
