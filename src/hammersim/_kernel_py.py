@@ -11,6 +11,8 @@ from array import array
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
+import numpy
+
 KERNEL_BUILD = "python"
 
 AGGRESSOR = 0
@@ -22,10 +24,12 @@ class CounterCore:
     """Saturating per-row activation counters for one bank.
 
     Rows are grouped into subarrays of `dsa_rows`; victim-side updates
-    never cross a subarray edge.
+    never cross a subarray edge.  `_view` is a numpy view that aliases
+    the buffer of `_c`, so the full-bank scans run in C; `_c` must never
+    be resized.
     """
 
-    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c")
+    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view")
 
     def __init__(self, n_rows: int, dsa_rows: int, br: int, cap: int) -> None:
         if n_rows <= 0 or dsa_rows <= 0 or n_rows % dsa_rows != 0:
@@ -37,6 +41,7 @@ class CounterCore:
         self.br = br
         self.cap = cap
         self._c = array("L", [0]) * n_rows
+        self._view = numpy.frombuffer(self._c, dtype=f"u{self._c.itemsize}")
 
     def act(self, row: int, sem: int) -> List[Tuple[int, int]]:
         """Apply one activation of `row`; return rows whose count changed."""
@@ -50,20 +55,19 @@ class CounterCore:
                 c[row] = v + 1
                 changed.append((row, v + 1))
             return changed
-        # VICTIM: reset self, bump in-subarray neighbors.
-        if c[row] != 0:
-            c[row] = 0
-            changed.append((row, 0))
+        # VICTIM: reset self, bump in-subarray neighbors, in row order.
+        cap = self.cap
         lo = (row // self.dsa_rows) * self.dsa_rows
-        hi = lo + self.dsa_rows
-        for d in range(1, self.br + 1):
-            for n in (row - d, row + d):
-                if lo <= n < hi:
-                    v = c[n]
-                    if v < self.cap:
-                        c[n] = v + 1
-                        changed.append((n, v + 1))
-        changed.sort()
+        for n in range(max(row - self.br, lo),
+                       min(row + self.br, lo + self.dsa_rows - 1) + 1):
+            v = c[n]
+            if n == row:
+                if v != 0:
+                    c[n] = 0
+                    changed.append((n, 0))
+            elif v < cap:
+                c[n] = v + 1
+                changed.append((n, v + 1))
         return changed
 
     def get(self, row: int) -> int:
@@ -92,12 +96,11 @@ class CounterCore:
         return list(self._c)
 
     def max_count(self) -> int:
-        return max(self._c)
+        return int(self._view.max())
 
     def argmax(self) -> int:
         """Lowest row index holding the maximum count."""
-        c = self._c
-        return c.index(max(c))
+        return int(self._view.argmax())
 
     def count_at_least(self, threshold: int) -> int:
         return sum(1 for v in self._c if v >= threshold)

@@ -103,6 +103,8 @@ class BankEngine:
         self._tRFM = self.abo.tABO_recovery_per_rfm
         self._delay = self.abo.resolved_delay(scheme.n_mit)
         self._rpr = rows_per_refresh(geometry, self.refresh)
+        self._tREFI = self.refresh.tREFI
+        self._get = self.scheme.bank.core.get
 
         self._t_free = 0          # bank busy until this instant
         self._ref_k = 0           # index of the next scheduled REF
@@ -139,7 +141,7 @@ class BankEngine:
 
         Callers skip it when `collect_log` is off, so a run without a log
         never reads counters for it."""
-        counter = self.scheme.bank.get(row) if row >= 0 else 0
+        counter = self._get(row) if row >= 0 else 0
         self.log.append((t, self.bank_id, kind, row, counter))
 
     def _charge_block(self, t: int, dur: int) -> None:
@@ -150,7 +152,7 @@ class BankEngine:
     # -- primitive command issue --------------------------------------------
 
     def _ref_due(self) -> int:
-        return self._ref_k * self.refresh.tREFI
+        return self._ref_k * self._tREFI
 
     def _issue_ref(self) -> None:
         due = self._ref_due()
@@ -257,8 +259,10 @@ class BankEngine:
     def issue_act(self, row: int, not_before: int = 0) -> int:
         """Admit one demand ACT; returns its issue time (ps)."""
         while True:
-            t = max(not_before, self._t_free)
-            if self._ref_due() <= t:
+            t = self._t_free
+            if not_before > t:
+                t = not_before
+            if self._ref_k * self._tREFI <= t:
                 self._issue_ref()
                 continue
             if self._state == _WINDOW:
@@ -309,7 +313,7 @@ class BankEngine:
         action = self.scheme.on_act(row,
                                     alert_allowed=(self._state == _IDLE))
         if self.collect_log:
-            self._log(t, "ACT", row)
+            self.log.append((t, self.bank_id, "ACT", row, self._get(row)))
         return action
 
     def advance_to(self, t: int) -> None:

@@ -140,20 +140,25 @@ class SchemeState:
         self._sem = semantics_code(config.counter_semantics)
         self._refs_seen = 0
         self.stat_alerts = 0
-        self.stat_rfm_rows = 0
         self.stat_proactive = 0
+        # Bound once: each counted activation goes straight to the kernel.
+        self._act = self.bank.core.act
+        self._q_update = self.queue.update
+        self._q_remove = self.queue.remove
+        self._n_bo = config.n_bo
 
     # -- internal plumbing ------------------------------------------------
 
     def _absorb(self, changed: Sequence[Tuple[int, int]]) -> List[int]:
         """Feed counter changes to the queue; return rows now >= n_bo."""
         hot = []
+        n_bo = self._n_bo
         for row, count in changed:
             if count == 0:
-                self.queue.remove(row)
+                self._q_remove(row)
             else:
-                self.queue.update(row, count)
-            if count >= self.config.n_bo:
+                self._q_update(row, count)
+            if count >= n_bo:
                 hot.append(row)
         return hot
 
@@ -186,9 +191,6 @@ class SchemeState:
         self.stat_alerts += 1
         return MitigationAction("Alert", hot)
 
-    def _count_as(self, row: int, sem: int) -> List[Tuple[int, int]]:
-        return self.bank.apply_activation(row, sem)
-
     def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
         """Reset `row`, then activate its victims (counted activations)."""
         applied: List[Tuple[int, str]] = [(row, "reset")]
@@ -203,7 +205,7 @@ class SchemeState:
                 if victim in victims:
                     if self.activation_observer is not None:
                         self.activation_observer(victim)
-                    hot += self._absorb(self._count_as(victim, self._sem))
+                    hot += self._absorb(self._act(victim, self._sem))
                     applied.append((victim, "act"))
         if hot:
             self._raise_or_park(sorted(set(hot)), alert_allowed=False)
@@ -214,7 +216,7 @@ class SchemeState:
         self.queue.remove(row)
         if self.activation_observer is not None:
             self.activation_observer(row)
-        hot = self._absorb(self._count_as(row, VICTIM_COUNT))
+        hot = self._absorb(self._act(row, VICTIM_COUNT))
         if hot:
             self._raise_or_park(hot, alert_allowed=False)
         return [(row, "refresh")]
@@ -250,7 +252,6 @@ class SchemeState:
                         target = row
             if target is not None:
                 applied += self._mitigate_one_aggressor(target)
-        self.stat_rfm_rows += len([a for a in applied if a[1] != "reset"])
         return applied
 
     # -- engine-facing hooks ----------------------------------------------
@@ -258,7 +259,9 @@ class SchemeState:
     def on_act(self, row: int, *, alert_allowed: bool = True
                ) -> Optional[MitigationAction]:
         """Count one demand activation; maybe ask for an alert."""
-        hot = self._absorb(self._count_as(row, self._sem))
+        if not 0 <= row < self.geometry.rows_per_bank:
+            raise ValueError(f"row {row} outside bank")
+        hot = self._absorb(self._act(row, self._sem))
         if hot:
             return self._raise_or_park(sorted(hot), alert_allowed)
         return None
@@ -270,7 +273,7 @@ class SchemeState:
         sem = NO_COUNT if self.config.scheme == "Chronus" else self._sem
         hot: List[int] = []
         for row in rows:
-            hot += self._absorb(self._count_as(row, sem))
+            hot += self._absorb(self._act(row, sem))
         proactive = self._proactive_if_due()
         if hot:
             alert = self._raise_or_park(sorted(set(hot)),

@@ -92,6 +92,21 @@ def test_bad_trace_events_rejected():
         engine.run_trace([TraceEvent("act", 512)], us(10))
 
 
+@pytest.mark.parametrize("scheme", [plain_pvac(10_000), preset("PRAC", 64)],
+                         ids=["PVAC", "PRAC"])
+def test_out_of_bank_act_fails_without_counting(scheme):
+    engine = BankEngine(scheme, small_geometry())
+    engine.issue_act(0)
+    engine.issue_act(511)
+    before = engine.scheme.bank.snapshot()
+    for row in (-1, 512):
+        with pytest.raises(ValueError, match="outside bank"):
+            engine.issue_act(row)
+    assert engine.scheme.bank.snapshot() == before
+    assert [row for _, _, kind, row, _ in engine.log if kind == "ACT"] \
+        == [0, 511]
+
+
 def test_every_admitted_act_is_counted():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
     metrics = engine.run_trace(saturation_act_stream(10, 300), us(10_000))

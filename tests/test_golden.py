@@ -30,11 +30,7 @@ from hammersim.dram import DeviceGeometry, RefreshConfig
 from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
 from hammersim.units import ms, ns
-
-try:
-    from hammersim import _kernel as _compiled
-except ImportError:  # pragma: no cover - no toolchain at install time
-    _compiled = None
+from test_kernel import kernels
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -87,13 +83,6 @@ def run_case(scheme: str, workload: str) -> dict:
 
 def all_cases() -> dict:
     return {f"{s}/{w}": run_case(s, w) for s in SCHEMES for w in WORKLOADS}
-
-
-def kernels():
-    builds = [_kernel_py]
-    if _compiled is not None:
-        builds.append(_compiled)
-    return builds
 
 
 @pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)

@@ -85,12 +85,53 @@ def test_kernel_builds_agree(ops):
     assert a.argmax() == b.argmax()
 
 
+def act_model(counts, row, sem, dsa_rows, br, cap):
+    """Brute-force activation: mutate `counts`, return the changes in
+    ascending row order."""
+    changed = {}
+    if sem == AGG:
+        if counts[row] < cap:
+            counts[row] += 1
+            changed[row] = counts[row]
+    elif sem == VIC:
+        if counts[row] != 0:
+            counts[row] = 0
+            changed[row] = 0
+        for n in range(len(counts)):
+            if (n != row and abs(n - row) <= br
+                    and n // dsa_rows == row // dsa_rows
+                    and counts[n] < cap):
+                counts[n] += 1
+                changed[n] = counts[n]
+    return sorted(changed.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 63),
+                          st.sampled_from([AGG, VIC, NONE])),
+                max_size=300))
+@pytest.mark.parametrize("mod", kernels())
+def test_act_matches_brute_force_model(mod, br, ops):
+    # Four 16-row subarrays and 2-bit counters, so subarray edges and
+    # saturation both come up.
+    core = mod.CounterCore(64, 16, br, 3)
+    counts = [0] * 64
+    for row, sem in ops:
+        changed = core.act(row, sem)
+        assert changed == act_model(counts, row, sem, 16, br, 3)
+    assert core.snapshot() == counts
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(
     st.tuples(st.just("act"), st.integers(0, 63),
               st.sampled_from([AGG, VIC, NONE])),
     st.tuples(st.just("reset"), st.integers(0, 63)),
-    st.tuples(st.just("reset_max"))), max_size=300))
+    st.tuples(st.just("reset_max")),
+    st.tuples(st.just("fill"), st.integers(0, 7)),
+    st.tuples(st.just("load"), st.lists(st.integers(0, 7), min_size=64,
+                                        max_size=64))), max_size=300))
 def test_python_build_max_and_argmax_match_brute_force(ops):
     core = _kernel_py.CounterCore(64, 32, 2, 7)
     for op in ops:
@@ -98,6 +139,10 @@ def test_python_build_max_and_argmax_match_brute_force(ops):
             core.act(op[1], op[2])
         elif op[0] == "reset":
             core.reset(op[1])
+        elif op[0] == "fill":
+            core.fill(op[1])
+        elif op[0] == "load":
+            core.load(op[1])
         else:
             core.reset(core.argmax())
         counts = core.snapshot()

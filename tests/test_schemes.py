@@ -57,11 +57,20 @@ def test_with_queue_depth_round_trip():
 
 
 def test_unknown_row_rejected():
-    state = make_state("PRAC", 64)
-    with pytest.raises(ValueError):
-        state.on_act(256)
-    with pytest.raises(ValueError):
-        state.on_act(-1)
+    # The Python build stores counters in an array, where a negative row
+    # would silently wrap to the top of the bank; it must fail instead.
+    for scheme in ("PRAC", "PVAC"):
+        state = make_state(scheme, 64)
+        for row in (0, 1, 254, 255):
+            state.on_act(row)
+        before = state.bank.snapshot()
+        for row in (-1, -2, 256):
+            with pytest.raises(ValueError):
+                state.on_act(row)
+        assert state.bank.snapshot() == before
+        assert state.queue.items() == sorted(
+            ((r, c) for r, c in enumerate(before) if c),
+            key=lambda rc: (-rc[1], rc[0]))
 
 
 # -- activation counting and alerts ----------------------------------------
