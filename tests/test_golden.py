@@ -29,7 +29,7 @@ from hammersim.attacks import (AGGRESSOR_BASED, VICTIM_BASED, FeintingSpec,
 from hammersim.dram import DeviceGeometry, RefreshConfig
 from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
-from hammersim.units import ms, ns
+from hammersim.units import ms, ns, us
 from test_kernel import kernels
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -40,7 +40,13 @@ GOLDEN = Path(__file__).with_name("golden.json")
 GEOMETRY = DeviceGeometry(rows_per_bank=1024, banks=1, rows_per_dsa=256,
                           counter_bits=8, blast_radius=2)
 N_BO = 32
-WORKLOADS = ("idle", "rr128_s1", "rr128_s3", "benign0", "feinting")
+WORKLOADS = ("idle", "rr128_s1", "rr128_s3", "benign0", "feinting",
+             "feinting_stop")
+# A 64-row pool takes 31 setup ACTs per prepared aggressor (16 aggressors
+# for the victim-based wave, 64 for the aggressor-based one), so a stop at
+# 20 us lands in the middle of the setup batch for every scheme.
+STOP_POOL = 64
+STOP_AT_PS = us(20)
 
 
 def _refresh(scheme: str) -> RefreshConfig:
@@ -58,10 +64,13 @@ def run_case(scheme: str, workload: str) -> dict:
     engine = BankEngine(preset(scheme, N_BO), GEOMETRY, refresh)
     duration = 2 * refresh.window_ps
     out = {}
-    if workload == "feinting":
+    if workload.startswith("feinting"):
         discipline = VICTIM_BASED if scheme == "PVAC" else AGGRESSOR_BASED
-        spec = FeintingSpec(discipline=discipline, r1=16, n_bo=N_BO)
-        result = run_feinting(engine, spec, stop_at_ps=duration)
+        stop = workload == "feinting_stop"
+        spec = FeintingSpec(discipline=discipline,
+                            r1=STOP_POOL if stop else 16, n_bo=N_BO)
+        result = run_feinting(engine, spec,
+                              stop_at_ps=STOP_AT_PS if stop else duration)
         engine.advance_to(duration)
         engine.finalize(duration)
         out["feinting"] = _digest(dataclasses.asdict(result))
