@@ -95,36 +95,45 @@ class DamageObserver:
     Every physical activation of a row restores that row (damage back to
     zero) and disturbs its in-subarray neighbors within the blast radius.
     The per-row high-water mark is the ground-truth hammered count the
-    analytical bounds are checked against.
+    analytical bounds are checked against.  Damage only grows between
+    restores, so it is taken lazily: a row's damage is recorded as it is
+    restored, and `peak`, `max_peak()` and `argmax_peak()` fold in the
+    live `damage` when read.
     """
 
     def __init__(self, geometry: DeviceGeometry) -> None:
         self.geometry = geometry
         n = geometry.rows_per_bank
         self.damage = [0] * n
-        self.peak = [0] * n
+        self._reset_peak = [0] * n
         self._dsa = geometry.rows_per_dsa
-        self._br = geometry.blast_radius
+        self._offsets = [s * d for d in range(1, geometry.blast_radius + 1)
+                         for s in (-1, 1)]
 
     def on_activation(self, row: int) -> None:
         damage = self.damage
-        peak = self.peak
+        v = damage[row]
+        if v > self._reset_peak[row]:
+            self._reset_peak[row] = v
         damage[row] = 0
-        lo = (row // self._dsa) * self._dsa
+        lo = row - row % self._dsa
         hi = lo + self._dsa
-        for d in range(1, self._br + 1):
-            for n in (row - d, row + d):
-                if lo <= n < hi:
-                    v = damage[n] + 1
-                    damage[n] = v
-                    if v > peak[n]:
-                        peak[n] = v
+        for n in self._offsets:
+            n += row
+            if lo <= n < hi:
+                damage[n] += 1
+
+    @property
+    def peak(self) -> List[int]:
+        return list(map(max, self._reset_peak, self.damage))
 
     def max_peak(self) -> int:
-        return max(self.peak)
+        return max(map(max, self._reset_peak, self.damage))
 
     def argmax_peak(self) -> int:
-        return self.peak.index(self.max_peak())
+        """Lowest row holding the highest peak."""
+        peak = self.peak
+        return peak.index(max(peak))
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,9 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
     rounds activate every surviving pool row once, and rows the defense
     refreshed (read back from the event log) leave the pool.  The final
     survivor is squeezed with the extra activations the alert window and
-    the post-mitigation hold still admit.
+    the post-mitigation hold still admit.  The setup, each round and the
+    tail are each issued as one list of rows, one ACT at a time while
+    the bank's clock (`engine.now`) is still before `stop_at_ps`.
     """
     geometry = engine.geometry
     observer = DamageObserver(geometry)
@@ -207,68 +218,54 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
         log_cursor = len(engine.log)
 
     result = FeintingResult(0, -1, 0, 0, 0, 0)
+    issue_act = engine.issue_act
 
-    def act(row: int) -> bool:
-        if engine.now >= stop_at_ps:
-            return False
-        engine.issue_act(row)
-        result.acts_issued += 1
-        return True
+    def issue(rows: List[int]) -> None:
+        done = len(rows)
+        for i, row in enumerate(rows):
+            if engine.now >= stop_at_ps:
+                done = i
+                break
+            issue_act(row)
+        result.acts_issued += done
 
+    tail = engine.abo.abo_act + engine.abo.resolved_delay(
+        engine.scheme.config.n_mit)
     if spec.discipline == VICTIM_BASED:
         groups = _victim_groups(spec, geometry)
         # Setup: bring every prepared victim to n_bo - 1 without alerting.
-        for aggressor, _victims in groups:
-            for _ in range(spec.n_bo - 1):
-                if not act(aggressor):
-                    break
+        issue([a for a, _victims in groups for _ in range(spec.n_bo - 1)])
         result.setup_acts = result.acts_issued
-        pool: Set[int] = set()
-        for _aggressor, victims in groups:
-            pool.update(victims)
+        pool = {v for _a, victims in groups for v in victims}
         while len(pool) > 1 and engine.now < stop_at_ps:
             result.rounds += 1
             result.pool_sizes.append(len(pool))
-            for aggressor, victims in groups:
-                if any(v in pool for v in victims):
-                    if not act(aggressor):
-                        break
+            issue([a for a, victims in groups
+                   if not pool.isdisjoint(victims)])
             harvest()
             pool -= mitigated
         # Tail: the window and hold still let a few activations through.
-        tail = engine.abo.abo_act + engine.abo.resolved_delay(
-            engine.scheme.config.n_mit)
-        survivors = [g for g in groups if any(v in pool for v in g[1])]
+        survivors = [a for a, victims in groups
+                     if not pool.isdisjoint(victims)]
         if survivors:
-            for _ in range(tail):
-                if not act(survivors[0][0]):
-                    break
+            issue([survivors[0]] * tail)
     else:
         pool_rows = [spec.base_row + i for i in range(spec.r1)]
         if pool_rows[-1] >= geometry.rows_per_bank:
             raise ValueError("aggressor pool does not fit in the bank")
-        for row in pool_rows:
-            for _ in range(spec.n_bo - 1):
-                if not act(row):
-                    break
+        issue([row for row in pool_rows for _ in range(spec.n_bo - 1)])
         result.setup_acts = result.acts_issued
         pool = set(pool_rows)
         floor = 2 * geometry.blast_radius
         while len(pool) > floor and engine.now < stop_at_ps:
             result.rounds += 1
             result.pool_sizes.append(len(pool))
-            for row in pool_rows:
-                if row in pool:
-                    if not act(row):
-                        break
+            issue([row for row in pool_rows if row in pool])
             harvest()
             pool -= mitigated
-        tail = engine.abo.abo_act + engine.abo.resolved_delay(
-            engine.scheme.config.n_mit)
         survivors = [r for r in pool_rows if r in pool]
-        for i in range(tail):
-            if not survivors or not act(survivors[i % len(survivors)]):
-                break
+        if survivors:
+            issue([survivors[i % len(survivors)] for i in range(tail)])
 
     harvest()
     result.alerts = engine.metrics.alerts_raised

@@ -119,12 +119,6 @@ class CounterBank:
         return self._core.act(row, semantics)
 
 
-def apply_activation(bank: CounterBank, row: int,
-                     semantics: str) -> List[Tuple[int, int]]:
-    """Functional wrapper taking the semantics by name."""
-    return bank.apply_activation(row, semantics_code(semantics))
-
-
 def counter_update_latency(timing: CsaTiming, blast_radius: int) -> int:
     """Latency (ps) of one in-CSA counter update for an activation.
 

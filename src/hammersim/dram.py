@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 
 from .units import ns, us, ms
 
+# How long one RFM command blocks the bank, in ns; the engine, the energy
+# model and the closed-form bounds all charge this one figure.
+RFM_NS = 350.0
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:

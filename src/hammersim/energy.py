@@ -18,12 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counters import (CsaLayout, CsaTiming, csa_activations_for_event,
                        dual_activation_rows)
-from .dram import (DeviceGeometry, RefreshConfig, builtin_timing_set,
-                   rows_per_refresh)
+from .dram import (RFM_NS, DeviceGeometry, RefreshConfig,
+                   builtin_timing_set, rows_per_refresh)
 from .schemes import SchemeConfig
 from .units import ns, to_ns
-
-RFM_NS = 350.0
 
 #: Calibration targets, as fractions of one normal access energy.
 CSA_PER_ACCESS_NAIVE = 0.201

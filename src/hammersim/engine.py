@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .dram import (DeviceGeometry, RefreshConfig, TimingSet,
+from .dram import (RFM_NS, DeviceGeometry, RefreshConfig, TimingSet,
                    rows_per_refresh)
 from .schemes import MitigationAction, SchemeConfig, SchemeState
 from .units import ns
@@ -36,7 +36,7 @@ class AboConfig:
     """Controller-side alert protocol constants."""
 
     tABO_ACT: int = ns(180)
-    tABO_recovery_per_rfm: int = ns(350)
+    tABO_recovery_per_rfm: int = ns(RFM_NS)
     abo_act: int = 3
     abo_delay: Optional[int] = None  # None -> follow n_mit
 
@@ -104,9 +104,10 @@ class BankEngine:
         self._delay = self.abo.resolved_delay(scheme.n_mit)
         self._rpr = rows_per_refresh(geometry, self.refresh)
         self._tREFI = self.refresh.tREFI
+        self._rows = geometry.rows_per_bank
         self._get = self.scheme.bank.core.get
 
-        self._t_free = 0          # bank busy until this instant
+        self.now = 0              # the instant the bank next becomes free
         self._ref_k = 0           # index of the next scheduled REF
         self._state = _IDLE
         self._win_deadline = 0
@@ -120,19 +121,14 @@ class BankEngine:
         self._win_alerts: dict[int, int] = {}
         self._observer = None
 
-    @property
-    def now(self) -> int:
-        """The instant the bank next becomes free."""
-        return self._t_free
-
     def attach_observer(self, observer) -> None:
         """Register a ground-truth disturbance observer.
 
         `observer.on_activation(row)` fires for every physical row
         activation — demand ACTs, per-row refreshes within REF, and the
         activations mitigation work performs."""
-        self._observer = observer
-        self.scheme.activation_observer = observer.on_activation
+        self._observer = observer.on_activation
+        self.scheme.activation_observer = self._observer
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -156,19 +152,19 @@ class BankEngine:
 
     def _issue_ref(self) -> None:
         due = self._ref_due()
-        t = max(due, self._t_free)
+        t = max(due, self.now)
         start_row = (self._ref_k * self._rpr) % self.geometry.rows_per_bank
         rows = [(start_row + i) % self.geometry.rows_per_bank
                 for i in range(self._rpr)]
         self._ref_k += 1
-        self._t_free = t + self._tRFC
+        self.now = t + self._tRFC
         self._charge_block(t, self._tRFC)
         self.metrics.refs_issued += 1
         if self.collect_log:
             self._log(t, "REF", rows[0])
         if self._observer is not None:
             for r in rows:
-                self._observer.on_activation(r)
+                self._observer(r)
         action = self.scheme.on_refresh(rows,
                                         alert_allowed=(self._state == _IDLE))
         if action is not None and action.kind == "ProactiveRefresh":
@@ -181,7 +177,7 @@ class BankEngine:
                       if self._state == _IDLE else None)
         if (action is not None and action.kind == "Alert"
                 and self._state == _IDLE):
-            self._assert_alert(self._t_free, action)
+            self._assert_alert(self.now, action)
 
     def _assert_alert(self, t: int, action: MitigationAction) -> None:
         self.metrics.alerts_raised += 1
@@ -196,16 +192,16 @@ class BankEngine:
 
     def _run_burst(self, start: int) -> None:
         """Execute the RFM burst for the current alert, REFs interleaved."""
-        cur = max(start, self._t_free)
+        cur = max(start, self.now)
         budget = self.scheme.alert_burst_length()
         issued = 0
         while issued < budget:
             while self._ref_due() <= cur:
                 self._issue_ref()
-                cur = max(cur, self._t_free)
-            t = max(cur, self._t_free)
+                cur = max(cur, self.now)
+            t = max(cur, self.now)
             applied = self.scheme.on_rfm()
-            self._t_free = t + self._tRFM
+            self.now = t + self._tRFM
             self._charge_block(t, self._tRFM)
             self.metrics.rfms_issued += 1
             w = t // self._win_len
@@ -218,7 +214,7 @@ class BankEngine:
                 else:
                     self._log(t, "RFM", -1)
             issued += 1
-            cur = self._t_free
+            cur = self.now
             if self.scheme.config.adaptive_rfm:
                 if not self.scheme.rfm_pending_more():
                     break
@@ -235,38 +231,41 @@ class BankEngine:
         """
         while True:
             if self._state == _WINDOW:
-                idle_from = max(self._t_free, 0)
+                idle_from = max(self.now, 0)
                 if until is not None and until <= idle_from:
                     return  # demand is already waiting; window stays open
                 self._run_burst(idle_from)
                 continue
             if self._state == _HOLD:
-                idle_from = self._t_free
+                idle_from = self.now
                 if until is not None and until <= idle_from:
                     return  # demand will consume the hold with real ACTs
                 self._hold_left = 0
                 self._state = _IDLE
                 continue
             # IDLE: surface any alert deferred during the mitigation.
-            pending = self.scheme.take_pending_alert()
-            if pending is not None:
-                self._assert_alert(self._t_free, pending)
-                continue
+            if self.scheme.pending_alert:
+                pending = self.scheme.take_pending_alert()
+                if pending is not None:
+                    self._assert_alert(self.now, pending)
+                    continue
             return
 
     # -- public API ----------------------------------------------------------
 
     def issue_act(self, row: int, not_before: int = 0) -> int:
         """Admit one demand ACT; returns its issue time (ps)."""
+        if not 0 <= row < self._rows:
+            raise ValueError(f"row {row} outside bank")
         while True:
-            t = self._t_free
+            t = self.now
             if not_before > t:
                 t = not_before
             if self._ref_k * self._tREFI <= t:
                 self._issue_ref()
                 continue
             if self._state == _WINDOW:
-                avail = self._t_free
+                avail = self.now
                 if not_before > avail:
                     # The controller sat idle with the window open.
                     self._collapse_idle(not_before)
@@ -277,12 +276,12 @@ class BankEngine:
                     burst_after = self._win_acts_left == 0
                     self._admit(issue, row)
                     if burst_after:
-                        self._run_burst(self._t_free)
+                        self._run_burst(self.now)
                     return issue
-                self._run_burst(max(self._t_free, not_before))
+                self._run_burst(max(self.now, not_before))
                 continue
             if self._state == _HOLD:
-                if not_before > self._t_free:
+                if not_before > self.now:
                     self._collapse_idle(not_before)
                     continue
                 issue = t
@@ -290,15 +289,17 @@ class BankEngine:
                 self._hold_left -= 1
                 if self._hold_left == 0:
                     self._state = _IDLE
-                    pending = self.scheme.take_pending_alert()
-                    if pending is not None:
-                        self._assert_alert(self._t_free, pending)
+                    if self.scheme.pending_alert:
+                        pending = self.scheme.take_pending_alert()
+                        if pending is not None:
+                            self._assert_alert(self.now, pending)
                 return issue
             # IDLE
-            pending = self.scheme.take_pending_alert()
-            if pending is not None:
-                self._assert_alert(max(self._t_free, 0), pending)
-                continue
+            if self.scheme.pending_alert:
+                pending = self.scheme.take_pending_alert()
+                if pending is not None:
+                    self._assert_alert(max(self.now, 0), pending)
+                    continue
             issue = t
             action = self._admit(issue, row)
             if action is not None and action.kind == "Alert":
@@ -307,9 +308,9 @@ class BankEngine:
 
     def _admit(self, t: int, row: int) -> Optional[MitigationAction]:
         self.metrics.acts_issued += 1
-        self._t_free = t + self._tRC
+        self.now = t + self._tRC
         if self._observer is not None:
-            self._observer.on_activation(row)
+            self._observer(row)
         action = self.scheme.on_act(row,
                                     alert_allowed=(self._state == _IDLE))
         if self.collect_log:
@@ -332,12 +333,10 @@ class BankEngine:
             if ev.kind == "end":
                 break
             if ev.kind == "idle":
-                cursor = max(cursor, self._t_free) + ev.duration_ps
+                cursor = max(cursor, self.now) + ev.duration_ps
                 continue
             if ev.kind != "act":
                 raise ValueError(f"unknown trace event kind {ev.kind!r}")
-            if not 0 <= ev.row < self.geometry.rows_per_bank:
-                raise ValueError(f"row {ev.row} outside bank")
             not_before = cursor if ev.time_ps is None \
                 else max(cursor, ev.time_ps)
             issued = self.issue_act(ev.row, not_before)

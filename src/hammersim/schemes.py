@@ -12,11 +12,10 @@ engine collects it once the hold expires — deferral, never suppression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .counters import (NO_COUNT, VICTIM_COUNT, CounterBank, semantics_code,
-                       victim_set)
+from .counters import NO_COUNT, VICTIM_COUNT, CounterBank, semantics_code
 from .dram import DeviceGeometry, TimingSet, builtin_timing_set
 from .kernel import TopQueue
 
@@ -139,8 +138,6 @@ class SchemeState:
         self.pending_alert = False
         self._sem = semantics_code(config.counter_semantics)
         self._refs_seen = 0
-        self.stat_alerts = 0
-        self.stat_proactive = 0
         # Bound once: each counted activation goes straight to the kernel.
         self._act = self.bank.core.act
         self._q_update = self.queue.update
@@ -148,24 +145,12 @@ class SchemeState:
         self._n_bo = config.n_bo
 
     # -- internal plumbing ------------------------------------------------
-
-    def _absorb(self, changed: Sequence[Tuple[int, int]]) -> List[int]:
-        """Feed counter changes to the queue; return rows now >= n_bo."""
-        hot = []
-        n_bo = self._n_bo
-        for row, count in changed:
-            if count == 0:
-                self._q_remove(row)
-            else:
-                self._q_update(row, count)
-            if count >= n_bo:
-                hot.append(row)
-        return hot
+    # Each hook feeds its `act` result to the queue itself: a count of 0
+    # leaves the queue, any other is offered to it, >= n_bo makes it hot.
 
     def _raise_or_park(self, rows: List[int],
                        alert_allowed: bool) -> Optional[MitigationAction]:
         if alert_allowed:
-            self.stat_alerts += 1
             return MitigationAction("Alert", rows)
         self.pending_alert = True
         return None
@@ -188,7 +173,6 @@ class SchemeState:
                 hot = [row]
         if not hot:
             return None
-        self.stat_alerts += 1
         return MitigationAction("Alert", hot)
 
     def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
@@ -197,15 +181,24 @@ class SchemeState:
         self.bank.core.reset(row)
         self.queue.remove(row)
         hot: List[int] = []
-        victims = set(victim_set(row, self.geometry))
+        observer = self.activation_observer
+        n_bo = self._n_bo
+        lo = row - row % self.geometry.rows_per_dsa
+        hi = lo + self.geometry.rows_per_dsa
         # Nearest victims first on each side, the order the refresh burst
-        # walks the blast radius in.
+        # walks the blast radius in; victims stay inside the subarray.
         for d in range(1, self.geometry.blast_radius + 1):
             for victim in (row - d, row + d):
-                if victim in victims:
-                    if self.activation_observer is not None:
-                        self.activation_observer(victim)
-                    hot += self._absorb(self._act(victim, self._sem))
+                if lo <= victim < hi:
+                    if observer is not None:
+                        observer(victim)
+                    for r, count in self._act(victim, self._sem):
+                        if count == 0:
+                            self._q_remove(r)
+                        else:
+                            self._q_update(r, count)
+                            if count >= n_bo:
+                                hot.append(r)
                     applied.append((victim, "act"))
         if hot:
             self._raise_or_park(sorted(set(hot)), alert_allowed=False)
@@ -216,7 +209,14 @@ class SchemeState:
         self.queue.remove(row)
         if self.activation_observer is not None:
             self.activation_observer(row)
-        hot = self._absorb(self._act(row, VICTIM_COUNT))
+        hot: List[int] = []
+        for r, count in self._act(row, VICTIM_COUNT):
+            if count == 0:
+                self._q_remove(r)
+            else:
+                self._q_update(r, count)
+                if count >= self._n_bo:
+                    hot.append(r)
         if hot:
             self._raise_or_park(hot, alert_allowed=False)
         return [(row, "refresh")]
@@ -261,7 +261,14 @@ class SchemeState:
         """Count one demand activation; maybe ask for an alert."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
-        hot = self._absorb(self._act(row, self._sem))
+        hot = None
+        for r, count in self._act(row, self._sem):
+            if count == 0:
+                self._q_remove(r)
+            else:
+                self._q_update(r, count)
+                if count >= self._n_bo:
+                    hot = [r] if hot is None else hot + [r]
         if hot:
             return self._raise_or_park(sorted(hot), alert_allowed)
         return None
@@ -271,9 +278,17 @@ class SchemeState:
         """Count a REF's row group, then run the proactive hook if due."""
         self._refs_seen += 1
         sem = NO_COUNT if self.config.scheme == "Chronus" else self._sem
+        act, update, remove, n_bo = (self._act, self._q_update,
+                                     self._q_remove, self._n_bo)
         hot: List[int] = []
         for row in rows:
-            hot += self._absorb(self._act(row, sem))
+            for r, count in act(row, sem):
+                if count == 0:
+                    remove(r)
+                else:
+                    update(r, count)
+                    if count >= n_bo:
+                        hot.append(r)
         proactive = self._proactive_if_due()
         if hot:
             alert = self._raise_or_park(sorted(set(hot)),
@@ -294,7 +309,6 @@ class SchemeState:
         applied = self._one_mitigation_unit()
         if not applied:
             return None
-        self.stat_proactive += 1
         return MitigationAction("ProactiveRefresh",
                                 [r for r, what in applied if what != "act"])
 
@@ -314,7 +328,3 @@ class SchemeState:
             # Variable; the engine loops on rfm_pending_more with this cap.
             return CHRONUS_RFM_SAFETY_FACTOR * self.config.queue_depth
         return self.config.n_mit
-
-
-def with_queue_depth(config: SchemeConfig, depth: int) -> SchemeConfig:
-    return replace(config, queue_depth=depth)

@@ -26,15 +26,13 @@ import numpy as np
 
 from .attacks import (AGGRESSOR_BASED, VICTIM_BASED, FeintingSpec,
                       run_feinting)
-from .dram import DeviceGeometry, builtin_timing_set
+from .dram import RFM_NS, DeviceGeometry, builtin_timing_set
 from .engine import AboConfig, BankEngine
 from .schemes import preset
 from .units import to_ns
 
 DISC_VICTIM = "victim"
 DISC_AGGRESSOR = "aggressor"
-
-RFM_COST_NS = 350.0
 
 _DISC_OF_SCHEME = {
     "PVAC": DISC_VICTIM,
@@ -330,7 +328,7 @@ def bw_bound(n_mit: int, n_bo: int, tRC_ns: float) -> float:
     saturation: one alert (n_mit RFMs at 350 ns) per n_bo activations."""
     if n_mit < 1 or n_bo < 1 or tRC_ns <= 0:
         raise ValueError("all bw_bound arguments must be positive")
-    cost = n_mit * RFM_COST_NS
+    cost = n_mit * RFM_NS
     return cost / (cost + n_bo * tRC_ns)
 
 

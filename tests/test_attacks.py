@@ -1,6 +1,7 @@
 """Trace generators, the disturbance ledger, and the closed-loop wave attack."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hammersim.attacks import (DamageObserver, FeintingSpec, RoundRobinSpec,
                                gen_benign, gen_idle, gen_round_robin,
@@ -85,6 +86,41 @@ def test_observer_respects_subarray_edges():
     obs.on_activation(8)  # first row of the second subarray
     assert obs.damage[6] == 0 and obs.damage[7] == 0
     assert obs.damage[9] == 1 and obs.damage[10] == 1
+
+
+def eager_ledger(geometry: DeviceGeometry, rows):
+    """Brute-force reference: the peak is raised on every bump.
+
+    Yields (damage, peak) after each activation of `rows`."""
+    n, dsa, br = (geometry.rows_per_bank, geometry.rows_per_dsa,
+                  geometry.blast_radius)
+    damage, peak = [0] * n, [0] * n
+    for row in rows:
+        damage[row] = 0
+        for other in range(n):
+            if (other != row and abs(other - row) <= br
+                    and other // dsa == row // dsa):
+                damage[other] += 1
+                peak[other] = max(peak[other], damage[other])
+        yield list(damage), list(peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 8, 16]), st.integers(1, 3),
+       st.lists(st.integers(0, 47), max_size=200))
+def test_observer_matches_eager_ledger(dsa, br, rows):
+    # 48 rows cut into subarrays of 4, 8 or 16, so neighbour ranges meet
+    # subarray edges and the bank's ends; a few rows hit often make ties.
+    geometry = DeviceGeometry(rows_per_bank=48, banks=1, rows_per_dsa=dsa,
+                              counter_bits=16, blast_radius=br)
+    obs = DamageObserver(geometry)
+    for row, (damage, peak) in zip(rows, eager_ledger(geometry, rows)):
+        obs.on_activation(row)
+        assert obs.damage == damage
+        assert obs.peak == peak
+        assert obs.max_peak() == max(peak)
+        assert obs.argmax_peak() == min(
+            r for r in range(48) if peak[r] == max(peak))
 
 
 # -- the wave attack ---------------------------------------------------------

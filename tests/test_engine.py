@@ -2,6 +2,7 @@
 
 import pytest
 
+from hammersim.attacks import DamageObserver
 from hammersim.dram import DeviceGeometry, RefreshConfig, ns, us
 from hammersim.engine import (AboConfig, BankEngine, TraceEvent, audit_log,
                               log_to_csv_lines, saturation_act_stream)
@@ -96,13 +97,20 @@ def test_bad_trace_events_rejected():
                          ids=["PVAC", "PRAC"])
 def test_out_of_bank_act_fails_without_counting(scheme):
     engine = BankEngine(scheme, small_geometry())
+    observer = DamageObserver(small_geometry())
+    engine.attach_observer(observer)
     engine.issue_act(0)
     engine.issue_act(511)
     before = engine.scheme.bank.snapshot()
+    acts, now, damage = (engine.metrics.acts_issued, engine.now,
+                         list(observer.damage))
     for row in (-1, 512):
         with pytest.raises(ValueError, match="outside bank"):
             engine.issue_act(row)
     assert engine.scheme.bank.snapshot() == before
+    assert engine.metrics.acts_issued == acts
+    assert engine.now == now
+    assert observer.damage == damage
     assert [row for _, _, kind, row, _ in engine.log if kind == "ACT"] \
         == [0, 511]
 
