@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, cycle, islice, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .counters import victim_set
+from .counters import neighbour_offsets, victim_set
 from .dram import DeviceGeometry
 from .engine import BankEngine, TraceEvent
 
@@ -107,8 +108,7 @@ class DamageObserver:
         self.damage = [0] * n
         self._reset_peak = [0] * n
         self._dsa = geometry.rows_per_dsa
-        self._offsets = [s * d for d in range(1, geometry.blast_radius + 1)
-                         for s in (-1, 1)]
+        self._offsets = neighbour_offsets(geometry)
 
     def on_activation(self, row: int) -> None:
         damage = self.damage
@@ -116,12 +116,8 @@ class DamageObserver:
         if v > self._reset_peak[row]:
             self._reset_peak[row] = v
         damage[row] = 0
-        lo = row - row % self._dsa
-        hi = lo + self._dsa
-        for n in self._offsets:
-            n += row
-            if lo <= n < hi:
-                damage[n] += 1
+        for o in self._offsets[row % self._dsa]:
+            damage[row + o] += 1
 
     @property
     def peak(self) -> List[int]:
@@ -198,8 +194,8 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
     refreshed (read back from the event log) leave the pool.  The final
     survivor is squeezed with the extra activations the alert window and
     the post-mitigation hold still admit.  The setup, each round and the
-    tail are each issued as one list of rows, one ACT at a time while
-    the bank's clock (`engine.now`) is still before `stop_at_ps`.
+    tail are each issued as one lazy stream of rows, one ACT at a time
+    while the bank's clock (`engine.now`) is still before `stop_at_ps`.
     """
     geometry = engine.geometry
     observer = DamageObserver(geometry)
@@ -220,11 +216,11 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
     result = FeintingResult(0, -1, 0, 0, 0, 0)
     issue_act = engine.issue_act
 
-    def issue(rows: List[int]) -> None:
-        done = len(rows)
-        for i, row in enumerate(rows):
+    def issue(rows: Iterable[int]) -> None:
+        done = 0
+        for done, row in enumerate(rows, 1):
             if engine.now >= stop_at_ps:
-                done = i
+                done -= 1
                 break
             issue_act(row)
         result.acts_issued += done
@@ -234,26 +230,25 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
     if spec.discipline == VICTIM_BASED:
         groups = _victim_groups(spec, geometry)
         # Setup: bring every prepared victim to n_bo - 1 without alerting.
-        issue([a for a, _victims in groups for _ in range(spec.n_bo - 1)])
+        issue(chain.from_iterable(repeat(a, spec.n_bo - 1)
+                                  for a, _victims in groups))
         result.setup_acts = result.acts_issued
         pool = {v for _a, victims in groups for v in victims}
         while len(pool) > 1 and engine.now < stop_at_ps:
             result.rounds += 1
             result.pool_sizes.append(len(pool))
-            issue([a for a, victims in groups
-                   if not pool.isdisjoint(victims)])
+            issue([a for a, vs in groups if not pool.isdisjoint(vs)])
             harvest()
             pool -= mitigated
         # Tail: the window and hold still let a few activations through.
-        survivors = [a for a, victims in groups
-                     if not pool.isdisjoint(victims)]
-        if survivors:
-            issue([survivors[0]] * tail)
+        survivors = [a for a, vs in groups if not pool.isdisjoint(vs)]
+        issue(repeat(survivors[0], tail) if survivors else ())
     else:
         pool_rows = [spec.base_row + i for i in range(spec.r1)]
         if pool_rows[-1] >= geometry.rows_per_bank:
             raise ValueError("aggressor pool does not fit in the bank")
-        issue([row for row in pool_rows for _ in range(spec.n_bo - 1)])
+        issue(chain.from_iterable(repeat(row, spec.n_bo - 1)
+                                  for row in pool_rows))
         result.setup_acts = result.acts_issued
         pool = set(pool_rows)
         floor = 2 * geometry.blast_radius
@@ -264,8 +259,7 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
             harvest()
             pool -= mitigated
         survivors = [r for r in pool_rows if r in pool]
-        if survivors:
-            issue([survivors[i % len(survivors)] for i in range(tail)])
+        issue(islice(cycle(survivors), tail))
 
     harvest()
     result.alerts = engine.metrics.alerts_raised

@@ -15,6 +15,7 @@ interchangeable builds (compiled and pure Python); see `kernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from .dram import DeviceGeometry
@@ -39,23 +40,26 @@ def semantics_code(name: str) -> int:
         raise KeyError(f"unknown counter semantics {name!r}") from None
 
 
-def victim_set(row: int, geometry: DeviceGeometry) -> List[int]:
-    """Rows within blast_radius of `row` inside the same subarray.
+@lru_cache(maxsize=None)
+def neighbour_offsets(geometry: DeviceGeometry) -> Tuple[Tuple[int, ...], ...]:
+    """Victim offsets of a row, indexed by the row's place in its subarray.
 
-    Disturbance does not cross subarray boundaries, so neighbors falling
-    outside the row's DSA are dropped.  Result is sorted ascending.
+    A row's victims are the rows within blast_radius, nearest first on
+    each side (-1, +1, -2, +2, ...).  Disturbance does not cross subarray
+    boundaries, so offsets that leave the row's DSA are dropped.  Built
+    once per geometry and shared; interior places share one tuple.
     """
-    dsa = geometry.rows_per_dsa
-    lo = (row // dsa) * dsa
-    hi = lo + dsa
-    out = []
-    for d in range(1, geometry.blast_radius + 1):
-        if row - d >= lo:
-            out.append(row - d)
-        if row + d < hi:
-            out.append(row + d)
-    out.sort()
-    return out
+    dsa, br = geometry.rows_per_dsa, geometry.blast_radius
+    inner = tuple(s * d for d in range(1, br + 1) for s in (-1, 1))
+    edges = {p: tuple(o for o in inner if 0 <= p + o < dsa)
+             for p in (*range(br), *range(dsa - br, dsa))}
+    return tuple(edges.get(p, inner) for p in range(dsa))
+
+
+def victim_set(row: int, geometry: DeviceGeometry) -> List[int]:
+    """Rows within blast_radius of `row` inside the same subarray, sorted."""
+    offsets = neighbour_offsets(geometry)[row % geometry.rows_per_dsa]
+    return sorted(row + o for o in offsets)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .counters import NO_COUNT, VICTIM_COUNT, CounterBank, semantics_code
+from .counters import (NO_COUNT, VICTIM_COUNT, CounterBank,
+                       neighbour_offsets, semantics_code)
 from .dram import DeviceGeometry, TimingSet, builtin_timing_set
 from .kernel import TopQueue
 
@@ -138,6 +139,9 @@ class SchemeState:
         self.pending_alert = False
         self._sem = semantics_code(config.counter_semantics)
         self._refs_seen = 0
+        self.stat_alerts = 0
+        self.stat_proactive = 0
+        self._neighbours = neighbour_offsets(geometry)
         # Bound once: each counted activation goes straight to the kernel.
         self._act = self.bank.core.act
         self._q_update = self.queue.update
@@ -145,12 +149,24 @@ class SchemeState:
         self._n_bo = config.n_bo
 
     # -- internal plumbing ------------------------------------------------
-    # Each hook feeds its `act` result to the queue itself: a count of 0
-    # leaves the queue, any other is offered to it, >= n_bo makes it hot.
+
+    def _absorb(self, changed: Sequence[Tuple[int, int]]) -> List[int]:
+        """Feed counter changes to the queue; return rows now >= n_bo."""
+        hot = []
+        n_bo = self._n_bo
+        for row, count in changed:
+            if count == 0:
+                self._q_remove(row)
+            else:
+                self._q_update(row, count)
+            if count >= n_bo:
+                hot.append(row)
+        return hot
 
     def _raise_or_park(self, rows: List[int],
                        alert_allowed: bool) -> Optional[MitigationAction]:
         if alert_allowed:
+            self.stat_alerts += 1
             return MitigationAction("Alert", rows)
         self.pending_alert = True
         return None
@@ -173,6 +189,7 @@ class SchemeState:
                 hot = [row]
         if not hot:
             return None
+        self.stat_alerts += 1
         return MitigationAction("Alert", hot)
 
     def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
@@ -181,25 +198,14 @@ class SchemeState:
         self.bank.core.reset(row)
         self.queue.remove(row)
         hot: List[int] = []
-        observer = self.activation_observer
-        n_bo = self._n_bo
-        lo = row - row % self.geometry.rows_per_dsa
-        hi = lo + self.geometry.rows_per_dsa
         # Nearest victims first on each side, the order the refresh burst
-        # walks the blast radius in; victims stay inside the subarray.
-        for d in range(1, self.geometry.blast_radius + 1):
-            for victim in (row - d, row + d):
-                if lo <= victim < hi:
-                    if observer is not None:
-                        observer(victim)
-                    for r, count in self._act(victim, self._sem):
-                        if count == 0:
-                            self._q_remove(r)
-                        else:
-                            self._q_update(r, count)
-                            if count >= n_bo:
-                                hot.append(r)
-                    applied.append((victim, "act"))
+        # walks the blast radius in.
+        for offset in self._neighbours[row % self.geometry.rows_per_dsa]:
+            victim = row + offset
+            if self.activation_observer is not None:
+                self.activation_observer(victim)
+            hot += self._absorb(self._act(victim, self._sem))
+            applied.append((victim, "act"))
         if hot:
             self._raise_or_park(sorted(set(hot)), alert_allowed=False)
         return applied
@@ -209,14 +215,7 @@ class SchemeState:
         self.queue.remove(row)
         if self.activation_observer is not None:
             self.activation_observer(row)
-        hot: List[int] = []
-        for r, count in self._act(row, VICTIM_COUNT):
-            if count == 0:
-                self._q_remove(r)
-            else:
-                self._q_update(r, count)
-                if count >= self._n_bo:
-                    hot.append(r)
+        hot = self._absorb(self._act(row, VICTIM_COUNT))
         if hot:
             self._raise_or_park(hot, alert_allowed=False)
         return [(row, "refresh")]
@@ -261,14 +260,15 @@ class SchemeState:
         """Count one demand activation; maybe ask for an alert."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
-        hot = None
+        # The _absorb walk, inlined: it runs for every demand ACT.
+        hot = []
         for r, count in self._act(row, self._sem):
             if count == 0:
                 self._q_remove(r)
             else:
                 self._q_update(r, count)
                 if count >= self._n_bo:
-                    hot = [r] if hot is None else hot + [r]
+                    hot.append(r)
         if hot:
             return self._raise_or_park(sorted(hot), alert_allowed)
         return None
@@ -278,6 +278,7 @@ class SchemeState:
         """Count a REF's row group, then run the proactive hook if due."""
         self._refs_seen += 1
         sem = NO_COUNT if self.config.scheme == "Chronus" else self._sem
+        # The _absorb walk, inlined: it runs for every row of every REF.
         act, update, remove, n_bo = (self._act, self._q_update,
                                      self._q_remove, self._n_bo)
         hot: List[int] = []
@@ -309,6 +310,7 @@ class SchemeState:
         applied = self._one_mitigation_unit()
         if not applied:
             return None
+        self.stat_proactive += 1
         return MitigationAction("ProactiveRefresh",
                                 [r for r, what in applied if what != "act"])
 

@@ -7,7 +7,7 @@ from hammersim.counters import (CounterBank, CsaLayout, CsaTiming,
                                 counter_update_latency,
                                 csa_activations_for_event,
                                 csa_scaled_latency, dual_activation_rows,
-                                victim_set)
+                                neighbour_offsets, victim_set)
 from hammersim.dram import DeviceGeometry
 from hammersim.units import to_ns
 
@@ -24,6 +24,18 @@ def test_victim_set_clips_at_subarray_edges():
     assert victim_set(511, G) == [509, 510]
     assert victim_set(512, G) == [513, 514]
     assert victim_set(1, G) == [0, 2, 3]
+
+
+def test_neighbour_offsets_nearest_first_and_clipped():
+    offsets = neighbour_offsets(G)
+    assert len(offsets) == G.rows_per_dsa
+    assert offsets[100] == (-1, 1, -2, 2)
+    assert offsets[0] == (1, 2)
+    assert offsets[1] == (-1, 1, 2)
+    assert offsets[511] == (-1, -2)
+    assert neighbour_offsets(DeviceGeometry()) is offsets  # built once
+    tiny = DeviceGeometry(rows_per_bank=6, rows_per_dsa=3, blast_radius=3)
+    assert neighbour_offsets(tiny) == ((1, 2), (-1, 1), (-1, -2))
 
 
 @given(st.integers(min_value=0, max_value=G.rows_per_bank - 1))

@@ -86,6 +86,7 @@ def test_victim_counting_alerts_on_neighbours_not_self():
     # together on the third activation.
     assert action.rows == [8, 9, 11, 12]
     assert state.bank.get(10) == 0
+    assert state.stat_alerts == 1
 
 
 def test_aggressor_counting_alerts_on_self():
@@ -140,6 +141,7 @@ def test_multiple_victims_cross_together_single_alert():
     actions = [state.on_act(10) for _ in range(8)]
     assert all(a is None for a in actions[:7])
     assert actions[7] is not None and actions[7].rows == [8, 9, 11, 12]
+    assert state.stat_alerts == 1
 
 
 # -- alert deferral ---------------------------------------------------------
@@ -213,6 +215,18 @@ def test_aggressor_rfm_resets_and_disturbs_victims():
     assert all(state.bank.get(r) == 1 for r in (8, 9, 11, 12))
 
 
+@pytest.mark.parametrize("row,victims", [(10, [9, 11, 8, 12]),
+                                         (64, [65, 66]), (63, [62, 61])])
+def test_aggressor_rfm_walks_victims_nearest_first_inside_subarray(
+        row, victims):
+    geometry = DeviceGeometry(rows_per_bank=256, banks=1, rows_per_dsa=64,
+                              counter_bits=16)
+    state = SchemeState(preset("PRAC", 100), geometry)
+    state.on_act(row)
+    applied = state.on_rfm()
+    assert applied == [(row, "reset")] + [(v, "act") for v in victims]
+
+
 def test_victim_rfm_services_queue_top_then_cascades():
     # One RFM's worth of PVAC work pops the four hottest victims in turn.
     # Each service is itself a counted activation, so later picks shift as
@@ -257,6 +271,7 @@ def test_chronus_alert_services_until_no_counter_is_hot():
             state.on_act(row, alert_allowed=False)
     action = state.take_pending_alert()
     assert action is not None and action.kind == "Alert"
+    assert state.stat_alerts == 1
     bursts = 0
     while True:
         applied = state.on_rfm()
@@ -302,6 +317,7 @@ def test_proactive_fires_at_threshold_on_refresh_boundary():
     assert action.rows == [10]
     assert state.bank.get(10) == 0
     assert state.bank.get(9) == 1  # serviced as a real refresh, not an erase
+    assert state.stat_proactive == 1
 
 
 def test_proactive_respects_threshold():
@@ -309,6 +325,7 @@ def test_proactive_respects_threshold():
     for _ in range(31):  # one short of n_bo // 2
         state.on_act(10)
     assert state.on_refresh(range(200, 208)) is None
+    assert state.stat_proactive == 0
     assert state.bank.get(10) == 31
 
 
@@ -319,6 +336,7 @@ def test_proactive_respects_period():
     results = [state.on_refresh(range(200, 208)) for _ in range(4)]
     assert results[:3] == [None, None, None]
     assert results[3] is not None and results[3].kind == "ProactiveRefresh"
+    assert state.stat_proactive == 1
 
 
 def test_pvac_proactive_refreshes_victims():
