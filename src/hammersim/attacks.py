@@ -65,14 +65,11 @@ def gen_round_robin(spec: RoundRobinSpec,
                     geometry: Optional[DeviceGeometry] = None
                     ) -> Iterator[TraceEvent]:
     """Endless ASAP activations cycling the pool; the engine's duration
-    cut-off terminates consumption."""
+    cut-off terminates consumption.  The pool is checked against
+    `geometry` here, and each row's event is built once and repeated."""
     if geometry is not None:
         spec.check_fits(geometry)
-    rows = spec.rows()
-    i = 0
-    while True:
-        yield TraceEvent("act", row=rows[i])
-        i = (i + 1) % len(rows)
+    return cycle([TraceEvent("act", row) for row in spec.rows()])
 
 
 def gen_benign(geometry: DeviceGeometry, seed: int, act_gap_ps: int,
@@ -280,14 +277,15 @@ def trace_to_lines(events: Sequence[TraceEvent], bank: int = 0) -> List[str]:
 
 
 def lines_to_trace(lines: Sequence[str]) -> List[TraceEvent]:
-    events = []
+    events: List[TraceEvent] = []
+    append, make = events.append, TraceEvent._make
     for ln in lines:
         ln = ln.strip()
-        if not ln or ln.startswith("#"):
+        if not ln or ln[0] == "#":
             continue
         stamp, _bank, kind, row = ln.split(",")
         if kind != "ACT":
             raise ValueError(f"unknown trace line kind {kind!r}")
         t = None if stamp == "ASAP" else int(stamp) * 1000
-        events.append(TraceEvent("act", row=int(row), time_ps=t))
+        append(make(("act", int(row), t, 0)))
     return events

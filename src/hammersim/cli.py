@@ -19,14 +19,14 @@ from .attacks import RoundRobinSpec, gen_benign, gen_round_robin, \
 from .config import (ConfigError, check_keys, dump_manifest, geometry_from,
                      get_section, get_value, load_config, refresh_from,
                      scheme_from)
-from .counters import (CsaTiming, csa_scaled_latency)
+from .counters import csa_scaled_latency
 from .dram import DeviceGeometry, RefreshConfig
 from .engine import AboConfig, BankEngine, audit_log, log_to_csv_lines
 from .schemes import SCHEMES, preset
 from .security import (AnalysisParams, RecurrenceConfig, brute_force_oracle,
                        bw_bound, security_table, small_oracle_geometry,
                        solve_nbo)
-from .units import ns, to_ns
+from .units import ns
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,24 +213,19 @@ def _run_csa_latency(cfg: Dict[str, Any], outdir: str, seed: int,
     row_counts = _get_list(sec, "rows", (int,), "csa_latency",
                            [65536, 131072, 262144])
     brs = _get_list(sec, "brs", (int,), "csa_latency", [1, 2, 4])
-    timing = CsaTiming()
     out = ["rows,br,tRCD_csa_ns,update_ns,tWR_csa_ns,tRP_csa_ns,"
            "total_ns,scaled_total_ns,csa_share"]
-    from .counters import CSA_COMPONENT_GROWTH, CSA_UPDATE_SHRINK
     for rows in row_counts:
-        doublings = (rows // 65536).bit_length() - 1
-        g = CSA_COMPONENT_GROWTH ** doublings
-        h = CSA_UPDATE_SHRINK ** doublings
         for br in brs:
-            rcd = to_ns(timing.tRCD_csa) * g
-            twr = to_ns(timing.tWR_csa) * g
-            trp = to_ns(timing.tRP_csa) * g
-            upd = (2 * br + 1) * to_ns(timing.tUP) * h
-            total = rcd + upd + twr + trp
-            _c, _u, scaled_total, share = csa_scaled_latency(rows, br)
-            out.append(f"{rows},{br},{rcd:.3f},{upd:.3f},{twr:.3f},"
-                       f"{trp:.3f},{total:.3f},{scaled_total:.3f},"
-                       f"{share:.4f}")
+            try:
+                lat = csa_scaled_latency(rows, br)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"csa_latency: rows {rows}, br {br}: {exc}") from exc
+            out.append(f"{rows},{br},{lat.tRCD_ns:.3f},{lat.update_ns:.3f},"
+                       f"{lat.tWR_ns:.3f},{lat.tRP_ns:.3f},"
+                       f"{lat.total_ns:.3f},{lat.scaled_total_ns:.3f},"
+                       f"{lat.share:.4f}")
     _write_text(os.path.join(outdir, "csa_latency.csv"), out)
     _write_text(os.path.join(outdir, "plot.gnuplot"), [
         'set datafile separator ","',
@@ -277,6 +272,11 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                 events = lines_to_trace(fh.read().splitlines())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"simulate.trace: {exc}") from exc
+        n_rows = geometry.rows_per_bank
+        for _kind, row, _t, _d in events:
+            if not 0 <= row < n_rows:
+                raise ConfigError(f"simulate.trace: row {row} is outside "
+                                  f"the {n_rows}-row bank")
     elif kind == "idle":
         events = []
     elif kind == "round_robin":

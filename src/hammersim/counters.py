@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .dram import DeviceGeometry
 from .kernel import CounterCore
-from .units import ns
+from .units import ns, to_ns
 
 AGGRESSOR_COUNT = 0
 VICTIM_COUNT = 1
@@ -145,26 +145,52 @@ def counter_update_latency(timing: CsaTiming, blast_radius: int) -> int:
 CSA_COMPONENT_64K_NS = 27.155
 CSA_COMPONENT_GROWTH = 1.08707
 CSA_UPDATE_SHRINK = 0.87880
-CSA_TUP_64K_NS = 0.83
 
 
-def csa_scaled_latency(rows_per_bank: int, blast_radius: int
-                       ) -> Tuple[float, float, float, float]:
-    """(csa_component_ns, update_component_ns, total_ns, csa_share).
+class CsaLatency(NamedTuple):
+    """One counter update at a bank size and blast radius, in ns.
+
+    tRCD, tWR and tRP are the `CsaTiming` steps grown per doubling;
+    `update_ns` is the 2*BR + 1 shrunk update steps.  `scaled_total_ns`
+    adds the update steps to the calibrated short-CSA access component,
+    and `share` is that component's part of it.
+    """
+
+    tRCD_ns: float
+    update_ns: float
+    tWR_ns: float
+    tRP_ns: float
+    scaled_total_ns: float
+    share: float
+
+    @property
+    def total_ns(self) -> float:
+        """tRCD + update + tWR + tRP."""
+        return self.tRCD_ns + self.update_ns + self.tWR_ns + self.tRP_ns
+
+
+def csa_scaled_latency(rows_per_bank: int, blast_radius: int) -> CsaLatency:
+    """The counter-update components for a bank of `rows_per_bank` rows.
 
     Valid for rows_per_bank in {64K, 128K, 256K}; the model extrapolates
     geometrically for other powers of two.
     """
+    if blast_radius < 1:
+        raise ValueError("blast_radius must be >= 1")
     if rows_per_bank < 65536 or rows_per_bank % 65536 != 0:
         raise ValueError("rows_per_bank must be a multiple of 65536")
     doublings = (rows_per_bank // 65536).bit_length() - 1
     if 65536 << doublings != rows_per_bank:
         raise ValueError("rows_per_bank must be a power-of-two multiple")
-    csa = CSA_COMPONENT_64K_NS * CSA_COMPONENT_GROWTH ** doublings
-    tup = CSA_TUP_64K_NS * CSA_UPDATE_SHRINK ** doublings
-    upd = (2 * blast_radius + 1) * tup
+    timing = CsaTiming()
+    grow = CSA_COMPONENT_GROWTH ** doublings
+    upd = ((2 * blast_radius + 1) * to_ns(timing.tUP)
+           * CSA_UPDATE_SHRINK ** doublings)
+    csa = CSA_COMPONENT_64K_NS * grow
     total = csa + upd
-    return csa, upd, total, csa / total
+    return CsaLatency(to_ns(timing.tRCD_csa) * grow, upd,
+                      to_ns(timing.tWR_csa) * grow,
+                      to_ns(timing.tRP_csa) * grow, total, csa / total)
 
 
 def _chunk_of(row: int, layout: CsaLayout) -> int:

@@ -19,7 +19,8 @@ accounting charges REF and RFM blocks only — admitted ACTs are useful work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import cycle, islice
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dram import (RFM_NS, DeviceGeometry, RefreshConfig, TimingSet,
                    rows_per_refresh)
@@ -52,8 +53,9 @@ class AboConfig:
         return self.abo_delay if self.abo_delay is not None else n_mit
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace entry: an immutable 4-tuple that generators may repeat."""
+
     kind: str  # "act" | "idle" | "end"
     row: int = -1
     time_ps: Optional[int] = None  # None = as soon as possible
@@ -329,20 +331,23 @@ class BankEngine:
     def run_trace(self, events: Iterable[TraceEvent],
                   duration_ps: int) -> EngineMetrics:
         cursor = 0
-        for ev in events:
-            if ev.kind == "end":
+        issue_act = self.issue_act
+        # `idle_ps` is the event's own duration_ps field; the run's length
+        # is the `duration_ps` parameter.
+        for kind, row, time_ps, idle_ps in events:
+            if kind == "act":
+                if time_ps is not None and time_ps > cursor:
+                    cursor = time_ps
+                issued = issue_act(row, cursor)
+                if issued >= duration_ps:
+                    break
+                cursor = issued
+            elif kind == "idle":
+                cursor = max(cursor, self.now) + idle_ps
+            elif kind == "end":
                 break
-            if ev.kind == "idle":
-                cursor = max(cursor, self.now) + ev.duration_ps
-                continue
-            if ev.kind != "act":
-                raise ValueError(f"unknown trace event kind {ev.kind!r}")
-            not_before = cursor if ev.time_ps is None \
-                else max(cursor, ev.time_ps)
-            issued = self.issue_act(ev.row, not_before)
-            if issued >= duration_ps:
-                break
-            cursor = issued
+            else:
+                raise ValueError(f"unknown trace event kind {kind!r}")
         self.advance_to(duration_ps)
         return self.finalize(duration_ps)
 
@@ -370,8 +375,8 @@ def saturation_act_stream(rows: Sequence[int] | int,
         rows = [rows]
     if not rows:
         raise ValueError("need at least one row")
-    return [TraceEvent("act", row=rows[i % len(rows)])
-            for i in range(count)]
+    events = [TraceEvent("act", row) for row in rows]
+    return list(islice(cycle(events), count))
 
 
 def log_to_csv_lines(log: Sequence[Tuple[int, int, str, int, int]]
@@ -402,7 +407,10 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
     tRFM = abo.tABO_recovery_per_rfm
 
     last_act: Optional[int] = None
+    # The last four REF/RFM blocks and the latest end among them: an ACT
+    # at or past that end cannot sit inside any of them.
     blocks: List[Tuple[int, int, str]] = []
+    blocks_end = 0
     alert_t: Optional[int] = None
     acts_in_window = 0
     rfms_since_alert = 0
@@ -412,9 +420,10 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
             if last_act is not None and t - last_act < tRC:
                 problems.append(f"ACT at {t} ps violates tRC after {last_act}")
             last_act = t
-            for s, e, what in blocks[-4:]:
-                if s <= t < e:
-                    problems.append(f"ACT at {t} ps inside {what} block")
+            if t < blocks_end:
+                for s, e, what in blocks:
+                    if s <= t < e:
+                        problems.append(f"ACT at {t} ps inside {what} block")
             if alert_t is not None and rfms_since_alert == 0:
                 acts_in_window += 1
                 if acts_in_window > abo.abo_act:
@@ -425,15 +434,17 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
                     problems.append(
                         f"ACT at {t} ps past the window of alert at "
                         f"{alert_t} ps")
-        elif kind == "REF":
-            blocks.append((t, t + tRFC, "REF"))
-        elif kind == "RFM":
-            if blocks and blocks[-1][2] == "RFM" and blocks[-1][0] == t:
-                pass  # several rows logged for one RFM command
+        elif kind == "REF" or kind == "RFM":
+            if kind == "REF":
+                blocks.append((t, t + tRFC, "REF"))
+            elif blocks and blocks[-1][2] == "RFM" and blocks[-1][0] == t:
+                continue  # several rows logged for one RFM command
             else:
                 blocks.append((t, t + tRFM, "RFM"))
                 if alert_t is not None:
                     rfms_since_alert += 1
+            del blocks[:-4]
+            blocks_end = max(e for _s, e, _what in blocks)
         elif kind == "ALERT":
             if alert_t is not None and rfms_since_alert == 0:
                 problems.append(

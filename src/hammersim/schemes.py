@@ -193,10 +193,12 @@ class SchemeState:
         return MitigationAction("Alert", hot)
 
     def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
-        """Reset `row`, then activate its victims (counted activations)."""
+        """Reset `row`, then activate its victims (counted activations).
+
+        `row` must already be out of the queue: the caller popped or
+        removed it."""
         applied: List[Tuple[int, str]] = [(row, "reset")]
         self.bank.core.reset(row)
-        self.queue.remove(row)
         hot: List[int] = []
         # Nearest victims first on each side, the order the refresh burst
         # walks the blast radius in.
@@ -211,8 +213,9 @@ class SchemeState:
         return applied
 
     def _mitigate_one_victim(self, row: int) -> List[Tuple[int, str]]:
-        """Refresh `row` as a victim-counted activation (reset + bumps)."""
-        self.queue.remove(row)
+        """Refresh `row` as a victim-counted activation (reset + bumps).
+
+        `row` must already be out of the queue: the caller popped it."""
         if self.activation_observer is not None:
             self.activation_observer(row)
         hot = self._absorb(self._act(row, VICTIM_COUNT))

@@ -171,7 +171,7 @@ def test_criterion_4_mitigation_bandwidth_bound():
 def test_criterion_5_counter_subarray_latency():
     timing = CsaTiming()
     base_total = to_ns(counter_update_latency(timing, 2))
-    share = csa_scaled_latency(65536, 1)[3]
+    share = csa_scaled_latency(65536, 1).share
     print(f"criterion 5: 64K/BR2 update cycle {base_total:.2f} ns "
           f"(target 35.1 +- 0.1); BR1 access share {share * 100:.2f}% "
           f"(target 91.6 +- 0.5)")
@@ -187,7 +187,7 @@ def test_criterion_5_counter_subarray_latency():
                      + (2 * br + 1) * to_ns(timing.tUP) * shrink)
             print(f"criterion 5: {rows} rows, BR={br}: {total:.2f} ns")
             assert total < 48.0
-            assert csa_scaled_latency(rows, br)[2] < 48.0
+            assert csa_scaled_latency(rows, br).scaled_total_ns < 48.0
 
 
 def test_criterion_6a_refresh_only_counter_bound():

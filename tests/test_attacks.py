@@ -44,6 +44,19 @@ def test_round_robin_spec_validation():
         next(gen_round_robin(spec, small_geometry()))
 
 
+def test_round_robin_checks_the_pool_when_called():
+    with pytest.raises(ValueError, match="outside a 512-row bank"):
+        gen_round_robin(RoundRobinSpec(n=600), small_geometry())
+
+
+def test_round_robin_repeats_one_event_per_pool_row():
+    gen = gen_round_robin(RoundRobinSpec(n=3, base_row=7), small_geometry())
+    events = [next(gen) for _ in range(7)]
+    assert events == [("act", 7, None, 0), ("act", 8, None, 0),
+                      ("act", 9, None, 0)] * 2 + [("act", 7, None, 0)]
+    assert events[0] is events[3] is events[6]
+
+
 def test_idle_trace_is_empty():
     assert gen_idle(0) == []
     assert gen_idle(10**9) == []

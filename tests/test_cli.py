@@ -141,6 +141,19 @@ def test_csa_latency_default_grid(tmp_path):
     assert (outdir / "plot.gnuplot").exists()
 
 
+@pytest.mark.parametrize("yaml_text, needle", [
+    ("csa_latency:\n  rows: [100000]\n", "multiple of 65536"),
+    ("csa_latency:\n  brs: [0]\n", "blast_radius"),
+], ids=["rows_not_a_power_of_two_multiple", "zero_blast_radius"])
+def test_csa_latency_rejects_bad_points(tmp_path, yaml_text, needle):
+    cfg = write_cfg(tmp_path, yaml_text)
+    outdir = tmp_path / "out"
+    result = run_cli("csa-latency", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    assert needle in all_text(result)
+    assert not (outdir / "csa_latency.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # security-table
 
@@ -302,14 +315,22 @@ def test_simulate_trace_file(tmp_path):
 
 
 def test_simulate_rejects_broken_traces(tmp_path):
-    trace = tmp_path / "attack.trace"
-    trace.write_text("ASAP,0,REF,0\n")
-    cfg = write_cfg(tmp_path, SIM_PREFIX
-                    + f"simulate: {{trace: '{trace}'}}\n")
-    result = run_cli("simulate", "--config", cfg, "--out",
-                     str(tmp_path / "out"))
-    assert result.exit_code == EXIT_CONFIG
-    assert "simulate.trace" in all_text(result)
+    # The bank has 4096 rows; each trace is rejected before any run.
+    for body, needle in (("ASAP,0,REF,0\n", "REF"),
+                         ("ASAP,0,ACT\n", "values"),
+                         ("ASAP,0,ACT,ten\n", "ten"),
+                         ("ASAP,0,ACT,5\n9000,0,ACT,4096\n", "row 4096 "),
+                         ("ASAP,0,ACT,-1\nASAP,0,ACT,5000\n", "row -1 ")):
+        trace = tmp_path / "attack.trace"
+        trace.write_text(body)
+        cfg = write_cfg(tmp_path, SIM_PREFIX
+                        + f"simulate: {{trace: '{trace}'}}\n")
+        outdir = tmp_path / "out"
+        result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+        assert result.exit_code == EXIT_CONFIG, body
+        text = all_text(result)
+        assert "simulate.trace" in text and needle in text, (body, text)
+        assert not (outdir / "summary.csv").exists()
 
 
 def test_simulate_unknown_kind_exits_2(tmp_path):

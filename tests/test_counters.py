@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hammersim.counters import (CounterBank, CsaLayout, CsaTiming,
+from hammersim.counters import (CSA_COMPONENT_GROWTH, CSA_UPDATE_SHRINK,
+                                CounterBank, CsaLayout, CsaTiming,
                                 counter_update_latency,
                                 csa_activations_for_event,
                                 csa_scaled_latency, dual_activation_rows,
@@ -85,15 +86,30 @@ def test_counter_update_latency_matches_pipeline_sum():
 def test_scaled_latency_across_generations_stays_under_row_cycle():
     for rows in (65536, 131072, 262144):
         for br in (1, 2, 4):
-            _csa, _upd, total, share = csa_scaled_latency(rows, br)
-            assert total < 48.0, (rows, br, total)
-            assert 0 < share < 1
+            lat = csa_scaled_latency(rows, br)
+            assert lat.scaled_total_ns < 48.0, (rows, br, lat)
+            assert 0 < lat.share < 1
 
 
 def test_scaled_latency_64k_br1_share():
-    _csa, _upd, total, share = csa_scaled_latency(65536, 1)
-    assert share == pytest.approx(0.916, abs=0.005)
-    assert total == pytest.approx(29.645, abs=0.001)
+    lat = csa_scaled_latency(65536, 1)
+    assert lat.share == pytest.approx(0.916, abs=0.005)
+    assert lat.scaled_total_ns == pytest.approx(29.645, abs=0.001)
+
+
+def test_scaled_latency_components_grow_and_shrink():
+    # At 64K the components are the CsaTiming steps themselves, and their
+    # sum is the in-CSA update latency.
+    base = csa_scaled_latency(65536, 2)
+    assert (base.tRCD_ns, base.tWR_ns, base.tRP_ns) == (7.6, 19.2, 4.1)
+    assert base.update_ns == pytest.approx(5 * 0.83)
+    assert base.total_ns == pytest.approx(
+        to_ns(counter_update_latency(CsaTiming(), 2)))
+    # Each doubling grows the access steps and shrinks the update step.
+    big = csa_scaled_latency(262144, 2)
+    assert big.tRCD_ns == pytest.approx(7.6 * CSA_COMPONENT_GROWTH ** 2)
+    assert big.tWR_ns == pytest.approx(19.2 * CSA_COMPONENT_GROWTH ** 2)
+    assert big.update_ns == pytest.approx(5 * 0.83 * CSA_UPDATE_SHRINK ** 2)
 
 
 def test_scaled_latency_rejects_odd_row_counts():
@@ -101,6 +117,9 @@ def test_scaled_latency_rejects_odd_row_counts():
         csa_scaled_latency(100_000, 2)
     with pytest.raises(ValueError):
         csa_scaled_latency(65536 * 3, 2)
+    for br in (0, -1):
+        with pytest.raises(ValueError, match="blast_radius"):
+            csa_scaled_latency(65536, br)
 
 
 def test_dual_activation_rows_are_chunk_straddlers():

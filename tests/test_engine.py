@@ -276,6 +276,75 @@ def test_csv_lines_render_nanoseconds():
     assert lines[2] == "343.500,0,RFM,11,0"
 
 
+
+# -- the independent auditor -------------------------------------------------
+
+def ev(t_ns: float, kind: str, row: int = 0):
+    """One hand-built log entry: (time_ps, bank, kind, row, counter)."""
+    return (ns(t_ns), 0, kind, row, 0)
+
+
+SHORT_RFM = AboConfig(tABO_recovery_per_rfm=ns(10))
+
+# (log, abo, expected problems); tRC 48 ns, tRFC 295 ns, RFM 350 ns, and an
+# alert window of 3 ACTs within 180 ns unless the row says otherwise.
+AUDIT_CASES = {
+    "act_within_trc": (
+        [ev(0, "ACT", 1), ev(40, "ACT", 2)], AboConfig(),
+        ["ACT at 40000 ps violates tRC after 0"]),
+    "act_inside_ref": (
+        [ev(0, "REF"), ev(100, "ACT")], AboConfig(),
+        ["ACT at 100000 ps inside REF block"]),
+    "act_at_ref_end": (
+        [ev(0, "REF"), ev(295, "ACT")], AboConfig(), []),
+    "act_inside_rfm": (
+        [ev(0, "RFM", 5), ev(100, "ACT")], AboConfig(),
+        ["ACT at 100000 ps inside RFM block"]),
+    "rfm_rows_at_one_time_are_one_block": (
+        [ev(0, "RFM", 5), ev(0, "RFM", 6), ev(0, "RFM", 7), ev(0, "RFM", 8),
+         ev(100, "ACT")], AboConfig(),
+        ["ACT at 100000 ps inside RFM block"]),
+    "act_inside_fourth_latest_block": (
+        [ev(0, "REF"), ev(10, "RFM"), ev(20, "RFM"), ev(30, "RFM"),
+         ev(100, "ACT")], SHORT_RFM,
+        ["ACT at 100000 ps inside REF block"]),
+    "act_inside_only_fifth_latest_block": (
+        [ev(0, "REF"), ev(10, "RFM"), ev(20, "RFM"), ev(30, "RFM"),
+         ev(40, "RFM"), ev(100, "ACT")], SHORT_RFM, []),
+    "fourth_act_in_alert_window": (
+        [ev(0, "ALERT"), ev(10, "ACT"), ev(58, "ACT"), ev(106, "ACT"),
+         ev(154, "ACT")], AboConfig(),
+        ["more than 3 ACTs in window of alert at 0 ps"]),
+    "act_past_alert_window": (
+        [ev(0, "ALERT"), ev(200, "ACT")], AboConfig(),
+        ["ACT at 200000 ps past the window of alert at 0 ps"]),
+    "alerts_without_rfm_between": (
+        [ev(0, "ALERT"), ev(1000, "ALERT")], AboConfig(),
+        ["alert at 1000000 ps follows alert at 0 ps with no RFM between"]),
+    "alerts_with_rfm_between": (
+        [ev(0, "ALERT"), ev(10, "RFM"), ev(1000, "ALERT")], AboConfig(), []),
+    "act_inside_two_blocks": (
+        [ev(0, "REF"), ev(100, "RFM"), ev(200, "ACT")], AboConfig(),
+        ["ACT at 200000 ps inside REF block",
+         "ACT at 200000 ps inside RFM block"]),
+    "messages_keep_their_order": (
+        [ev(0, "ALERT"), ev(10, "ACT"), ev(58, "ACT"), ev(106, "ACT"),
+         ev(120, "REF"), ev(130, "ACT"), ev(200, "ACT")], AboConfig(),
+        ["ACT at 130000 ps violates tRC after 106000",
+         "ACT at 130000 ps inside REF block",
+         "more than 3 ACTs in window of alert at 0 ps",
+         "ACT at 200000 ps inside REF block",
+         "more than 3 ACTs in window of alert at 0 ps",
+         "ACT at 200000 ps past the window of alert at 0 ps"]),
+}
+
+
+@pytest.mark.parametrize("log, abo, expected", AUDIT_CASES.values(),
+                         ids=AUDIT_CASES.keys())
+def test_audit_flags_hand_built_violations(log, abo, expected):
+    assert audit_log(log, plain_pvac(64), abo, RefreshConfig()) == expected
+
+
 def test_abo_config_validation():
     assert AboConfig().resolved_delay(4) == 4
     assert AboConfig(abo_delay=2).resolved_delay(4) == 2
