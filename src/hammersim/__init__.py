@@ -11,7 +11,7 @@ cross-checks the analysis on small banks.
 
 from .attacks import (AGGRESSOR_BASED, VICTIM_BASED, DamageObserver,
                       FeintingResult, FeintingSpec, RoundRobinSpec,
-                      gen_benign, gen_idle, gen_round_robin, lines_to_trace,
+                      gen_benign, gen_round_robin, lines_to_trace,
                       run_feinting, trace_to_lines)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        CsaLayout, CsaTiming, counter_update_latency,
@@ -19,8 +19,8 @@ from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        dual_activation_rows, victim_set)
 from .dram import (DeviceGeometry, RefreshConfig, TimingSet,
                    builtin_timing_set, idle_bandwidth, rows_per_refresh)
-from .energy import (EnergyModel, EnergyReport, WindowRow,
-                     default_energy_model, energy_report, window_summary)
+from .energy import (EnergyModel, EnergyReport, default_energy_model,
+                     energy_report)
 from .engine import (AboConfig, BankEngine, EngineMetrics, TraceEvent,
                      WindowStats, audit_log, log_to_csv_lines,
                      saturation_act_stream)
@@ -45,15 +45,15 @@ __all__ = [
     "MitigationAction", "NO_COUNT", "OracleCheck", "RecurrenceConfig",
     "RefreshConfig", "RoundRobinSpec", "SCHEMES", "SchemeConfig",
     "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
-    "TraceEvent", "VICTIM_BASED", "VICTIM_COUNT", "WindowRow",
-    "WindowStats", "audit_log", "builtin_timing_set", "brute_force_oracle",
-    "bw_bound", "counter_update_latency", "csa_activations_for_event",
+    "TraceEvent", "VICTIM_BASED", "VICTIM_COUNT", "WindowStats",
+    "audit_log", "builtin_timing_set", "brute_force_oracle", "bw_bound",
+    "counter_update_latency", "csa_activations_for_event",
     "csa_scaled_latency", "default_energy_model", "dual_activation_rows",
-    "energy_report", "gen_benign", "gen_idle", "gen_round_robin",
-    "hc_chronus", "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",
+    "energy_report", "gen_benign", "gen_round_robin", "hc_chronus",
+    "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",
     "log_to_csv_lines", "max_initial_pool", "ms", "ns",
     "pool_recurrence_prac", "pool_recurrence_pvac", "preset",
     "rows_per_refresh", "run_feinting", "saturation_act_stream",
     "security_table", "small_oracle_geometry", "solve_nbo", "to_ns",
-    "trace_to_lines", "us", "victim_set", "window_summary", "worst_case_hc",
+    "trace_to_lines", "us", "victim_set", "worst_case_hc",
 ]

@@ -1,9 +1,10 @@
 """Workload and adversarial trace generation.
 
-Three families: the idle (refresh-only) trace, open-loop round-robin
+Three families: a uniform-random benign stream, open-loop round-robin
 hammering with a configurable stride, and the closed-loop multi-round
 wave attack that evenly hammers a shrinking row pool, dropping every row
-the defense has already refreshed.
+the defense has already refreshed.  An idle (refresh-only) run is an
+empty trace.
 
 The wave attack cannot be a static trace: which rows die each round
 depends on the defense's queue state, so the driver reacts to the
@@ -33,7 +34,6 @@ class RoundRobinSpec:
     n: int
     stride: int = 1
     base_row: int = 0
-    duration_ps: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -52,13 +52,6 @@ class RoundRobinSpec:
             raise ValueError(
                 f"pool spans rows up to {top}, outside a "
                 f"{geometry.rows_per_bank}-row bank")
-
-
-def gen_idle(duration_ps: int) -> List[TraceEvent]:
-    """No demand at all; the engine still refreshes on schedule."""
-    if duration_ps < 0:
-        raise ValueError("duration must be >= 0")
-    return []
 
 
 def gen_round_robin(spec: RoundRobinSpec,

@@ -279,15 +279,15 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                                   f"the {n_rows}-row bank")
     elif kind == "idle":
         events = []
-    elif kind == "round_robin":
+    elif kind in ("round_robin", "benign"):
         try:
-            spec = RoundRobinSpec(n=n, stride=stride, base_row=base_row)
-            spec.check_fits(geometry)
+            if kind == "round_robin":
+                spec = RoundRobinSpec(n=n, stride=stride, base_row=base_row)
+                events = gen_round_robin(spec, geometry)
+            else:
+                events = gen_benign(geometry, seed, ns(act_gap_ns), count)
         except ValueError as exc:
             raise ConfigError(f"simulate: {exc}") from exc
-        events = gen_round_robin(spec)
-    elif kind == "benign":
-        events = gen_benign(geometry, seed, ns(act_gap_ns), count)
     else:
         raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
 
@@ -337,10 +337,9 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
     refresh = RefreshConfig(tRFC=ns(scheme.tRFC_ns))
     engine = BankEngine(scheme, geometry, refresh, AboConfig(),
                         collect_log=False)
-    spec = RoundRobinSpec(n=n, stride=stride)
-    spec.check_fits(geometry)
     duration = windows * refresh.window_ps
-    metrics = engine.run_trace(gen_round_robin(spec), duration)
+    metrics = engine.run_trace(
+        gen_round_robin(RoundRobinSpec(n=n, stride=stride)), duration)
     bw = sum(w.bandwidth for w in metrics.windows) / max(
         1, len(metrics.windows))
     line = (f"{hc},{stride},{n},{point.n_bo},{bw:.6f},"
@@ -366,6 +365,12 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     if name not in SCHEMES:
         raise ConfigError(f"sweep_stride.scheme: unknown scheme {name!r}")
     geometry = geometry_from(cfg)
+    for i, stride in enumerate(strides):
+        try:
+            RoundRobinSpec(n=n, stride=stride).check_fits(geometry)
+        except ValueError as exc:
+            raise ConfigError(f"sweep_stride: strides[{i}]={stride} with "
+                              f"n={n}: {exc}") from exc
     tasks = [(name, hc, stride, n, n_mit, depth, windows, geometry)
              for hc in hcs for stride in strides]
     if jobs > 1:

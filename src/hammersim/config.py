@@ -120,21 +120,20 @@ def refresh_from(cfg: Mapping[str, Any],
 _SCHEME_KEYS = ("name", "n_bo", "n_mit", "queue_depth")
 
 
-def scheme_from(cfg: Mapping[str, Any],
-                section: str = "scheme") -> SchemeConfig:
-    sec = get_section(cfg, section)
-    check_keys(sec, _SCHEME_KEYS, section)
-    name = get_value(sec, "name", (str,), section)
+def scheme_from(cfg: Mapping[str, Any]) -> SchemeConfig:
+    sec = get_section(cfg, "scheme")
+    check_keys(sec, _SCHEME_KEYS, "scheme")
+    name = get_value(sec, "name", (str,), "scheme")
     if name not in SCHEMES:
-        raise ConfigError(f"{section}.name must be one of {list(SCHEMES)}, "
+        raise ConfigError(f"scheme.name must be one of {list(SCHEMES)}, "
                           f"got {name!r}")
-    n_bo = get_value(sec, "n_bo", (int,), section)
-    n_mit = get_value(sec, "n_mit", (int,), section, 1)
-    depth = get_value(sec, "queue_depth", (int,), section, 20)
+    n_bo = get_value(sec, "n_bo", (int,), "scheme")
+    n_mit = get_value(sec, "n_mit", (int,), "scheme", 1)
+    depth = get_value(sec, "queue_depth", (int,), "scheme", 20)
     try:
         return preset(name, n_bo=n_bo, n_mit=n_mit, queue_depth=depth)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"scheme: {exc}") from exc
 
 
 def dump_manifest(resolved: Mapping[str, Any]) -> str:

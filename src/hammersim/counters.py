@@ -8,8 +8,12 @@ Two counting disciplines share one store:
   increments the counters of its neighbors within the blast radius, clipped
   to the row's subarray.
 
-The store itself is a thin wrapper around a kernel class that exists in two
-interchangeable builds (compiled and pure Python); see `kernel`.
+`CounterBank` holds one bank's counters in a kernel `CounterCore`, which
+exists in two interchangeable builds (compiled and pure Python); see
+`kernel`.  `neighbour_offsets` is the one Python copy of the victim rule.
+The rest of the module models the counter subarray (CSA): its layouts,
+its access timings, the latency of one counter update and how many CSA
+row cycles an ACT or a REF costs, which `energy` charges.
 """
 
 from __future__ import annotations
@@ -65,9 +69,7 @@ def victim_set(row: int, geometry: DeviceGeometry) -> List[int]:
 @dataclass(frozen=True)
 class CsaLayout:
     kind: str = "OptimizedDualCsa"  # InDsaRow | NaiveCsa | OptimizedDualCsa
-    csa_rows: int = 64
     chunk_rows: int = 128
-    guard_rows_per_csa_row: int = 2
 
     def __post_init__(self) -> None:
         if self.kind not in ("InDsaRow", "NaiveCsa", "OptimizedDualCsa"):
@@ -91,36 +93,28 @@ class CsaTiming:
 
 
 class CounterBank:
-    """Counters for one bank, with a chosen CSA layout for cost modeling."""
+    """Counters for one bank: the kernel's `CounterCore` plus the reads
+    the engine and the CLI make of it."""
 
-    def __init__(self, geometry: DeviceGeometry,
-                 layout: CsaLayout | None = None) -> None:
+    def __init__(self, geometry: DeviceGeometry) -> None:
         self.geometry = geometry
-        self.layout = layout or CsaLayout()
-        self._core = CounterCore(
+        self.core = CounterCore(
             geometry.rows_per_bank, geometry.rows_per_dsa,
             geometry.blast_radius, geometry.counter_cap,
         )
 
-    @property
-    def core(self) -> CounterCore:
-        return self._core
-
     def get(self, row: int) -> int:
-        return self._core.get(row)
+        return self.core.get(row)
 
     def snapshot(self) -> List[int]:
-        return self._core.snapshot()
-
-    def max_count(self) -> int:
-        return self._core.max_count()
+        return self.core.snapshot()
 
     def apply_activation(self, row: int, semantics: int
                          ) -> List[Tuple[int, int]]:
         """Apply one activation; returns the changed (row, count) entries."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
-        return self._core.act(row, semantics)
+        return self.core.act(row, semantics)
 
 
 def counter_update_latency(timing: CsaTiming, blast_radius: int) -> int:
@@ -193,14 +187,10 @@ def csa_scaled_latency(rows_per_bank: int, blast_radius: int) -> CsaLatency:
                       to_ns(timing.tRP_csa) * grow, total, csa / total)
 
 
-def _chunk_of(row: int, layout: CsaLayout) -> int:
-    return row // layout.chunk_rows
-
-
 def _spans_chunk_boundary(row: int, geometry: DeviceGeometry,
                           layout: CsaLayout) -> bool:
     group = [row] + victim_set(row, geometry)
-    chunks = {_chunk_of(r, layout) for r in group}
+    chunks = {r // layout.chunk_rows for r in group}
     return len(chunks) > 1
 
 

@@ -74,18 +74,13 @@ _BUILTIN_TIMINGS = {
         tRAS=ns(16), tRP=ns(36), tRC=ns(52),
         tRTP=ns(5), tWR=ns(10), tRCD=ns(16),
     ),
-    # Counter-subarray timings: short-row subarray, hence the much smaller
-    # tRCD/tRAS/tRP/tWR.  tRC here is derived as tRAS + tRP.
-    "CSA": TimingSet(
-        label="CSA",
-        tRAS=ns(16.7), tRP=ns(4.1), tRC=ns(20.8),
-        tRTP=ns(7.5), tWR=ns(19.2), tRCD=ns(7.6),
-    ),
 }
 
 
 def builtin_timing_set(label: str) -> TimingSet:
-    """Return one of the named built-in timing sets (Default, PRAC, CSA)."""
+    """Return one of the named built-in timing sets (Default, PRAC).
+
+    The counter subarray's own timings are `counters.CsaTiming`."""
     try:
         return _BUILTIN_TIMINGS[label]
     except KeyError:
@@ -100,15 +95,12 @@ class RefreshConfig:
     tREFW: int = ms(32)
     tREFI: int = us(3.9)
     tRFC: int = ns(295)
-    mode: str = "AllBankNormal"
 
     def __post_init__(self) -> None:
         if not self.tREFI < self.tREFW:
             raise ValueError("tREFI must be < tREFW")
         if not self.tRFC < self.tREFI:
             raise ValueError("tRFC must be < tREFI")
-        if self.mode not in ("AllBankNormal", "AllBankFine", "SameBankFine"):
-            raise ValueError(f"unknown refresh mode {self.mode!r}")
 
     @property
     def refs_per_window(self) -> int:

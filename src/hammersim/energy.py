@@ -80,20 +80,20 @@ class EnergyModel:
                     row: int) -> Tuple[float, float, float]:
         """(act energy, update energy, occupancy ns) to count one
         activation of `row` under `layout`."""
-        n = csa_activations_for_event(layout, "NormalAct", geometry, row=row)
-        if n == 0:
-            return 0.0, 0.0, 0.0
-        act, upd = self.csa_cycle_energy(half=(layout.kind ==
-                                               "OptimizedDualCsa"))
-        act_ns, upd_ns = _csa_occupancies(self.csa_timing, self.br)
-        return n * act, n * upd, n * (act_ns + upd_ns)
+        return self._csa_cycles(layout, csa_activations_for_event(
+            layout, "NormalAct", geometry, row=row))
 
     def csa_for_ref(self, layout: CsaLayout, geometry: DeviceGeometry,
                     refreshed_rows: Sequence[int]
                     ) -> Tuple[float, float, float]:
         """Same triple for one refresh batch."""
-        n = csa_activations_for_event(layout, "Refresh", geometry,
-                                      rows=refreshed_rows)
+        return self._csa_cycles(layout, csa_activations_for_event(
+            layout, "Refresh", geometry, rows=refreshed_rows))
+
+    def _csa_cycles(self, layout: CsaLayout, n: int
+                    ) -> Tuple[float, float, float]:
+        """(act energy, update energy, occupancy ns) of `n` CSA row
+        cycles under `layout`."""
         if n == 0:
             return 0.0, 0.0, 0.0
         act, upd = self.csa_cycle_energy(half=(layout.kind ==
@@ -120,18 +120,18 @@ class EnergyModel:
         total = per * (rows - dual) + 2 * per * dual
         return total / rows / base
 
-    def per_ref_csa_ratio(self, layout: CsaLayout, geometry: DeviceGeometry,
-                          refresh: Optional[RefreshConfig] = None) -> float:
-        """CSA energy per refresh batch as a fraction of one access."""
-        refresh = refresh or RefreshConfig()
+    def per_ref_csa_ratio(self, layout: CsaLayout,
+                          geometry: DeviceGeometry) -> float:
+        """CSA energy per default refresh batch as a fraction of one
+        access."""
         base = self.access_energy(to_ns(builtin_timing_set("Default").tRC))
-        batch = list(range(rows_per_refresh(geometry, refresh)))
+        batch = list(range(rows_per_refresh(geometry, RefreshConfig())))
         a, u, _occ = self.csa_for_ref(layout, geometry, batch)
         return (a + u) / base
 
 
-def default_energy_model(geometry: Optional[DeviceGeometry] = None,
-                         timing: Optional[CsaTiming] = None) -> EnergyModel:
+def default_energy_model(geometry: Optional[DeviceGeometry] = None
+                         ) -> EnergyModel:
     """Coefficients derived from the calibration ratios.
 
     The CSA power level is set so a full row cycle plus its update
@@ -140,7 +140,7 @@ def default_energy_model(geometry: Optional[DeviceGeometry] = None,
     removing the boundary-row double activations.
     """
     geometry = geometry or DeviceGeometry()
-    timing = timing or CsaTiming()
+    timing = CsaTiming()
     br = geometry.blast_radius
     access = 1.0  # one Default access defines the unit
     per_ns = access / to_ns(builtin_timing_set("Default").tRC)
@@ -265,51 +265,3 @@ def energy_report(log: Sequence[Tuple[int, int, str, int, int]],
                                                     float("inf"))
     return EnergyReport(occupancy_ns=occ, energy=nrg, total=total,
                         baseline=baseline, normalized_total=normalized)
-
-
-@dataclass(frozen=True)
-class WindowRow:
-    index: int
-    bandwidth: float
-    rfm_count: int
-    alert_count: int
-
-
-def window_summary(log: Sequence[Tuple[int, int, str, int, int]],
-                   refresh: Optional[RefreshConfig] = None,
-                   tRFC_ns: Optional[float] = None,
-                   duration_ps: Optional[int] = None) -> List[WindowRow]:
-    """Per-refresh-window (bandwidth, RFM count, alert count) from a log.
-
-    Blocked time is the refresh and RFM occupancy whose command start
-    falls in the window; alert windows and delay holds are opportunity
-    time, not charged.  Windows with no events report bandwidth 1.0.
-    """
-    refresh = refresh or RefreshConfig()
-    trfc = tRFC_ns if tRFC_ns is not None else to_ns(refresh.tRFC)
-    window_ps = refresh.window_ps
-    end = duration_ps
-    if end is None:
-        end = max((t for t, *_rest in log), default=0) + 1
-    n_windows = max(1, -(-end // window_ps))
-    blocked = [0.0] * n_windows
-    rfms = [0] * n_windows
-    alerts = [0] * n_windows
-    seen_rfm_ts = set()
-    for t, _bank, kind, _row, _c in log:
-        w = min(t // window_ps, n_windows - 1)
-        if kind == "REF":
-            blocked[w] += trfc
-        elif kind == "RFM":
-            if t not in seen_rfm_ts:
-                seen_rfm_ts.add(t)
-                blocked[w] += RFM_NS
-                rfms[w] += 1
-        elif kind == "ALERT":
-            alerts[w] += 1
-    out = []
-    win_ns = window_ps / 1000.0
-    for i in range(n_windows):
-        bw = 1.0 - blocked[i] / win_ns
-        out.append(WindowRow(i, bw, rfms[i], alerts[i]))
-    return out

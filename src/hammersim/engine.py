@@ -88,7 +88,7 @@ class BankEngine:
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
                  refresh: Optional[RefreshConfig] = None,
-                 abo: Optional[AboConfig] = None, *, bank_id: int = 0,
+                 abo: Optional[AboConfig] = None, *,
                  collect_log: bool = True) -> None:
         self.geometry = geometry
         self.refresh = refresh or RefreshConfig(
@@ -96,8 +96,8 @@ class BankEngine:
         self.abo = abo or AboConfig()
         self.scheme = SchemeState(scheme, geometry)
         self.timing: TimingSet = scheme.timing_set()
-        self.bank_id = bank_id
         self.collect_log = collect_log
+        # (time_ps, bank, kind, row, counter); the bank is always 0.
         self.log: List[Tuple[int, int, str, int, int]] = []
 
         self._tRC = self.timing.tRC
@@ -140,7 +140,7 @@ class BankEngine:
         Callers skip it when `collect_log` is off, so a run without a log
         never reads counters for it."""
         counter = self._get(row) if row >= 0 else 0
-        self.log.append((t, self.bank_id, kind, row, counter))
+        self.log.append((t, 0, kind, row, counter))
 
     def _charge_block(self, t: int, dur: int) -> None:
         w = t // self._win_len
@@ -192,6 +192,17 @@ class BankEngine:
         self._win_deadline = t + self.abo.tABO_ACT
         self._win_acts_left = self.abo.abo_act
 
+    def _surface_pending(self) -> bool:
+        """Assert the parked alert now if its condition still holds.
+
+        Returns whether it did.  Callers test `scheme.pending_alert`
+        first, so an ACT with nothing parked makes no call here."""
+        pending = self.scheme.take_pending_alert()
+        if pending is None:
+            return False
+        self._assert_alert(self.now, pending)
+        return True
+
     def _run_burst(self, start: int) -> None:
         """Execute the RFM burst for the current alert, REFs interleaved."""
         cur = max(start, self.now)
@@ -233,7 +244,7 @@ class BankEngine:
         """
         while True:
             if self._state == _WINDOW:
-                idle_from = max(self.now, 0)
+                idle_from = self.now
                 if until is not None and until <= idle_from:
                     return  # demand is already waiting; window stays open
                 self._run_burst(idle_from)
@@ -246,11 +257,8 @@ class BankEngine:
                 self._state = _IDLE
                 continue
             # IDLE: surface any alert deferred during the mitigation.
-            if self.scheme.pending_alert:
-                pending = self.scheme.take_pending_alert()
-                if pending is not None:
-                    self._assert_alert(self.now, pending)
-                    continue
+            if self.scheme.pending_alert and self._surface_pending():
+                continue
             return
 
     # -- public API ----------------------------------------------------------
@@ -292,16 +300,11 @@ class BankEngine:
                 if self._hold_left == 0:
                     self._state = _IDLE
                     if self.scheme.pending_alert:
-                        pending = self.scheme.take_pending_alert()
-                        if pending is not None:
-                            self._assert_alert(self.now, pending)
+                        self._surface_pending()
                 return issue
             # IDLE
-            if self.scheme.pending_alert:
-                pending = self.scheme.take_pending_alert()
-                if pending is not None:
-                    self._assert_alert(max(self.now, 0), pending)
-                    continue
+            if self.scheme.pending_alert and self._surface_pending():
+                continue
             issue = t
             action = self._admit(issue, row)
             if action is not None and action.kind == "Alert":
@@ -316,7 +319,7 @@ class BankEngine:
         action = self.scheme.on_act(row,
                                     alert_allowed=(self._state == _IDLE))
         if self.collect_log:
-            self.log.append((t, self.bank_id, "ACT", row, self._get(row)))
+            self.log.append((t, 0, "ACT", row, self._get(row)))
         return action
 
     def advance_to(self, t: int) -> None:

@@ -121,8 +121,8 @@ class MitigationAction:
 class SchemeState:
     """One bank's worth of mitigation state for a single scheme."""
 
-    def __init__(self, config: SchemeConfig, geometry: DeviceGeometry,
-                 bank: Optional[CounterBank] = None) -> None:
+    def __init__(self, config: SchemeConfig,
+                 geometry: DeviceGeometry) -> None:
         if config.n_bo > geometry.counter_cap:
             raise ValueError(
                 f"n_bo={config.n_bo} exceeds the {geometry.counter_bits}-bit "
@@ -134,13 +134,11 @@ class SchemeState:
         # (victim refreshes, RFM-induced activations); the engine wires a
         # damage observer here for ground-truth disturbance accounting.
         self.activation_observer = None
-        self.bank = bank or CounterBank(geometry)
+        self.bank = CounterBank(geometry)
         self.queue = TopQueue(config.queue_depth)
         self.pending_alert = False
         self._sem = semantics_code(config.counter_semantics)
         self._refs_seen = 0
-        self.stat_alerts = 0
-        self.stat_proactive = 0
         self._neighbours = neighbour_offsets(geometry)
         # Bound once: each counted activation goes straight to the kernel.
         self._act = self.bank.core.act
@@ -166,7 +164,6 @@ class SchemeState:
     def _raise_or_park(self, rows: List[int],
                        alert_allowed: bool) -> Optional[MitigationAction]:
         if alert_allowed:
-            self.stat_alerts += 1
             return MitigationAction("Alert", rows)
         self.pending_alert = True
         return None
@@ -184,13 +181,20 @@ class SchemeState:
         hot = [row for row, count in self.queue.items()
                if count >= self.config.n_bo]
         if not hot and self.config.adaptive_rfm:
-            row = self.bank.core.argmax()
-            if self.bank.get(row) >= self.config.n_bo:
+            row = self._hottest_if_hot()
+            if row is not None:
                 hot = [row]
         if not hot:
             return None
-        self.stat_alerts += 1
         return MitigationAction("Alert", hot)
+
+    def _hottest_if_hot(self) -> Optional[int]:
+        """The bank's hottest row if it holds a count >= n_bo, else None.
+
+        Adaptive alert servicing scans the whole bank this way, so a hot
+        row the queue displaced cannot be missed."""
+        row = self.bank.core.argmax()
+        return row if self.bank.get(row) >= self._n_bo else None
 
     def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
         """Reset `row`, then activate its victims (counted activations).
@@ -248,10 +252,9 @@ class SchemeState:
                 if top is not None:
                     self.queue.update(top[0], top[1])
                 if require_hot:
-                    row = self.bank.core.argmax()
-                    if self.bank.get(row) >= self.config.n_bo:
-                        self.queue.remove(row)
-                        target = row
+                    target = self._hottest_if_hot()
+                    if target is not None:
+                        self.queue.remove(target)
             if target is not None:
                 applied += self._mitigate_one_aggressor(target)
         return applied
@@ -313,7 +316,6 @@ class SchemeState:
         applied = self._one_mitigation_unit()
         if not applied:
             return None
-        self.stat_proactive += 1
         return MitigationAction("ProactiveRefresh",
                                 [r for r, what in applied if what != "act"])
 

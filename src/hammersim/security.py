@@ -131,14 +131,17 @@ def max_initial_pool(discipline: str, rows_per_bank: int) -> int:
 
 
 def _recurrence_knobs(discipline: str, params: AnalysisParams
-                      ) -> Tuple[int, int, int]:
-    """(subtrahend, terminal pool size, denominator) per discipline."""
+                      ) -> Tuple[int, int, int, int]:
+    """(subtrahend, terminal pool size, denominator, rows removed per
+    alert) per discipline."""
     den = params.abo_act + params.delay
+    remu = params.n_mit
     if params.recurrence.granularity == "text":
         den *= 2 * params.br
+        remu *= 2 * params.br
     if discipline == DISC_VICTIM:
-        return 0, 1, den
-    return params.br, 2 * params.br, den
+        return 0, 1, den, remu
+    return params.br, 2 * params.br, den, remu
 
 
 _TABLE_CACHE: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
@@ -148,7 +151,7 @@ def _nr_tables(discipline: str, params: AnalysisParams
                ) -> Tuple[np.ndarray, np.ndarray]:
     """(prefix-max NR, raw NR) over r1 = 0..cap, vectorized."""
     cap = max_initial_pool(discipline, params.rows_per_bank)
-    sub, term, den = _recurrence_knobs(discipline, params)
+    sub, term, den, remu = _recurrence_knobs(discipline, params)
     rec = params.recurrence
     key = (discipline, params.n_mit, params.delay, params.abo_act,
            params.br, rec.variant, rec.granularity, cap)
@@ -156,9 +159,6 @@ def _nr_tables(discipline: str, params: AnalysisParams
     if hit is not None:
         return hit
 
-    remu = params.n_mit
-    if rec.granularity == "text":
-        remu *= 2 * params.br
     R = np.arange(cap + 1, dtype=np.int64)
     NR = np.ones(cap + 1, dtype=np.int64)
     NR[0] = 0
@@ -205,10 +205,7 @@ def pool_recurrence_prac(r1: int, params: AnalysisParams) -> int:
 def _pool_recurrence(discipline: str, r1: int, params: AnalysisParams) -> int:
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
-    sub, term, den = _recurrence_knobs(discipline, params)
-    remu = params.n_mit
-    if params.recurrence.granularity == "text":
-        remu *= 2 * params.br
+    sub, term, den, remu = _recurrence_knobs(discipline, params)
     if r1 == 0:
         return 0
     pool = r1
@@ -230,17 +227,25 @@ def _pool_recurrence(discipline: str, r1: int, params: AnalysisParams) -> int:
     raise RuntimeError("pool recurrence failed to terminate")
 
 
+def _hc(discipline: str, n_bo: int, nr: int, params: AnalysisParams
+        ) -> int:
+    """Worst-case hammered count of `discipline` after `nr` wave rounds;
+    the one closed form behind hc_pvac, hc_prac and worst_case_hc."""
+    base = params.delay + params.abo_act + params.br
+    if discipline == DISC_VICTIM:
+        return (n_bo - 1) + nr + base
+    return 2 * params.br * (n_bo - 1) + 2 * params.br * nr + base - 1
+
+
 def hc_pvac(n_bo: int, params: AnalysisParams, r1: int) -> int:
     """Worst-case hammered count for victim-based counting at pool r1."""
-    nr = pool_recurrence_pvac(r1, params)
-    return (n_bo - 1) + nr + params.delay + params.abo_act + params.br
+    return _hc(DISC_VICTIM, n_bo, pool_recurrence_pvac(r1, params), params)
 
 
 def hc_prac(n_bo: int, params: AnalysisParams, r1: int) -> int:
     """Worst-case hammered count for aggressor-based counting at pool r1."""
-    nr = pool_recurrence_prac(r1, params)
-    return (2 * params.br * (n_bo - 1) + 2 * params.br * nr
-            + params.delay + params.abo_act + params.br - 1)
+    return _hc(DISC_AGGRESSOR, n_bo, pool_recurrence_prac(r1, params),
+               params)
 
 
 def hc_chronus(n_bo: int, params: AnalysisParams) -> int:
@@ -290,11 +295,7 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
     else:
         nr = int(M[r1_cap])
         worst = int(np.searchsorted(M, nr, side="left"))
-    base = params.delay + params.abo_act + params.br
-    if discipline == DISC_VICTIM:
-        return (n_bo - 1) + nr + base, worst, nr
-    return (2 * params.br * (n_bo - 1) + 2 * params.br * nr
-            + base - 1), worst, nr
+    return _hc(discipline, n_bo, nr, params), worst, nr
 
 
 def solve_nbo(scheme: str, max_hc: int, params: AnalysisParams
@@ -363,15 +364,15 @@ class OracleCheck:
         return self.observed_hc <= self.bound_hc
 
 
-def small_oracle_geometry(rows: int = 256, br: int = 2) -> DeviceGeometry:
+def small_oracle_geometry(rows: int = 256) -> DeviceGeometry:
     """Desk-scale bank with counters wide enough for any tested n_bo."""
     return DeviceGeometry(rows_per_bank=rows, banks=1, rows_per_dsa=rows,
-                          counter_bits=16, blast_radius=br)
+                          counter_bits=16, blast_radius=2)
 
 
 def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
-                       geometry: Optional[DeviceGeometry] = None,
-                       r1: Optional[int] = None) -> OracleCheck:
+                       geometry: Optional[DeviceGeometry] = None
+                       ) -> OracleCheck:
     """Replay the wave attack on a small bank; report observed vs bound.
 
     The bound is the analyzer's worst case over every pool the small
@@ -390,19 +391,18 @@ def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
         bound = hc_chronus(n_bo, params)
         attack_disc = AGGRESSOR_BASED
         cap = max_initial_pool(DISC_AGGRESSOR, geometry.rows_per_bank)
-        default_r1 = min(32, cap)
+        r1 = min(32, cap)
     else:
         hc, worst, _nr = worst_case_hc(scheme, n_bo, params)
         bound = hc
         attack_disc = (VICTIM_BASED if discipline == DISC_VICTIM
                        else AGGRESSOR_BASED)
         cap = max_initial_pool(discipline, geometry.rows_per_bank)
-        default_r1 = max(4, min(worst, cap))
-    use_r1 = r1 if r1 is not None else default_r1
+        r1 = max(4, min(worst, cap))
     config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
     engine = BankEngine(config, geometry, abo=AboConfig())
-    spec = FeintingSpec(discipline=attack_disc, r1=use_r1,
+    spec = FeintingSpec(discipline=attack_disc, r1=r1,
                         n_bo=n_bo, n_mit=n_mit)
     result = run_feinting(engine, spec)
-    return OracleCheck(scheme, n_mit, n_bo, use_r1,
+    return OracleCheck(scheme, n_mit, n_bo, r1,
                        result.observed_hc, bound)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim.attacks import (DamageObserver, FeintingSpec, RoundRobinSpec,
-                               gen_benign, gen_idle, gen_round_robin,
-                               lines_to_trace, run_feinting, trace_to_lines)
+                               gen_benign, gen_round_robin, lines_to_trace,
+                               run_feinting, trace_to_lines)
 from hammersim.dram import DeviceGeometry, us
 from hammersim.engine import BankEngine, TraceEvent, audit_log
 from hammersim.schemes import SchemeConfig, preset
@@ -55,13 +55,6 @@ def test_round_robin_repeats_one_event_per_pool_row():
     assert events == [("act", 7, None, 0), ("act", 8, None, 0),
                       ("act", 9, None, 0)] * 2 + [("act", 7, None, 0)]
     assert events[0] is events[3] is events[6]
-
-
-def test_idle_trace_is_empty():
-    assert gen_idle(0) == []
-    assert gen_idle(10**9) == []
-    with pytest.raises(ValueError):
-        gen_idle(-1)
 
 
 def test_benign_stream_is_seeded_and_paced():

@@ -333,6 +333,21 @@ def test_simulate_rejects_broken_traces(tmp_path):
         assert not (outdir / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("body, needle", [
+    ("count: -1", "count >= 0"),
+    ("act_gap_ns: 0", "act_gap_ps must be >= 1"),
+], ids=["negative_count", "zero_gap"])
+def test_simulate_benign_rejects_bad_input(tmp_path, body, needle):
+    cfg = write_cfg(tmp_path, SIM_PREFIX
+                    + f"simulate: {{kind: benign, {body}}}\n")
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    text = all_text(result)
+    assert "simulate" in text and needle in text
+    assert not (outdir / "summary.csv").exists()
+
+
 def test_simulate_unknown_kind_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, SIM_PREFIX + "simulate: {kind: flood}\n")
     result = run_cli("simulate", "--config", cfg, "--out",
@@ -376,6 +391,23 @@ def test_sweep_stride_unknown_scheme_exits_2(tmp_path):
                      str(tmp_path / "out"))
     assert result.exit_code == EXIT_CONFIG
     assert "Nonesuch" in all_text(result)
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("strides: [1, 6]", "strides[1]=6 with n=128: stride must be in 1..5"),
+    ("n: 20000", "strides[3]=4 with n=20000: pool spans rows up to 79996"),
+    ("n: 0", "strides[0]=1 with n=0: pool size must be >= 1"),
+], ids=["stride_out_of_range", "pool_past_the_bank", "empty_pool"])
+def test_sweep_stride_rejects_bad_pools_before_any_job(tmp_path, body,
+                                                       needle):
+    # The default bank has 65536 rows: a 20000-row pool fits at strides
+    # 1..3 and first leaves the bank at stride 4.
+    cfg = write_cfg(tmp_path, f"sweep_stride: {{{body}}}\n")
+    outdir = tmp_path / "out"
+    result = run_cli("sweep-stride", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    assert f"sweep_stride: {needle}" in all_text(result)
+    assert not (outdir / "sweep_stride.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_victim_set_stays_in_dsa(row):
 
 
 def test_aggressor_counting_increments_self():
-    bank = CounterBank(G, CsaLayout())
+    bank = CounterBank(G)
     for _ in range(3):
         bank.apply_activation(50, 0)
     assert bank.get(50) == 3
@@ -57,7 +57,7 @@ def test_aggressor_counting_increments_self():
 
 
 def test_victim_counting_resets_self_and_bumps_neighbors():
-    bank = CounterBank(G, CsaLayout())
+    bank = CounterBank(G)
     bank.apply_activation(50, 1)
     assert bank.get(50) == 0
     assert [bank.get(r) for r in (48, 49, 51, 52)] == [1, 1, 1, 1]
@@ -69,7 +69,7 @@ def test_victim_counting_resets_self_and_bumps_neighbors():
 def test_counters_saturate_at_cap():
     small = DeviceGeometry(rows_per_bank=512, rows_per_dsa=512,
                            counter_bits=2)
-    bank = CounterBank(small, CsaLayout())
+    bank = CounterBank(small)
     for _ in range(10):
         bank.apply_activation(5, 0)
     assert bank.get(5) == 3  # 2-bit cap

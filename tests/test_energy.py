@@ -1,15 +1,15 @@
-"""Latency-proportional energy model and per-window log summaries."""
+"""Latency-proportional energy model, and the engine's per-window
+summaries that are read beside it."""
 
 import pytest
 
 from hammersim.counters import CsaLayout, CsaTiming
-from hammersim.dram import DeviceGeometry, RefreshConfig, us
+from hammersim.dram import DeviceGeometry, RefreshConfig, ms, ns, us
 from hammersim.energy import (CSA_PER_ACCESS_NAIVE, CSA_PER_ACCESS_OPTIMIZED,
                               CSA_PER_REF_NAIVE, CSA_PER_REF_OPTIMIZED,
-                              EnergyModel, EnergyReport, WindowRow,
-                              default_energy_model, energy_report,
-                              window_summary)
-from hammersim.engine import BankEngine, saturation_act_stream
+                              EnergyModel, EnergyReport, default_energy_model,
+                              energy_report)
+from hammersim.engine import BankEngine, TraceEvent, saturation_act_stream
 from hammersim.schemes import SchemeConfig, preset
 
 NAIVE = CsaLayout(kind="NaiveCsa")
@@ -141,36 +141,47 @@ def test_csv_lines_shape():
 
 
 # -- window summaries -----------------------------------------------------------
+#
+# `BankEngine.finalize` is the one place windows are summed.  A 1 ms tREFW
+# on a 512-row bank gives 256 REFs of two rows per window.
 
-def test_empty_log_is_one_clean_window():
-    assert window_summary([]) == [WindowRow(0, 1.0, 0, 0)]
+SHORT_REFRESH = RefreshConfig(tREFW=ms(1))
+SMALL = DeviceGeometry(rows_per_bank=512, banks=1, rows_per_dsa=512,
+                       counter_bits=16, blast_radius=2)
+
+
+def hammered_windows(first_act_ps, windows):
+    """PVAC (n_bo 8, one RFM per alert) with row 10 hammered eight times
+    from `first_act_ps`: one alert, and one RFM that logs four rows."""
+    engine = BankEngine(preset("PVAC", 8), SMALL, SHORT_REFRESH)
+    trace = [TraceEvent("act", 10, first_act_ps)] + \
+        saturation_act_stream(10, 7)
+    metrics = engine.run_trace(trace, windows * SHORT_REFRESH.window_ps)
+    rfm_times = [t for t, _b, kind, _r, _c in engine.log if kind == "RFM"]
+    assert len(rfm_times) == 4 and len(set(rfm_times)) == 1
+    return metrics.windows
 
 
 def test_window_summary_counts_and_blocking():
-    refresh = RefreshConfig()
-    log = [(0, 0, "REF", 0, 0),
-           (1_000_000, 0, "RFM", 5, 0), (1_000_000, 0, "RFM", 6, 0),
-           (2_000_000, 0, "ALERT", 5, 64)]
-    rows = window_summary(log, refresh, duration_ps=refresh.window_ps)
-    assert len(rows) == 1
-    w = rows[0]
-    assert w.bandwidth == pytest.approx(1 - 645 / 31_948_800, abs=1e-12)
-    assert w.rfm_count == 1  # both rows belong to one command
+    (w,) = hammered_windows(0, 1)
+    assert w.rfm_count == 1  # four logged rows, one command
     assert w.alert_count == 1
+    assert w.blocked_ps == 256 * SHORT_REFRESH.tRFC + ns(350)
+    assert w.bandwidth == 1 - w.blocked_ps / SHORT_REFRESH.window_ps
 
 
 def test_window_summary_splits_windows():
-    refresh = RefreshConfig()
-    late = refresh.window_ps + 5000
-    log = [(late, 0, "REF", 0, 0)]
-    rows = window_summary(log, refresh, duration_ps=2 * refresh.window_ps)
-    assert [w.index for w in rows] == [0, 1]
-    assert rows[0].bandwidth == 1.0
-    assert rows[1].bandwidth < 1.0
+    late = SHORT_REFRESH.window_ps + us(5)
+    windows = hammered_windows(late, 2)
+    assert [w.index for w in windows] == [0, 1]
+    assert [(w.rfm_count, w.alert_count) for w in windows] == [(0, 0),
+                                                               (1, 1)]
+    assert windows[0].blocked_ps == 256 * SHORT_REFRESH.tRFC
+    assert windows[1].blocked_ps == windows[0].blocked_ps + ns(350)
 
 
 def test_idle_run_has_no_rfm_windows():
-    engine = BankEngine(preset("PVAC", 200), default_geometry())
-    engine.run_trace([], us(400))
-    rows = window_summary(engine.log, engine.refresh)
-    assert all(w.rfm_count == 0 and w.alert_count == 0 for w in rows)
+    engine = BankEngine(preset("PVAC", 200), SMALL, SHORT_REFRESH)
+    windows = engine.run_trace([], 2 * SHORT_REFRESH.window_ps).windows
+    assert len(windows) == 2
+    assert all(w.rfm_count == 0 and w.alert_count == 0 for w in windows)

@@ -3,11 +3,13 @@
 Each case runs one scheme on one workload over a small bank with a short
 refresh window and hashes what the run emits: the CSV event log, the
 `EngineMetrics` fields (windows included) and, for the feinting wave,
-the `FeintingResult`.  A refactor or a speedup must leave every digest
-unchanged; a change that moves one on purpose says why in CHANGES.md.
+the `FeintingResult`.  The `cli/*` entries pin the bytes of each CSV and
+`manifest.yaml` that a few small CLI runs write.  A refactor or a speedup
+must leave every digest unchanged; a change that moves one on purpose
+says why in CHANGES.md.
 
-The matrix runs once per importable kernel build, so it also checks that
-the compiled and pure-Python builds give the same engine behaviour.
+Both matrices run once per importable kernel build, so they also check
+that the compiled and pure-Python builds give the same behaviour.
 
 Rewrite the JSON with:  python tests/test_golden.py --update
 """
@@ -18,11 +20,14 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from hammersim import _kernel_py, counters, schemes
+from hammersim.cli import EXIT_OK, main
 from hammersim.attacks import (AGGRESSOR_BASED, VICTIM_BASED, FeintingSpec,
                                RoundRobinSpec, gen_benign, gen_round_robin,
                                run_feinting)
@@ -47,6 +52,28 @@ WORKLOADS = ("idle", "rr128_s1", "rr128_s3", "benign0", "feinting",
 # 20 us lands in the middle of the setup batch for every scheme.
 STOP_POOL = 64
 STOP_AT_PS = us(20)
+
+# CLI runs: three closed-form commands on their defaults, a domino on a
+# 512-row bank whose 8 ms window laps it four times (PRAC alerts in the
+# second window, PVAC stays silent), and an alerting stride-3 simulate
+# that writes its event log.
+CLI_CASES = {
+    "bw-bound": None,
+    "csa-latency": None,
+    "security-table": None,
+    "domino": """\
+domino: {windows: 2, schemes: [PRAC, PVAC], n_bo: 8, n_mit: 1}
+geometry: {rows_per_bank: 512, rows_per_dsa: 512}
+refresh: {tREFW_ns: 8000000}
+""",
+    "simulate": """\
+scheme: {name: PVAC, n_bo: 32, n_mit: 4}
+geometry: {rows_per_bank: 4096}
+refresh: {tREFW_ns: 1000000}
+simulate: {kind: round_robin, n: 128, stride: 3, base_row: 100,
+           write_events: true}
+""",
+}
 
 
 def _refresh(scheme: str) -> RefreshConfig:
@@ -94,12 +121,42 @@ def all_cases() -> dict:
     return {f"{s}/{w}": run_case(s, w) for s in SCHEMES for w in WORKLOADS}
 
 
+def run_cli_case(name: str, workdir: Path) -> dict:
+    """SHA-256 of each CSV and manifest.yaml one CLI run writes."""
+    outdir = workdir / name
+    argv = [name, "--out", str(outdir)]
+    if CLI_CASES[name] is not None:
+        cfg = workdir / f"{name}.yaml"
+        cfg.write_text(CLI_CASES[name])
+        argv += ["--config", str(cfg)]
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == EXIT_OK, result.output
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(outdir.iterdir())
+            if f.suffix in (".csv", ".yaml")}
+
+
+def all_cli_cases(workdir: Path) -> dict:
+    return {f"cli/{name}": run_cli_case(name, workdir) for name in CLI_CASES}
+
+
+def _expected(cli: bool) -> dict:
+    golden = json.loads(GOLDEN.read_text())
+    return {k: v for k, v in golden.items() if k.startswith("cli/") == cli}
+
+
 @pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
 def test_golden_digests_unchanged(mod, monkeypatch):
     monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
     monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
-    expected = json.loads(GOLDEN.read_text())
-    assert all_cases() == expected
+    assert all_cases() == _expected(cli=False)
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+def test_cli_bytes_unchanged(mod, monkeypatch, tmp_path):
+    monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
+    monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
+    assert all_cli_cases(tmp_path) == _expected(cli=True)
 
 
 if __name__ == "__main__":
@@ -107,6 +164,7 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py --update")
     counters.CounterCore = _kernel_py.CounterCore
     schemes.TopQueue = _kernel_py.TopQueue
-    GOLDEN.write_text(json.dumps(all_cases(), indent=1, sort_keys=True)
-                      + "\n")
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = {**all_cases(), **all_cli_cases(Path(workdir))}
+    GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from hammersim.dram import DeviceGeometry
+from hammersim.engine import BankEngine, EngineMetrics
 from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, MitigationAction,
                                SchemeConfig, SchemeState, preset)
 
@@ -16,6 +17,17 @@ def small_geometry(rows: int = 256, bits: int = 16) -> DeviceGeometry:
 
 def make_state(scheme: str, n_bo: int, n_mit: int = 1, **kw) -> SchemeState:
     return SchemeState(preset(scheme, n_bo, n_mit, **kw), small_geometry())
+
+
+def engine_fed(scheme: str, n_bo: int, rows, refs: int = 0) -> EngineMetrics:
+    """Metrics of an engine on the same bank fed `rows` as ASAP demand
+    ACTs, then run through `refs` more REFs.  Its first REF issues at
+    t=0, before the first ACT; the ACTs here all fit in one tREFI."""
+    engine = BankEngine(preset(scheme, n_bo), small_geometry())
+    for row in rows:
+        engine.issue_act(row)
+    engine.advance_to(refs * engine.refresh.tREFI + 1)
+    return engine.metrics
 
 
 # -- configuration ---------------------------------------------------------
@@ -78,15 +90,12 @@ def test_unknown_row_rejected():
 
 def test_victim_counting_alerts_on_neighbours_not_self():
     state = make_state("PVAC", 3)
-    assert state.on_act(10) is None
-    assert state.on_act(10) is None
-    action = state.on_act(10)
-    assert action is not None and action.kind == "Alert"
+    actions = [state.on_act(10) for _ in range(3)]
     # The hammered row resets itself each time; its four victims cross
-    # together on the third activation.
-    assert action.rows == [8, 9, 11, 12]
+    # together on the third activation, which returns the only alert.
+    assert [a and a.kind for a in actions] == [None, None, "Alert"]
+    assert actions[2].rows == [8, 9, 11, 12]
     assert state.bank.get(10) == 0
-    assert state.stat_alerts == 1
 
 
 def test_aggressor_counting_alerts_on_self():
@@ -141,7 +150,7 @@ def test_multiple_victims_cross_together_single_alert():
     actions = [state.on_act(10) for _ in range(8)]
     assert all(a is None for a in actions[:7])
     assert actions[7] is not None and actions[7].rows == [8, 9, 11, 12]
-    assert state.stat_alerts == 1
+    assert engine_fed("PVAC", 8, [10] * 8).alerts_raised == 1
 
 
 # -- alert deferral ---------------------------------------------------------
@@ -271,7 +280,9 @@ def test_chronus_alert_services_until_no_counter_is_hot():
             state.on_act(row, alert_allowed=False)
     action = state.take_pending_alert()
     assert action is not None and action.kind == "Alert"
-    assert state.stat_alerts == 1
+    # One alert names every hot row, and it fires only once.
+    assert action.rows == hot_rows
+    assert state.take_pending_alert() is None
     bursts = 0
     while True:
         applied = state.on_rfm()
@@ -317,7 +328,7 @@ def test_proactive_fires_at_threshold_on_refresh_boundary():
     assert action.rows == [10]
     assert state.bank.get(10) == 0
     assert state.bank.get(9) == 1  # serviced as a real refresh, not an erase
-    assert state.stat_proactive == 1
+    assert engine_fed("QPRAC", 64, [10] * 32, refs=1).proactive_count == 1
 
 
 def test_proactive_respects_threshold():
@@ -325,7 +336,7 @@ def test_proactive_respects_threshold():
     for _ in range(31):  # one short of n_bo // 2
         state.on_act(10)
     assert state.on_refresh(range(200, 208)) is None
-    assert state.stat_proactive == 0
+    assert engine_fed("QPRAC", 64, [10] * 31, refs=1).proactive_count == 0
     assert state.bank.get(10) == 31
 
 
@@ -336,7 +347,8 @@ def test_proactive_respects_period():
     results = [state.on_refresh(range(200, 208)) for _ in range(4)]
     assert results[:3] == [None, None, None]
     assert results[3] is not None and results[3].kind == "ProactiveRefresh"
-    assert state.stat_proactive == 1
+    # In the engine the REF at t=0 is the first of the four.
+    assert engine_fed("MOAT", 64, [10] * 40, refs=3).proactive_count == 1
 
 
 def test_pvac_proactive_refreshes_victims():
