@@ -9,10 +9,9 @@ command engine — plus attack generators and a brute-force oracle that
 cross-checks the analysis on small banks.
 """
 
-from .attacks import (AGGRESSOR_BASED, VICTIM_BASED, DamageObserver,
-                      FeintingResult, FeintingSpec, RoundRobinSpec,
-                      gen_benign, gen_round_robin, lines_to_trace,
-                      run_feinting, trace_to_lines)
+from .attacks import (DamageObserver, FeintingResult, FeintingSpec,
+                      RoundRobinSpec, gen_benign, gen_round_robin,
+                      lines_to_trace, run_feinting, trace_to_lines)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        CsaLayout, CsaTiming, counter_update_latency,
                        csa_activations_for_event, csa_scaled_latency,
@@ -38,14 +37,14 @@ from .units import ms, ns, to_ns, us
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGRESSOR_BASED", "AGGRESSOR_COUNT", "AboConfig", "AnalysisParams",
+    "AGGRESSOR_COUNT", "AboConfig", "AnalysisParams",
     "BankEngine", "CounterBank", "CounterCore", "CsaLayout", "CsaTiming",
     "DamageObserver", "DeviceGeometry", "EngineMetrics", "EnergyModel",
     "EnergyReport", "FeintingResult", "FeintingSpec", "KERNEL_BUILD",
     "MitigationAction", "NO_COUNT", "OracleCheck", "RecurrenceConfig",
     "RefreshConfig", "RoundRobinSpec", "SCHEMES", "SchemeConfig",
     "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
-    "TraceEvent", "VICTIM_BASED", "VICTIM_COUNT", "WindowStats",
+    "TraceEvent", "VICTIM_COUNT", "WindowStats",
     "audit_log", "builtin_timing_set", "brute_force_oracle", "bw_bound",
     "counter_update_latency", "csa_activations_for_event",
     "csa_scaled_latency", "default_energy_model", "dual_activation_rows",

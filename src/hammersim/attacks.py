@@ -8,7 +8,10 @@ empty trace.
 
 The wave attack cannot be a static trace: which rows die each round
 depends on the defense's queue state, so the driver reacts to the
-engine's event log between activations.
+engine's event log between activations.  Its layout follows the counting
+discipline it targets, given as a `counters` code: `VICTIM_COUNT` packs
+aggressors so each serves a group of victims, `AGGRESSOR_COUNT` hammers a
+contiguous pool.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .counters import neighbour_offsets, victim_set
+from .counters import (AGGRESSOR_COUNT, VICTIM_COUNT, neighbour_offsets,
+                       victim_set)
 from .dram import DeviceGeometry
 from .engine import BankEngine, TraceEvent
-
-VICTIM_BASED = "VictimBased"
-AGGRESSOR_BASED = "AggressorBased"
 
 ROUND_ROBIN_POOLS = (8, 32, 128, 512, 1024, 4096, 8192)
 VICTIM_LAYOUT_STRIDE = 5  # leaves one untouched row between victim groups
@@ -124,18 +125,18 @@ class DamageObserver:
 
 @dataclass(frozen=True)
 class FeintingSpec:
-    discipline: str
+    discipline: int  # VICTIM_COUNT or AGGRESSOR_COUNT
     r1: int
     n_bo: int
     n_mit: int = 1
     base_row: int = 8
 
     def __post_init__(self) -> None:
-        if self.discipline not in (VICTIM_BASED, AGGRESSOR_BASED):
+        if self.discipline not in (VICTIM_COUNT, AGGRESSOR_COUNT):
             raise ValueError(f"unknown discipline {self.discipline!r}")
-        if self.discipline == VICTIM_BASED and self.r1 < 4:
+        if self.discipline == VICTIM_COUNT and self.r1 < 4:
             raise ValueError("victim-based waves need a pool of >= 4")
-        if self.discipline == AGGRESSOR_BASED and self.r1 < 1:
+        if self.discipline == AGGRESSOR_COUNT and self.r1 < 1:
             raise ValueError("aggressor-based waves need a pool of >= 1")
         if self.n_bo < 2:
             raise ValueError("n_bo must be >= 2")
@@ -144,7 +145,7 @@ class FeintingSpec:
 
     @property
     def layout_stride(self) -> int:
-        return VICTIM_LAYOUT_STRIDE if self.discipline == VICTIM_BASED else 1
+        return VICTIM_LAYOUT_STRIDE if self.discipline == VICTIM_COUNT else 1
 
 
 @dataclass
@@ -217,7 +218,7 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
 
     tail = engine.abo.abo_act + engine.abo.resolved_delay(
         engine.scheme.config.n_mit)
-    if spec.discipline == VICTIM_BASED:
+    if spec.discipline == VICTIM_COUNT:
         groups = _victim_groups(spec, geometry)
         # Setup: bring every prepared victim to n_bo - 1 without alerting.
         issue(chain.from_iterable(repeat(a, spec.n_bo - 1)

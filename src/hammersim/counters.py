@@ -8,6 +8,9 @@ Two counting disciplines share one store:
   increments the counters of its neighbors within the blast radius, clipped
   to the row's subarray.
 
+`AGGRESSOR_COUNT`, `VICTIM_COUNT` and `NO_COUNT` (count nothing) are the
+kernel's codes and the package's one name for a discipline.
+
 `CounterBank` holds one bank's counters in a kernel `CounterCore`, which
 exists in two interchangeable builds (compiled and pure Python); see
 `kernel`.  `neighbour_offsets` is the one Python copy of the victim rule.
@@ -23,25 +26,9 @@ from functools import lru_cache
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .dram import DeviceGeometry
-from .kernel import CounterCore
+from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, NONE as NO_COUNT,
+                     VICTIM as VICTIM_COUNT, CounterCore)
 from .units import ns, to_ns
-
-AGGRESSOR_COUNT = 0
-VICTIM_COUNT = 1
-NO_COUNT = 2
-
-_SEMANTICS = {
-    "AggressorCount": AGGRESSOR_COUNT,
-    "VictimCount": VICTIM_COUNT,
-    "NoCount": NO_COUNT,
-}
-
-
-def semantics_code(name: str) -> int:
-    try:
-        return _SEMANTICS[name]
-    except KeyError:
-        raise KeyError(f"unknown counter semantics {name!r}") from None
 
 
 @lru_cache(maxsize=None)

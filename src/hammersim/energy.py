@@ -228,11 +228,10 @@ def energy_report(log: Sequence[Tuple[int, int, str, int, int]],
             n_acts += 1
             occ["dsa_act"] += trc_ns
             nrg["dsa_act"] += model.access_energy(trc_ns)
-            if scheme.counter_semantics != "NoCount":
-                a, u, o = model.csa_for_act(layout, geometry, row)
-                nrg["csa_act"] += a
-                nrg["csa_update"] += u
-                occ["csa_act"] += o
+            a, u, o = model.csa_for_act(layout, geometry, row)
+            nrg["csa_act"] += a
+            nrg["csa_update"] += u
+            occ["csa_act"] += o
         elif kind == "REF":
             n_refs += 1
             occ["ref"] += trfc_ns

@@ -1,5 +1,11 @@
 """The five mitigation schemes as event-driven state machines.
 
+A scheme is its name: `SCHEME_RULES` holds what each name fixes (what an
+ACT and a refreshed row count, timing set, tRFC, proactive hook, RFM
+service), after the PRAC/Chronus analyses (Canpolat et al., DRAMSec 2024
+/ HPCA 2025) and MOAT (Qureshi et al., 2024).  `SchemeConfig` adds the
+knobs a run may set; `preset` is each name's stock configuration.
+
 Each scheme owns a per-bank counter store and a fixed-depth priority queue
 of the hottest rows.  The engine feeds it activations, refreshes, and RFM
 grants; the scheme answers with alert requests and row-refresh actions.
@@ -13,18 +19,51 @@ engine collects it once the hold expires — deferral, never suppression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .counters import (NO_COUNT, VICTIM_COUNT, CounterBank,
-                       neighbour_offsets, semantics_code)
+from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
+                       neighbour_offsets)
 from .dram import DeviceGeometry, TimingSet, builtin_timing_set
 from .kernel import TopQueue
-
-SCHEMES = ("PRAC", "PVAC", "Chronus", "QPRAC", "MOAT")
 
 RFM_ROWS_PER_PVAC_BURST = 4
 DEFAULT_QUEUE_DEPTH = 20
 CHRONUS_RFM_SAFETY_FACTOR = 16
+
+
+class SchemeRules(NamedTuple):
+    """What a scheme's name fixes."""
+
+    act_count: int                   # what a demand ACT counts
+    ref_count: int                   # what a refreshed row counts
+    timing: str                      # `dram` timing set
+    tRFC_ns: float
+    proactive_period: Optional[int]  # REFs per proactive hook; None: no hook
+    proactive_at_half: bool          # hook threshold max(1, n_bo // 2)
+    single_mitigation: bool = False  # one mitigation per alert
+    adaptive: bool = False           # RFMs until no counter is hot
+
+
+SCHEME_RULES: Dict[str, SchemeRules] = {
+    "PRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 295.0,
+                        None, False),
+    "PVAC": SchemeRules(VICTIM_COUNT, VICTIM_COUNT, "Default", 295.0,
+                        1, True),
+    "Chronus": SchemeRules(AGGRESSOR_COUNT, NO_COUNT, "Default", 295.0,
+                           2, False, adaptive=True),
+    "QPRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 295.0,
+                         1, True),
+    "MOAT": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 410.0,
+                        4, True, single_mitigation=True),
+}
+SCHEMES = tuple(SCHEME_RULES)
+
+
+def scheme_rules(scheme: str) -> SchemeRules:
+    try:
+        return SCHEME_RULES[scheme]
+    except KeyError:
+        raise ValueError(f"unknown scheme {scheme!r}") from None
 
 
 @dataclass(frozen=True)
@@ -34,14 +73,10 @@ class SchemeConfig:
     n_mit: int = 1
     proactive_threshold: Optional[int] = None
     proactive_period: Optional[int] = None
-    timing: str = "Default"
-    tRFC_ns: float = 295.0
-    counter_semantics: str = "AggressorCount"
     queue_depth: int = DEFAULT_QUEUE_DEPTH
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        rules = scheme_rules(self.scheme)
         if self.n_bo < 1:
             raise ValueError("n_bo must be >= 1")
         if self.n_mit not in (1, 2, 4):
@@ -52,32 +87,26 @@ class SchemeConfig:
             raise ValueError("proactive_period must be >= 1 when set")
         if self.proactive_threshold is not None and self.proactive_threshold < 1:
             raise ValueError("proactive_threshold must be >= 1 when set")
-        if self.tRFC_ns <= 0:
-            raise ValueError("tRFC_ns must be positive")
-        if self.scheme == "PVAC":
-            if self.counter_semantics != "VictimCount":
-                raise ValueError("PVAC requires VictimCount")
-            if self.timing != "Default":
-                raise ValueError("PVAC runs on Default timing")
-        elif self.scheme in ("PRAC", "QPRAC", "MOAT"):
-            if self.counter_semantics != "AggressorCount":
-                raise ValueError(f"{self.scheme} requires AggressorCount")
-            if self.timing != "PRAC":
-                raise ValueError(f"{self.scheme} runs on PRAC timing")
-        else:  # Chronus
-            if self.counter_semantics != "AggressorCount":
-                raise ValueError("Chronus requires AggressorCount")
-            if self.timing != "Default":
-                raise ValueError("Chronus runs on Default timing")
-        if self.scheme == "MOAT":
-            if self.n_mit != 1:
-                raise ValueError("MOAT performs a single mitigation per alert")
-            if self.tRFC_ns != 410.0:
-                raise ValueError("MOAT uses a 410 ns refresh slot")
+        if rules.single_mitigation and self.n_mit != 1:
+            raise ValueError(f"{self.scheme} performs a single mitigation "
+                             "per alert")
+
+    @property
+    def timing(self) -> str:
+        return SCHEME_RULES[self.scheme].timing
+
+    @property
+    def tRFC_ns(self) -> float:
+        return SCHEME_RULES[self.scheme].tRFC_ns
+
+    @property
+    def counter_semantics(self) -> int:
+        """What a demand ACT counts: a `counters` code."""
+        return SCHEME_RULES[self.scheme].act_count
 
     @property
     def adaptive_rfm(self) -> bool:
-        return self.scheme == "Chronus"
+        return SCHEME_RULES[self.scheme].adaptive
 
     def timing_set(self) -> TimingSet:
         return builtin_timing_set(self.timing)
@@ -86,30 +115,13 @@ class SchemeConfig:
 def preset(scheme: str, n_bo: int, n_mit: int = 1, *,
            queue_depth: int = DEFAULT_QUEUE_DEPTH) -> SchemeConfig:
     """Named stock configuration for each scheme at a given threshold."""
-    common = dict(n_bo=n_bo, queue_depth=queue_depth)
-    if scheme == "PRAC":
-        return SchemeConfig(scheme="PRAC", n_mit=n_mit, timing="PRAC",
-                            counter_semantics="AggressorCount", **common)
-    if scheme == "QPRAC":
-        return SchemeConfig(scheme="QPRAC", n_mit=n_mit, timing="PRAC",
-                            counter_semantics="AggressorCount",
-                            proactive_threshold=max(1, n_bo // 2),
-                            proactive_period=1, **common)
-    if scheme == "MOAT":
-        return SchemeConfig(scheme="MOAT", n_mit=1, timing="PRAC",
-                            counter_semantics="AggressorCount",
-                            proactive_threshold=max(1, n_bo // 2),
-                            proactive_period=4, tRFC_ns=410.0, **common)
-    if scheme == "Chronus":
-        return SchemeConfig(scheme="Chronus", n_mit=n_mit, timing="Default",
-                            counter_semantics="AggressorCount",
-                            proactive_period=2, **common)
-    if scheme == "PVAC":
-        return SchemeConfig(scheme="PVAC", n_mit=n_mit, timing="Default",
-                            counter_semantics="VictimCount",
-                            proactive_threshold=max(1, n_bo // 2),
-                            proactive_period=1, **common)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    rules = scheme_rules(scheme)
+    return SchemeConfig(
+        scheme=scheme, n_bo=n_bo,
+        n_mit=1 if rules.single_mitigation else n_mit,
+        proactive_threshold=(max(1, n_bo // 2) if rules.proactive_at_half
+                             else None),
+        proactive_period=rules.proactive_period, queue_depth=queue_depth)
 
 
 @dataclass
@@ -137,7 +149,10 @@ class SchemeState:
         self.bank = CounterBank(geometry)
         self.queue = TopQueue(config.queue_depth)
         self.pending_alert = False
-        self._sem = semantics_code(config.counter_semantics)
+        # What a demand ACT and a refreshed row count, read once.
+        rules = SCHEME_RULES[config.scheme]
+        self._sem, self._ref_sem = rules.act_count, rules.ref_count
+        self._adaptive = rules.adaptive
         self._refs_seen = 0
         self._neighbours = neighbour_offsets(geometry)
         # Bound once: each counted activation goes straight to the kernel.
@@ -180,7 +195,7 @@ class SchemeState:
         self.pending_alert = False
         hot = [row for row, count in self.queue.items()
                if count >= self.config.n_bo]
-        if not hot and self.config.adaptive_rfm:
+        if not hot and self._adaptive:
             row = self._hottest_if_hot()
             if row is not None:
                 hot = [row]
@@ -229,14 +244,15 @@ class SchemeState:
 
     def _one_mitigation_unit(self, require_hot: bool = False
                              ) -> List[Tuple[int, str]]:
-        """One RFM's worth of work: 4 victims (PVAC) or 1 aggressor.
+        """One RFM's worth of work: 4 victims under victim counting,
+        else 1 aggressor.
 
         With require_hot (adaptive alert servicing) the target must hold a
         count >= n_bo; if the queue's top does not, the bank is scanned so
         a displaced hot row cannot be missed.
         """
         applied: List[Tuple[int, str]] = []
-        if self.config.scheme == "PVAC":
+        if self._sem == VICTIM_COUNT:
             for _ in range(RFM_ROWS_PER_PVAC_BURST):
                 top = self.queue.pop_max()
                 if top is None:
@@ -283,10 +299,10 @@ class SchemeState:
                    ) -> Optional[MitigationAction]:
         """Count a REF's row group, then run the proactive hook if due."""
         self._refs_seen += 1
-        sem = NO_COUNT if self.config.scheme == "Chronus" else self._sem
         # The _absorb walk, inlined: it runs for every row of every REF.
-        act, update, remove, n_bo = (self._act, self._q_update,
-                                     self._q_remove, self._n_bo)
+        act, sem, update, remove, n_bo = (self._act, self._ref_sem,
+                                          self._q_update, self._q_remove,
+                                          self._n_bo)
         hot: List[int] = []
         for row in rows:
             for r, count in act(row, sem):
@@ -321,17 +337,17 @@ class SchemeState:
 
     def on_rfm(self) -> List[Tuple[int, str]]:
         """Service one RFM command; returns the applied per-row updates."""
-        return self._one_mitigation_unit(require_hot=self.config.adaptive_rfm)
+        return self._one_mitigation_unit(require_hot=self._adaptive)
 
     def rfm_pending_more(self) -> bool:
         """Adaptive schemes keep issuing RFMs while a counter is still hot."""
-        if not self.config.adaptive_rfm:
+        if not self._adaptive:
             return False
         return self.bank.core.max_count() >= self.config.n_bo
 
     def alert_burst_length(self) -> int:
         """RFMs the controller should issue for one alert."""
-        if self.config.adaptive_rfm:
+        if self._adaptive:
             # Variable; the engine loops on rfm_pending_more with this cap.
             return CHRONUS_RFM_SAFETY_FACTOR * self.config.queue_depth
         return self.config.n_mit

@@ -2,8 +2,10 @@
 recurrences, threshold solvers, the bandwidth bound, and a brute-force
 oracle that replays the wave attack on a small bank.
 
-Two counting disciplines analyze differently.  Victim-based counting pays
-per victim: HC = (n_bo - 1) + NR + delay + abo_act + br.  Aggressor-based
+Two counting disciplines, named by their `counters` codes, analyze
+differently; `discipline_for_scheme` reads a scheme's from the scheme
+table.  Victim-based counting pays per victim:
+HC = (n_bo - 1) + NR + delay + abo_act + br.  Aggressor-based
 counting multiplies the per-aggressor terms by the 2*br surrounding
 aggressors: HC = 2*br*(n_bo - 1) + 2*br*NR + delay + abo_act + br - 1.
 NR — the number of attack rounds the pool survives — comes from the pool
@@ -24,36 +26,24 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attacks import (AGGRESSOR_BASED, VICTIM_BASED, FeintingSpec,
-                      run_feinting)
+from .attacks import FeintingSpec, run_feinting
+from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import RFM_NS, DeviceGeometry, builtin_timing_set
 from .engine import AboConfig, BankEngine
-from .schemes import preset
+from .schemes import preset, scheme_rules
 from .units import to_ns
 
-DISC_VICTIM = "victim"
-DISC_AGGRESSOR = "aggressor"
 
-_DISC_OF_SCHEME = {
-    "PVAC": DISC_VICTIM,
-    "PRAC": DISC_AGGRESSOR,
-    "QPRAC": DISC_AGGRESSOR,
-    "MOAT": DISC_AGGRESSOR,
-    "Chronus": None,  # closed form, no pool recurrence
-}
+def discipline_for_scheme(scheme: str) -> Optional[int]:
+    """The counting code the pool recurrence analyzes `scheme` under;
+    None for an adaptive scheme, which has a closed form instead."""
+    rules = scheme_rules(scheme)
+    return None if rules.adaptive else rules.act_count
 
 
-def discipline_for_scheme(scheme: str) -> Optional[str]:
-    try:
-        return _DISC_OF_SCHEME[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
-
-
-def act_time_ns(discipline: str) -> float:
-    """Row-cycle time the attacker pays per activation, by discipline."""
-    label = "Default" if discipline == DISC_VICTIM else "PRAC"
-    return to_ns(builtin_timing_set(label).tRC)
+def act_time_ns(scheme: str) -> float:
+    """Row-cycle time the attacker pays per activation of `scheme`."""
+    return to_ns(builtin_timing_set(scheme_rules(scheme).timing).tRC)
 
 
 @dataclass(frozen=True)
@@ -116,21 +106,21 @@ class SecurityCurvePoint:
         return str(self.n_bo) if self.feasible else "inf"
 
 
-def max_initial_pool(discipline: str, rows_per_bank: int) -> int:
+def max_initial_pool(discipline: int, rows_per_bank: int) -> int:
     """Largest initial pool the bank geometry admits.
 
     Victim-based preparation packs aggressors at stride 2*br+1, each
     serving 2*br victims: floor(rows * 4/5) at br=2.  Aggressor-based
     pools are contiguous rows.
     """
-    if discipline == DISC_VICTIM:
+    if discipline == VICTIM_COUNT:
         return (rows_per_bank * 4) // 5
-    if discipline == DISC_AGGRESSOR:
+    if discipline == AGGRESSOR_COUNT:
         return rows_per_bank - 1
     raise ValueError(f"unknown discipline {discipline!r}")
 
 
-def _recurrence_knobs(discipline: str, params: AnalysisParams
+def _recurrence_knobs(discipline: int, params: AnalysisParams
                       ) -> Tuple[int, int, int, int]:
     """(subtrahend, terminal pool size, denominator, rows removed per
     alert) per discipline."""
@@ -139,7 +129,7 @@ def _recurrence_knobs(discipline: str, params: AnalysisParams
     if params.recurrence.granularity == "text":
         den *= 2 * params.br
         remu *= 2 * params.br
-    if discipline == DISC_VICTIM:
+    if discipline == VICTIM_COUNT:
         return 0, 1, den, remu
     return params.br, 2 * params.br, den, remu
 
@@ -147,7 +137,7 @@ def _recurrence_knobs(discipline: str, params: AnalysisParams
 _TABLE_CACHE: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _nr_tables(discipline: str, params: AnalysisParams
+def _nr_tables(discipline: int, params: AnalysisParams
                ) -> Tuple[np.ndarray, np.ndarray]:
     """(prefix-max NR, raw NR) over r1 = 0..cap, vectorized."""
     cap = max_initial_pool(discipline, params.rows_per_bank)
@@ -194,15 +184,15 @@ def _nr_tables(discipline: str, params: AnalysisParams
 
 def pool_recurrence_pvac(r1: int, params: AnalysisParams) -> int:
     """Rounds a victim pool of r1 survives; scalar reference form."""
-    return _pool_recurrence(DISC_VICTIM, r1, params)
+    return _pool_recurrence(VICTIM_COUNT, r1, params)
 
 
 def pool_recurrence_prac(r1: int, params: AnalysisParams) -> int:
     """Rounds an aggressor pool of r1 survives (terminates at 2*br)."""
-    return _pool_recurrence(DISC_AGGRESSOR, r1, params)
+    return _pool_recurrence(AGGRESSOR_COUNT, r1, params)
 
 
-def _pool_recurrence(discipline: str, r1: int, params: AnalysisParams) -> int:
+def _pool_recurrence(discipline: int, r1: int, params: AnalysisParams) -> int:
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
     sub, term, den, remu = _recurrence_knobs(discipline, params)
@@ -227,24 +217,24 @@ def _pool_recurrence(discipline: str, r1: int, params: AnalysisParams) -> int:
     raise RuntimeError("pool recurrence failed to terminate")
 
 
-def _hc(discipline: str, n_bo: int, nr: int, params: AnalysisParams
+def _hc(discipline: int, n_bo: int, nr: int, params: AnalysisParams
         ) -> int:
     """Worst-case hammered count of `discipline` after `nr` wave rounds;
     the one closed form behind hc_pvac, hc_prac and worst_case_hc."""
     base = params.delay + params.abo_act + params.br
-    if discipline == DISC_VICTIM:
+    if discipline == VICTIM_COUNT:
         return (n_bo - 1) + nr + base
     return 2 * params.br * (n_bo - 1) + 2 * params.br * nr + base - 1
 
 
 def hc_pvac(n_bo: int, params: AnalysisParams, r1: int) -> int:
     """Worst-case hammered count for victim-based counting at pool r1."""
-    return _hc(DISC_VICTIM, n_bo, pool_recurrence_pvac(r1, params), params)
+    return _hc(VICTIM_COUNT, n_bo, pool_recurrence_pvac(r1, params), params)
 
 
 def hc_prac(n_bo: int, params: AnalysisParams, r1: int) -> int:
     """Worst-case hammered count for aggressor-based counting at pool r1."""
-    return _hc(DISC_AGGRESSOR, n_bo, pool_recurrence_prac(r1, params),
+    return _hc(AGGRESSOR_COUNT, n_bo, pool_recurrence_prac(r1, params),
                params)
 
 
@@ -253,21 +243,22 @@ def hc_chronus(n_bo: int, params: AnalysisParams) -> int:
     return 2 * params.br * (n_bo - 1) + params.abo_act + params.br
 
 
-def _setup_units(discipline: str, r1: int, br: int) -> int:
+def _setup_units(discipline: int, r1: int, br: int) -> int:
     """Activations per setup pass: one per aggressor."""
-    if discipline == DISC_VICTIM:
+    if discipline == VICTIM_COUNT:
         group = 2 * br
         return (r1 + group - 1) // group
     return r1
 
 
-def _budget_r1_cap(discipline: str, q: int, params: AnalysisParams) -> int:
+def _budget_r1_cap(scheme: str, discipline: int, q: int,
+                   params: AnalysisParams) -> int:
     """Largest r1 whose setup (q acts per aggressor) fits the budget."""
     cap = max_initial_pool(discipline, params.rows_per_bank)
     budget = params.recurrence.setup_budget_ns
     if budget is None or q == 0:
         return cap
-    per_act = q * act_time_ns(discipline)
+    per_act = q * act_time_ns(scheme)
     lo, hi = 0, cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -289,7 +280,7 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
     if discipline is None:
         return hc_chronus(n_bo, params), 0, 0
     M, _raw = _nr_tables(discipline, params)
-    r1_cap = _budget_r1_cap(discipline, n_bo - 1, params)
+    r1_cap = _budget_r1_cap(scheme, discipline, n_bo - 1, params)
     if r1_cap < 1:
         nr, worst = 0, 0
     else:
@@ -312,7 +303,7 @@ def solve_nbo(scheme: str, max_hc: int, params: AnalysisParams
         return SecurityCurvePoint(scheme, params.n_mit, max_hc,
                                   q + 1, 0, 0, True)
     base = params.delay + params.abo_act + params.br
-    if discipline == DISC_VICTIM:
+    if discipline == VICTIM_COUNT:
         qmax = max_hc - base
     else:
         qmax = (max_hc - (base - 1)) // (2 * params.br)
@@ -342,7 +333,8 @@ def security_table(max_hcs: List[int],
     rec = recurrence or RecurrenceConfig()
     out: List[SecurityCurvePoint] = []
     for scheme in schemes:
-        mits = (1,) if scheme == "Chronus" else n_mits
+        closed_form = discipline_for_scheme(scheme) is None
+        mits = (1,) if closed_form else n_mits
         for m in mits:
             params = AnalysisParams(n_mit=m, recurrence=rec)
             for hc in max_hcs:
@@ -377,31 +369,24 @@ def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
 
     The bound is the analyzer's worst case over every pool the small
     geometry admits (no setup budget — strictly looser, so the comparison
-    stays one-sided).
+    stays one-sided).  The wave targets the scheme's own counting.
     """
     geometry = geometry or small_oracle_geometry()
     if geometry.rows_per_bank > 4096:
         raise ValueError("oracle runs are limited to banks of <= 4096 rows")
-    discipline = discipline_for_scheme(scheme)
     params = AnalysisParams(
         n_mit=n_mit, br=geometry.blast_radius,
         rows_per_bank=geometry.rows_per_bank,
         recurrence=RecurrenceConfig(setup_budget_ns=None))
-    if discipline is None:
-        bound = hc_chronus(n_bo, params)
-        attack_disc = AGGRESSOR_BASED
-        cap = max_initial_pool(DISC_AGGRESSOR, geometry.rows_per_bank)
-        r1 = min(32, cap)
-    else:
-        hc, worst, _nr = worst_case_hc(scheme, n_bo, params)
-        bound = hc
-        attack_disc = (VICTIM_BASED if discipline == DISC_VICTIM
-                       else AGGRESSOR_BASED)
-        cap = max_initial_pool(discipline, geometry.rows_per_bank)
-        r1 = max(4, min(worst, cap))
     config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
+    cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank)
+    if discipline_for_scheme(scheme) is None:
+        bound, r1 = hc_chronus(n_bo, params), min(32, cap)
+    else:
+        bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
+        r1 = max(4, min(worst, cap))
     engine = BankEngine(config, geometry, abo=AboConfig())
-    spec = FeintingSpec(discipline=attack_disc, r1=r1,
+    spec = FeintingSpec(discipline=config.counter_semantics, r1=r1,
                         n_bo=n_bo, n_mit=n_mit)
     result = run_feinting(engine, spec)
     return OracleCheck(scheme, n_mit, n_bo, r1,

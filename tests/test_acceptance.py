@@ -153,8 +153,7 @@ def test_criterion_4_mitigation_bandwidth_bound():
 
     # A one-row saturating stream should spend the bounded fraction of
     # its non-idle time inside RFM service.
-    config = SchemeConfig(scheme="PVAC", n_bo=237, n_mit=4,
-                          counter_semantics="VictimCount")
+    config = SchemeConfig(scheme="PVAC", n_bo=237, n_mit=4)
     engine, refresh = make_engine(config)
     metrics = finalize_audited(engine, config, refresh, refresh.window_ps,
                                events=saturation_act_stream(5000, 700_000))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hammersim.attacks import (DamageObserver, FeintingSpec, RoundRobinSpec,
                                gen_benign, gen_round_robin, lines_to_trace,
                                run_feinting, trace_to_lines)
+from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry, us
 from hammersim.engine import BankEngine, TraceEvent, audit_log
 from hammersim.schemes import SchemeConfig, preset
@@ -132,10 +133,9 @@ def test_observer_matches_eager_ledger(dsa, br, rows):
 # -- the wave attack ---------------------------------------------------------
 
 def test_wave_setup_charges_each_prepared_aggressor():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1,
-                                     counter_semantics="VictimCount"),
+    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec("VictimBased", r1=8, n_bo=8, n_mit=1)
+    spec = FeintingSpec(VICTIM_COUNT, r1=8, n_bo=8, n_mit=1)
     result = run_feinting(engine, spec)
     assert result.setup_acts == 2 * 7  # two groups, n_bo - 1 each
     acts = [row for _, _, kind, row, _ in engine.log if kind == "ACT"]
@@ -143,26 +143,25 @@ def test_wave_setup_charges_each_prepared_aggressor():
 
 
 def test_wave_layout_stride_by_discipline():
-    assert FeintingSpec("VictimBased", r1=4, n_bo=8).layout_stride == 5
-    assert FeintingSpec("AggressorBased", r1=4, n_bo=8).layout_stride == 1
+    assert FeintingSpec(VICTIM_COUNT, r1=4, n_bo=8).layout_stride == 5
+    assert FeintingSpec(AGGRESSOR_COUNT, r1=4, n_bo=8).layout_stride == 1
 
 
 def test_wave_spec_validation():
     with pytest.raises(ValueError):
         FeintingSpec("Sideways", r1=4, n_bo=8)
     with pytest.raises(ValueError):
-        FeintingSpec("VictimBased", r1=3, n_bo=8)
+        FeintingSpec(VICTIM_COUNT, r1=3, n_bo=8)
     with pytest.raises(ValueError):
-        FeintingSpec("AggressorBased", r1=0, n_bo=8)
+        FeintingSpec(AGGRESSOR_COUNT, r1=0, n_bo=8)
     with pytest.raises(ValueError):
-        FeintingSpec("VictimBased", r1=4, n_bo=1)
+        FeintingSpec(VICTIM_COUNT, r1=4, n_bo=1)
 
 
 def test_wave_against_victim_counting_shrinks_the_pool():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1,
-                                     counter_semantics="VictimCount"),
+    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec("VictimBased", r1=8, n_bo=8, n_mit=1)
+    spec = FeintingSpec(VICTIM_COUNT, r1=8, n_bo=8, n_mit=1)
     result = run_feinting(engine, spec)
     assert result.alerts >= 1
     assert result.pool_sizes[0] == 8
@@ -174,7 +173,7 @@ def test_wave_against_victim_counting_shrinks_the_pool():
 
 def test_wave_against_aggressor_counting_reaches_blast_floor():
     engine = BankEngine(preset("PRAC", 6, 1), small_geometry())
-    spec = FeintingSpec("AggressorBased", r1=8, n_bo=6, n_mit=1)
+    spec = FeintingSpec(AGGRESSOR_COUNT, r1=8, n_bo=6, n_mit=1)
     result = run_feinting(engine, spec)
     assert result.setup_acts == 8 * 5
     assert result.alerts >= 1
@@ -186,10 +185,9 @@ def test_wave_against_aggressor_counting_reaches_blast_floor():
 
 
 def test_wave_only_drops_rows_the_defense_touched():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1,
-                                     counter_semantics="VictimCount"),
+    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec("VictimBased", r1=12, n_bo=8, n_mit=1)
+    spec = FeintingSpec(VICTIM_COUNT, r1=12, n_bo=8, n_mit=1)
     result = run_feinting(engine, spec)
     mitigated = {row for _, _, kind, row, _ in engine.log
                  if kind in ("RFM", "PROACT") and row >= 0}

@@ -5,6 +5,7 @@ import pytest
 from hammersim.config import (ConfigError, check_keys, dump_manifest,
                               geometry_from, get_section, get_value,
                               load_config, refresh_from, scheme_from)
+from hammersim.counters import VICTIM_COUNT
 from hammersim.units import ns, us
 
 
@@ -86,7 +87,7 @@ def test_scheme_from_builds_presets():
     cfg = {"scheme": {"name": "PVAC", "n_bo": 64, "n_mit": 4}}
     scheme = scheme_from(cfg)
     assert scheme.scheme == "PVAC"
-    assert scheme.counter_semantics == "VictimCount"
+    assert scheme.counter_semantics == VICTIM_COUNT
     assert scheme.n_mit == 4
     with pytest.raises(ConfigError, match="must be one of"):
         scheme_from({"scheme": {"name": "TRR", "n_bo": 64}})

@@ -19,8 +19,7 @@ def small_geometry() -> DeviceGeometry:
 
 def plain_pvac(n_bo: int, n_mit: int = 4) -> SchemeConfig:
     """PVAC without the proactive hook, so only the alert path runs."""
-    return SchemeConfig(scheme="PVAC", n_bo=n_bo, n_mit=n_mit,
-                        counter_semantics="VictimCount")
+    return SchemeConfig(scheme="PVAC", n_bo=n_bo, n_mit=n_mit)
 
 
 def act_times(engine: BankEngine):

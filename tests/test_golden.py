@@ -28,9 +28,9 @@ from click.testing import CliRunner
 
 from hammersim import _kernel_py, counters, schemes
 from hammersim.cli import EXIT_OK, main
-from hammersim.attacks import (AGGRESSOR_BASED, VICTIM_BASED, FeintingSpec,
-                               RoundRobinSpec, gen_benign, gen_round_robin,
-                               run_feinting)
+from hammersim.attacks import (FeintingSpec, RoundRobinSpec, gen_benign,
+                               gen_round_robin, run_feinting)
+from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry, RefreshConfig
 from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
@@ -92,7 +92,7 @@ def run_case(scheme: str, workload: str) -> dict:
     duration = 2 * refresh.window_ps
     out = {}
     if workload.startswith("feinting"):
-        discipline = VICTIM_BASED if scheme == "PVAC" else AGGRESSOR_BASED
+        discipline = VICTIM_COUNT if scheme == "PVAC" else AGGRESSOR_COUNT
         stop = workload == "feinting_stop"
         spec = FeintingSpec(discipline=discipline,
                             r1=STOP_POOL if stop else 16, n_bo=N_BO)

@@ -4,10 +4,13 @@ import dataclasses
 
 import pytest
 
+from hammersim.counters import AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry
 from hammersim.engine import BankEngine, EngineMetrics
-from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, MitigationAction,
-                               SchemeConfig, SchemeState, preset)
+from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, SCHEME_RULES, SCHEMES,
+                               MitigationAction, SchemeConfig, SchemeState,
+                               preset)
+from hammersim.security import act_time_ns, discipline_for_scheme
 
 
 def small_geometry(rows: int = 256, bits: int = 16) -> DeviceGeometry:
@@ -32,28 +35,50 @@ def engine_fed(scheme: str, n_bo: int, rows, refs: int = 0) -> EngineMetrics:
 
 # -- configuration ---------------------------------------------------------
 
-def test_preset_timing_and_semantics():
-    assert preset("PVAC", 64).counter_semantics == "VictimCount"
-    assert preset("PVAC", 64).timing == "Default"
-    assert preset("PRAC", 64).timing == "PRAC"
-    assert preset("Chronus", 64).timing == "Default"
-    assert preset("MOAT", 64).n_mit == 1
-    assert preset("MOAT", 64).tRFC_ns == 410.0
-    assert preset("QPRAC", 64).proactive_threshold == 32
-    assert preset("QPRAC", 64).proactive_period == 1
+A, V = AGGRESSOR_COUNT, VICTIM_COUNT
+
+
+# name, timing, tRFC (ns), what an ACT / a refreshed row counts, the
+# analyzed discipline and its act time (ns), and the preset at n_bo=64
+# asked for n_mit=4: its n_mit, proactive threshold and period.
+RULE_CASES = [
+    ("PRAC", "PRAC", 295.0, A, A, A, 52.0, 4, None, None),
+    ("PVAC", "Default", 295.0, V, V, V, 48.0, 4, 32, 1),
+    ("Chronus", "Default", 295.0, A, NO_COUNT, None, 48.0, 4, None, 2),
+    ("QPRAC", "PRAC", 295.0, A, A, A, 52.0, 4, 32, 1),
+    ("MOAT", "PRAC", 410.0, A, A, A, 52.0, 1, 32, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, timing, trfc, act, ref, discipline, act_ns, n_mit, pthr, pper",
+    RULE_CASES, ids=[case[0] for case in RULE_CASES])
+def test_scheme_name_fixes_its_rules(name, timing, trfc, act, ref,
+                                     discipline, act_ns, n_mit, pthr, pper):
+    config = SchemeConfig(scheme=name, n_bo=8)  # the name alone is valid
+    assert config.timing == timing
+    assert config.timing_set().label == timing
+    assert config.tRFC_ns == trfc
+    assert config.counter_semantics == act
+    assert SCHEME_RULES[name].ref_count == ref
+    assert discipline_for_scheme(name) == discipline
+    assert act_time_ns(name) == act_ns
+    stock = preset(name, 64, n_mit=4)
+    assert (stock.n_mit, stock.proactive_threshold,
+            stock.proactive_period) == (n_mit, pthr, pper)
+    assert stock.timing == timing and stock.tRFC_ns == trfc
+
+
+def test_five_names_and_six_settable_fields():
+    assert SCHEMES == ("PRAC", "PVAC", "Chronus", "QPRAC", "MOAT")
+    assert len(dataclasses.fields(SchemeConfig)) == 6
 
 
 def test_config_rejects_mismatched_semantics():
     with pytest.raises(ValueError):
-        SchemeConfig(scheme="PVAC", n_bo=8, counter_semantics="AggressorCount")
+        SchemeConfig(scheme="MOAT", n_bo=8, n_mit=2)
     with pytest.raises(ValueError):
-        SchemeConfig(scheme="PRAC", n_bo=8, timing="Default",
-                     counter_semantics="AggressorCount")
-    with pytest.raises(ValueError):
-        SchemeConfig(scheme="MOAT", n_bo=8, n_mit=2, timing="PRAC",
-                     tRFC_ns=410.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(scheme="PRAC", n_bo=0, timing="PRAC")
+        SchemeConfig(scheme="PRAC", n_bo=0)
 
 
 def test_threshold_must_fit_counter_width():
