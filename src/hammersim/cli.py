@@ -10,7 +10,9 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import click
 
@@ -22,10 +24,10 @@ from .config import (ConfigError, check_keys, dump_manifest, geometry_from,
 from .counters import csa_scaled_latency
 from .dram import DeviceGeometry, RefreshConfig
 from .engine import AboConfig, BankEngine, audit_log, log_to_csv_lines
-from .schemes import SCHEMES, preset
+from .schemes import DEFAULT_QUEUE_DEPTH, SchemeConfig, preset
 from .security import (AnalysisParams, RecurrenceConfig, brute_force_oracle,
-                       bw_bound, security_table, small_oracle_geometry,
-                       solve_nbo)
+                       bw_bound, oracle_point, security_table,
+                       small_oracle_geometry, solve_nbo)
 from .units import ns
 
 EXIT_OK = 0
@@ -60,6 +62,25 @@ def _get_list(sec: Mapping[str, Any], key: str, elem_types, path: str,
     return list(val)
 
 
+def _get_windows(sec: Mapping[str, Any], key: str, path: str,
+                 default: int) -> int:
+    """A count of refresh windows: an int of at least 1."""
+    val = get_value(sec, key, (int,), path, default)
+    if val < 1:
+        raise ConfigError(f"{path}.{key} must be >= 1")
+    return val
+
+
+@contextmanager
+def _config_errors(where: str) -> Iterator[None]:
+    """Report a domain constructor's ValueError as a ConfigError that
+    names `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -74,19 +95,21 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
     sec = get_section(cfg, "domino")
     check_keys(sec, ("windows", "schemes", "n_bo", "n_mit", "queue_depth"),
                "domino")
-    windows = get_value(sec, "windows", (int,), "domino", 64)
+    windows = _get_windows(sec, "windows", "domino", 64)
     names = _get_list(sec, "schemes", (str,), "domino", ["PRAC", "PVAC"])
     n_bo = get_value(sec, "n_bo", (int,), "domino", 64)
     n_mit = get_value(sec, "n_mit", (int,), "domino", 4)
-    depth = get_value(sec, "queue_depth", (int,), "domino", 20)
-    for name in names:
-        if name not in SCHEMES:
-            raise ConfigError(f"domino.schemes: unknown scheme {name!r}")
+    depth = get_value(sec, "queue_depth", (int,), "domino",
+                      DEFAULT_QUEUE_DEPTH)
     geometry = geometry_from(cfg)
+    with _config_errors("domino"):
+        schemes = [preset(name, n_bo=n_bo, n_mit=n_mit, queue_depth=depth)
+                   for name in names]
+        for scheme in schemes:
+            scheme.check_fits(geometry)
 
     rows = ["scheme,window,counter_mean,bandwidth,rfm_count,alert_count"]
-    for name in names:
-        scheme = preset(name, n_bo=n_bo, n_mit=n_mit, queue_depth=depth)
+    for name, scheme in zip(names, schemes):
         refresh = refresh_from(cfg, scheme)
         engine = BankEngine(scheme, geometry, refresh, AboConfig(),
                             collect_log=False)
@@ -138,17 +161,15 @@ def _run_security_table(cfg: Dict[str, Any], outdir: str, seed: int,
     n_mits = _get_list(sec, "n_mits", (int,), "security_table", [1, 2, 4])
     variant = get_value(sec, "variant", (str,), "security_table", "literal")
     gran = get_value(sec, "granularity", (str,), "security_table", "body")
-    budget = sec.get("setup_budget_ns", 24.0e6)
+    budget = sec.get("setup_budget_ns", RecurrenceConfig().setup_budget_ns)
     if budget is not None and (isinstance(budget, bool)
                                or not isinstance(budget, (int, float))):
         raise ConfigError("security_table.setup_budget_ns must be a number "
                           "or null")
-    try:
+    with _config_errors("security_table"):
         rec = RecurrenceConfig(variant=variant, granularity=gran,
                                setup_budget_ns=budget)
         points = security_table(max_hcs, tuple(names), tuple(n_mits), rec)
-    except ValueError as exc:
-        raise ConfigError(f"security_table: {exc}") from exc
     rows = ["scheme,n_mit,max_hc,n_bo,worst_r1,nr,feasible"]
     for p in points:
         rows.append(f"{p.scheme},{p.n_mit},{p.max_hc},{p.label},"
@@ -197,7 +218,9 @@ def _run_bw_bound(cfg: Dict[str, Any], outdir: str, seed: int,
         b = get_value(item, "n_bo", (int,), f"bw_bound.points[{i}]")
         trc = get_value(item, "tRC_ns", (int, float),
                         f"bw_bound.points[{i}]")
-        rows.append(f"{m},{b},{_fmt(trc)},{_fmt(bw_bound(m, b, trc))}")
+        with _config_errors(f"bw_bound.points[{i}]"):
+            bound = bw_bound(m, b, trc)
+        rows.append(f"{m},{b},{_fmt(trc)},{_fmt(bound)}")
         resolved.append({"n_mit": m, "n_bo": b, "tRC_ns": float(trc)})
     _write_text(os.path.join(outdir, "bw_bound.csv"), rows)
     _write_manifest(outdir, "bw-bound", seed, {"bw_bound":
@@ -217,11 +240,8 @@ def _run_csa_latency(cfg: Dict[str, Any], outdir: str, seed: int,
            "total_ns,scaled_total_ns,csa_share"]
     for rows in row_counts:
         for br in brs:
-            try:
+            with _config_errors(f"csa_latency: rows {rows}, br {br}"):
                 lat = csa_scaled_latency(rows, br)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"csa_latency: rows {rows}, br {br}: {exc}") from exc
             out.append(f"{rows},{br},{lat.tRCD_ns:.3f},{lat.update_ns:.3f},"
                        f"{lat.tWR_ns:.3f},{lat.tRP_ns:.3f},"
                        f"{lat.total_ns:.3f},{lat.scaled_total_ns:.3f},"
@@ -247,6 +267,8 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     check_keys(cfg, ('scheme', 'geometry', 'refresh', 'simulate'), "")
     scheme = scheme_from(cfg)
     geometry = geometry_from(cfg)
+    with _config_errors("scheme"):
+        scheme.check_fits(geometry)
     refresh = refresh_from(cfg, scheme)
     sec = get_section(cfg, "simulate")
     check_keys(sec, ("kind", "trace", "duration_windows", "n", "stride",
@@ -254,15 +276,13 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                "simulate")
     kind = get_value(sec, "kind", (str,), "simulate", "idle")
     trace_path = get_value(sec, "trace", (str,), "simulate", None)
-    dur_windows = get_value(sec, "duration_windows", (int,), "simulate", 1)
+    dur_windows = _get_windows(sec, "duration_windows", "simulate", 1)
     n = get_value(sec, "n", (int,), "simulate", 8)
     stride = get_value(sec, "stride", (int,), "simulate", 1)
     base_row = get_value(sec, "base_row", (int,), "simulate", 0)
     act_gap_ns = get_value(sec, "act_gap_ns", (int, float), "simulate", 60.0)
     count = get_value(sec, "count", (int,), "simulate", 1000)
     write_events = get_value(sec, "write_events", (bool,), "simulate", False)
-    if dur_windows < 1:
-        raise ConfigError("simulate.duration_windows must be >= 1")
     duration = dur_windows * refresh.window_ps
 
     if trace_path is not None:
@@ -280,14 +300,12 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     elif kind == "idle":
         events = []
     elif kind in ("round_robin", "benign"):
-        try:
+        with _config_errors("simulate"):
             if kind == "round_robin":
                 spec = RoundRobinSpec(n=n, stride=stride, base_row=base_row)
                 events = gen_round_robin(spec, geometry)
             else:
                 events = gen_benign(geometry, seed, ns(act_gap_ns), count)
-        except ValueError as exc:
-            raise ConfigError(f"simulate: {exc}") from exc
     else:
         raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
 
@@ -327,13 +345,10 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
 
 
 def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
-    (name, hc, stride, n, n_mit, depth, windows, geometry) = args
-    params = AnalysisParams(n_mit=n_mit,
-                            rows_per_bank=geometry.rows_per_bank)
-    point = solve_nbo(name, hc, params)
-    if not point.feasible:
+    """One (hc, stride) cell; `scheme` is None where hc is infeasible."""
+    hc, stride, n, scheme, windows, geometry = args
+    if scheme is None:
         return (hc, stride), (f"{hc},{stride},{n},inf,,,,")
-    scheme = preset(name, n_bo=point.n_bo, n_mit=n_mit, queue_depth=depth)
     refresh = RefreshConfig(tRFC=ns(scheme.tRFC_ns))
     engine = BankEngine(scheme, geometry, refresh, AboConfig(),
                         collect_log=False)
@@ -342,7 +357,7 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
         gen_round_robin(RoundRobinSpec(n=n, stride=stride)), duration)
     bw = sum(w.bandwidth for w in metrics.windows) / max(
         1, len(metrics.windows))
-    line = (f"{hc},{stride},{n},{point.n_bo},{bw:.6f},"
+    line = (f"{hc},{stride},{n},{scheme.n_bo},{bw:.6f},"
             f"{metrics.rfms_issued},{metrics.alerts_raised},"
             f"{metrics.acts_issued}")
     return (hc, stride), line
@@ -360,18 +375,27 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     n = get_value(sec, "n", (int,), "sweep_stride", 128)
     name = get_value(sec, "scheme", (str,), "sweep_stride", "PVAC")
     n_mit = get_value(sec, "n_mit", (int,), "sweep_stride", 4)
-    depth = get_value(sec, "queue_depth", (int,), "sweep_stride", 20)
-    windows = get_value(sec, "windows", (int,), "sweep_stride", 1)
-    if name not in SCHEMES:
-        raise ConfigError(f"sweep_stride.scheme: unknown scheme {name!r}")
+    depth = get_value(sec, "queue_depth", (int,), "sweep_stride",
+                      DEFAULT_QUEUE_DEPTH)
+    windows = _get_windows(sec, "windows", "sweep_stride", 1)
     geometry = geometry_from(cfg)
     for i, stride in enumerate(strides):
-        try:
+        with _config_errors(f"sweep_stride: strides[{i}]={stride} with "
+                            f"n={n}"):
             RoundRobinSpec(n=n, stride=stride).check_fits(geometry)
-        except ValueError as exc:
-            raise ConfigError(f"sweep_stride: strides[{i}]={stride} with "
-                              f"n={n}: {exc}") from exc
-    tasks = [(name, hc, stride, n, n_mit, depth, windows, geometry)
+    # Solve each hc's threshold here, so a scheme that cannot run is a
+    # config error before any job starts.
+    schemes: Dict[int, SchemeConfig] = {}  # feasible hcs only
+    with _config_errors("sweep_stride"):
+        params = AnalysisParams(n_mit=n_mit,
+                                rows_per_bank=geometry.rows_per_bank)
+        for hc in hcs:
+            point = solve_nbo(name, hc, params)
+            if point.feasible:
+                schemes[hc] = preset(name, n_bo=point.n_bo, n_mit=n_mit,
+                                     queue_depth=depth)
+                schemes[hc].check_fits(geometry)
+    tasks = [(hc, stride, n, schemes.get(hc), windows, geometry)
              for hc in hcs for stride in strides]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -410,21 +434,21 @@ def _run_oracle_check(cfg: Dict[str, Any], outdir: str, seed: int,
     rows = get_value(sec, "rows", (int,), "oracle_check", 256)
     if not 16 <= rows <= 4096:
         raise ConfigError("oracle_check.rows must be in [16, 4096]")
-    for name in names:
-        if name not in SCHEMES:
-            raise ConfigError(f"oracle_check.schemes: unknown {name!r}")
     geometry = small_oracle_geometry(rows=rows)
+    grid = [(name, n_mit, n_bo) for name in sorted(names)
+            for n_mit in sorted(n_mits) for n_bo in sorted(n_bos)]
+    with _config_errors("oracle_check"):
+        for name, n_mit, n_bo in grid:
+            oracle_point(name, n_bo, n_mit, geometry)
     out = ["scheme,n_mit,n_bo,r1,observed_hc,bound_hc,sound"]
     unsound = 0
-    for name in sorted(names):
-        for n_mit in sorted(n_mits):
-            for n_bo in sorted(n_bos):
-                check = brute_force_oracle(name, n_bo, n_mit, geometry)
-                out.append(f"{name},{n_mit},{n_bo},{check.r1},"
-                           f"{check.observed_hc},{check.bound_hc},"
-                           f"{str(check.sound).lower()}")
-                if not check.sound:
-                    unsound += 1
+    for name, n_mit, n_bo in grid:
+        check = brute_force_oracle(name, n_bo, n_mit, geometry)
+        out.append(f"{name},{n_mit},{n_bo},{check.r1},"
+                   f"{check.observed_hc},{check.bound_hc},"
+                   f"{str(check.sound).lower()}")
+        if not check.sound:
+            unsound += 1
     _write_text(os.path.join(outdir, "oracle_check.csv"), out)
     _write_manifest(outdir, "oracle-check", seed, {
         "oracle_check": {"schemes": names, "n_bos": n_bos,

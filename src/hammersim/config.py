@@ -10,7 +10,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type
 import yaml
 
 from .dram import DeviceGeometry, RefreshConfig
-from .schemes import SCHEMES, SchemeConfig, preset
+from .schemes import DEFAULT_QUEUE_DEPTH, SCHEMES, SchemeConfig, preset
 from .units import ns
 
 
@@ -129,7 +129,8 @@ def scheme_from(cfg: Mapping[str, Any]) -> SchemeConfig:
                           f"got {name!r}")
     n_bo = get_value(sec, "n_bo", (int,), "scheme")
     n_mit = get_value(sec, "n_mit", (int,), "scheme", 1)
-    depth = get_value(sec, "queue_depth", (int,), "scheme", 20)
+    depth = get_value(sec, "queue_depth", (int,), "scheme",
+                      DEFAULT_QUEUE_DEPTH)
     try:
         return preset(name, n_bo=n_bo, n_mit=n_mit, queue_depth=depth)
     except ValueError as exc:

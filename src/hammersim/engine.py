@@ -355,15 +355,19 @@ class BankEngine:
         return self.finalize(duration_ps)
 
     def finalize(self, duration_ps: int) -> EngineMetrics:
+        """Close the run at `duration_ps` and sum its windows.
+
+        A trailing partial window is reported too, its bandwidth taken
+        over its own length."""
         m = self.metrics
         m.end_time_ps = duration_ps
-        n_windows = duration_ps // self._win_len
         m.windows = []
-        for w in range(n_windows):
+        for w, start in enumerate(range(0, duration_ps, self._win_len)):
             blocked = self._blocked.get(w, 0)
+            length = min(self._win_len, duration_ps - start)
             m.windows.append(WindowStats(
                 index=w,
-                bandwidth=1.0 - blocked / self._win_len,
+                bandwidth=1.0 - blocked / length,
                 rfm_count=self._win_rfms.get(w, 0),
                 alert_count=self._win_alerts.get(w, 0),
                 blocked_ps=blocked,

@@ -60,6 +60,7 @@ SCHEMES = tuple(SCHEME_RULES)
 
 
 def scheme_rules(scheme: str) -> SchemeRules:
+    """The rules `scheme` names; ValueError for a name not in the table."""
     try:
         return SCHEME_RULES[scheme]
     except KeyError:
@@ -111,6 +112,14 @@ class SchemeConfig:
     def timing_set(self) -> TimingSet:
         return builtin_timing_set(self.timing)
 
+    def check_fits(self, geometry: DeviceGeometry) -> None:
+        """Raise ValueError unless n_bo fits the geometry's counters."""
+        if self.n_bo > geometry.counter_cap:
+            raise ValueError(
+                f"n_bo={self.n_bo} exceeds the {geometry.counter_bits}-bit "
+                f"counter range (cap {geometry.counter_cap}); widen "
+                "counter_bits for this experiment")
+
 
 def preset(scheme: str, n_bo: int, n_mit: int = 1, *,
            queue_depth: int = DEFAULT_QUEUE_DEPTH) -> SchemeConfig:
@@ -135,11 +144,7 @@ class SchemeState:
 
     def __init__(self, config: SchemeConfig,
                  geometry: DeviceGeometry) -> None:
-        if config.n_bo > geometry.counter_cap:
-            raise ValueError(
-                f"n_bo={config.n_bo} exceeds the {geometry.counter_bits}-bit "
-                f"counter range (cap {geometry.counter_cap}); widen "
-                "counter_bits for this experiment")
+        config.check_fits(geometry)
         self.config = config
         self.geometry = geometry
         # Called with each physically activated row during mitigation work

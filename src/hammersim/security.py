@@ -30,7 +30,7 @@ from .attacks import FeintingSpec, run_feinting
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import RFM_NS, DeviceGeometry, builtin_timing_set
 from .engine import AboConfig, BankEngine
-from .schemes import preset, scheme_rules
+from .schemes import SchemeConfig, preset, scheme_rules
 from .units import to_ns
 
 
@@ -362,16 +362,16 @@ def small_oracle_geometry(rows: int = 256) -> DeviceGeometry:
                           counter_bits=16, blast_radius=2)
 
 
-def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
-                       geometry: Optional[DeviceGeometry] = None
-                       ) -> OracleCheck:
-    """Replay the wave attack on a small bank; report observed vs bound.
+def oracle_point(scheme: str, n_bo: int, n_mit: int,
+                 geometry: DeviceGeometry
+                 ) -> Tuple[SchemeConfig, FeintingSpec, int]:
+    """The scheme, the wave attack and the bound of one oracle run.
 
     The bound is the analyzer's worst case over every pool the small
     geometry admits (no setup budget — strictly looser, so the comparison
-    stays one-sided).  The wave targets the scheme's own counting.
+    stays one-sided).  The wave targets the scheme's own counting.  A
+    point the oracle cannot run raises ValueError here, before any run.
     """
-    geometry = geometry or small_oracle_geometry()
     if geometry.rows_per_bank > 4096:
         raise ValueError("oracle runs are limited to banks of <= 4096 rows")
     params = AnalysisParams(
@@ -379,15 +379,26 @@ def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
         rows_per_bank=geometry.rows_per_bank,
         recurrence=RecurrenceConfig(setup_budget_ns=None))
     config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
+    config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank)
     if discipline_for_scheme(scheme) is None:
         bound, r1 = hc_chronus(n_bo, params), min(32, cap)
     else:
         bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
         r1 = max(4, min(worst, cap))
-    engine = BankEngine(config, geometry, abo=AboConfig())
     spec = FeintingSpec(discipline=config.counter_semantics, r1=r1,
                         n_bo=n_bo, n_mit=n_mit)
-    result = run_feinting(engine, spec)
-    return OracleCheck(scheme, n_mit, n_bo, r1,
+    return config, spec, bound
+
+
+def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
+                       geometry: Optional[DeviceGeometry] = None
+                       ) -> OracleCheck:
+    """Replay the wave attack of `oracle_point` on a small bank; report
+    observed vs bound."""
+    geometry = geometry or small_oracle_geometry()
+    config, spec, bound = oracle_point(scheme, n_bo, n_mit, geometry)
+    result = run_feinting(BankEngine(config, geometry, abo=AboConfig()),
+                          spec)
+    return OracleCheck(scheme, n_mit, n_bo, spec.r1,
                        result.observed_hc, bound)

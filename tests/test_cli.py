@@ -62,6 +62,35 @@ def test_missing_out_is_a_usage_error():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, yaml_text, section", [
+    ("domino", "domino: {n_mit: 3}\n", "domino"),
+    ("domino", "domino: {n_bo: 300}\n", "domino"),
+    ("domino", "domino: {windows: -1}\n", "domino"),
+    ("simulate", "scheme: {name: PVAC, n_bo: 300}\n", "scheme"),
+    ("sweep-stride", "sweep_stride: {n_mit: 3}\n", "sweep_stride"),
+    ("sweep-stride", "sweep_stride: {windows: 0}\n", "sweep_stride"),
+    ("sweep-stride", "sweep_stride: {hc: [2048]}\n", "sweep_stride"),
+    ("oracle-check", "oracle_check: {n_bos: [1]}\n", "oracle_check"),
+    ("oracle-check", "oracle_check: {n_mits: [3]}\n", "oracle_check"),
+    ("bw-bound", "bw_bound: {points: [{n_mit: 0, n_bo: 4, tRC_ns: 48}]}\n",
+     "bw_bound"),
+], ids=["domino_n_mit", "domino_n_bo_past_counter_cap", "domino_windows",
+        "simulate_n_bo_past_counter_cap", "sweep_n_mit", "sweep_windows",
+        "sweep_solved_n_bo_past_counter_cap",
+        "oracle_n_bo", "oracle_n_mit", "bw_bound_n_mit"])
+def test_out_of_range_values_exit_2_before_any_output(tmp_path, command,
+                                                      yaml_text, section):
+    # The default bank has 8-bit counters, so n_bo=300 cannot be counted,
+    # nor the n_bo of about 2000 that PVAC solves for at hc=2048.
+    cfg = write_cfg(tmp_path, yaml_text)
+    outdir = tmp_path / "out"
+    result = run_cli(command, "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    text = all_text(result)
+    assert f"config error: {section}" in text, text
+    assert not list(outdir.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # bw-bound
 

@@ -231,6 +231,18 @@ def test_idle_window_bandwidth_is_the_refresh_tax():
     assert w.rfm_count == 0 and w.alert_count == 0
 
 
+def test_partial_last_window_is_reported_over_its_own_length():
+    # 400 us is about an eightieth of the default 31.9 ms window.
+    engine = BankEngine(plain_pvac(10_000), small_geometry(),
+                        RefreshConfig())
+    metrics = engine.run_trace([], us(400))
+    (w,) = metrics.windows
+    assert metrics.refs_issued == 103              # REFs due before 400 us
+    assert w.blocked_ps == metrics.refs_issued * TRFC
+    assert w.bandwidth == pytest.approx(1 - 103 * TRFC / us(400), abs=1e-12)
+    assert w.rfm_count == 0 and w.alert_count == 0
+
+
 def test_window_bandwidth_stays_in_unit_range():
     engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
     metrics = engine.run_trace(saturation_act_stream(10, 2000),
