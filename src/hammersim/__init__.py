@@ -9,9 +9,9 @@ command engine — plus attack generators and a brute-force oracle that
 cross-checks the analysis on small banks.
 """
 
-from .attacks import (DamageObserver, FeintingResult, FeintingSpec,
-                      RoundRobinSpec, gen_benign, gen_round_robin,
-                      lines_to_trace, run_feinting, trace_to_lines)
+from .attacks import (DamageObserver, FeintingResult, RoundRobinSpec,
+                      gen_benign, gen_round_robin, lines_to_trace,
+                      run_feinting, trace_to_lines, wave_layout)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        CsaLayout, CsaTiming, counter_update_latency,
                        csa_activations_for_event, csa_scaled_latency,
@@ -20,9 +20,8 @@ from .dram import (DeviceGeometry, RefreshConfig, TimingSet,
                    builtin_timing_set, idle_bandwidth, rows_per_refresh)
 from .energy import (EnergyModel, EnergyReport, default_energy_model,
                      energy_report)
-from .engine import (AboConfig, BankEngine, EngineMetrics, TraceEvent,
-                     WindowStats, audit_log, log_to_csv_lines,
-                     saturation_act_stream)
+from .engine import (BankEngine, EngineMetrics, TraceEvent, WindowStats,
+                     audit_log, log_to_csv_lines)
 from .kernel import KERNEL_BUILD, CounterCore, TopQueue
 from .schemes import (SCHEMES, MitigationAction, SchemeConfig, SchemeState,
                       preset)
@@ -37,10 +36,10 @@ from .units import ms, ns, to_ns, us
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGRESSOR_COUNT", "AboConfig", "AnalysisParams",
+    "AGGRESSOR_COUNT", "AnalysisParams",
     "BankEngine", "CounterBank", "CounterCore", "CsaLayout", "CsaTiming",
     "DamageObserver", "DeviceGeometry", "EngineMetrics", "EnergyModel",
-    "EnergyReport", "FeintingResult", "FeintingSpec", "KERNEL_BUILD",
+    "EnergyReport", "FeintingResult", "KERNEL_BUILD",
     "MitigationAction", "NO_COUNT", "OracleCheck", "RecurrenceConfig",
     "RefreshConfig", "RoundRobinSpec", "SCHEMES", "SchemeConfig",
     "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
@@ -52,7 +51,7 @@ __all__ = [
     "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",
     "log_to_csv_lines", "max_initial_pool", "ms", "ns",
     "pool_recurrence_prac", "pool_recurrence_pvac", "preset",
-    "rows_per_refresh", "run_feinting", "saturation_act_stream",
-    "security_table", "small_oracle_geometry", "solve_nbo", "to_ns",
-    "trace_to_lines", "us", "victim_set", "worst_case_hc",
+    "rows_per_refresh", "run_feinting", "security_table",
+    "small_oracle_geometry", "solve_nbo", "to_ns", "trace_to_lines", "us",
+    "victim_set", "wave_layout", "worst_case_hc",
 ]

@@ -8,10 +8,10 @@ empty trace.
 
 The wave attack cannot be a static trace: which rows die each round
 depends on the defense's queue state, so the driver reacts to the
-engine's event log between activations.  Its layout follows the counting
-discipline it targets, given as a `counters` code: `VICTIM_COUNT` packs
-aggressors so each serves a group of victims, `AGGRESSOR_COUNT` hammers a
-contiguous pool.
+engine's event log between activations.  It targets the engine's own
+scheme: against victim counting it packs aggressors so each serves a
+group of victims, against aggressor counting it hammers a contiguous
+pool (`wave_layout`).
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .counters import (AGGRESSOR_COUNT, VICTIM_COUNT, neighbour_offsets,
-                       victim_set)
-from .dram import DeviceGeometry
+from .counters import VICTIM_COUNT, neighbour_offsets, victim_set
+from .dram import ABO_ACT, DeviceGeometry
 from .engine import BankEngine, TraceEvent
+from .schemes import SchemeConfig
 
-ROUND_ROBIN_POOLS = (8, 32, 128, 512, 1024, 4096, 8192)
 VICTIM_LAYOUT_STRIDE = 5  # leaves one untouched row between victim groups
+WAVE_BASE_ROW = 8         # the wave's first aggressor
 
 
 @dataclass(frozen=True)
@@ -123,31 +123,6 @@ class DamageObserver:
         return peak.index(max(peak))
 
 
-@dataclass(frozen=True)
-class FeintingSpec:
-    discipline: int  # VICTIM_COUNT or AGGRESSOR_COUNT
-    r1: int
-    n_bo: int
-    n_mit: int = 1
-    base_row: int = 8
-
-    def __post_init__(self) -> None:
-        if self.discipline not in (VICTIM_COUNT, AGGRESSOR_COUNT):
-            raise ValueError(f"unknown discipline {self.discipline!r}")
-        if self.discipline == VICTIM_COUNT and self.r1 < 4:
-            raise ValueError("victim-based waves need a pool of >= 4")
-        if self.discipline == AGGRESSOR_COUNT and self.r1 < 1:
-            raise ValueError("aggressor-based waves need a pool of >= 1")
-        if self.n_bo < 2:
-            raise ValueError("n_bo must be >= 2")
-        if self.n_mit not in (1, 2, 4):
-            raise ValueError("n_mit must be 1, 2, or 4")
-
-    @property
-    def layout_stride(self) -> int:
-        return VICTIM_LAYOUT_STRIDE if self.discipline == VICTIM_COUNT else 1
-
-
 @dataclass
 class FeintingResult:
     observed_hc: int
@@ -159,37 +134,57 @@ class FeintingResult:
     pool_sizes: List[int] = field(default_factory=list)
 
 
-def _victim_groups(spec: FeintingSpec, geometry: DeviceGeometry
-                   ) -> List[Tuple[int, List[int]]]:
-    """(aggressor, its victims) pairs for the prepared victim pool."""
-    groups: List[Tuple[int, List[int]]] = []
-    victims_needed = spec.r1
-    a = spec.base_row
-    while victims_needed > 0:
-        if a >= geometry.rows_per_bank:
-            raise ValueError("victim pool does not fit in the bank")
-        vs = victim_set(a, geometry)
-        take = vs[:victims_needed] if victims_needed < len(vs) else vs
-        groups.append((a, take))
-        victims_needed -= len(take)
-        a += VICTIM_LAYOUT_STRIDE
-    return groups
+def wave_layout(config: SchemeConfig, geometry: DeviceGeometry, r1: int
+                ) -> Tuple[List[Tuple[int, List[int]]], int]:
+    """The wave's (aggressor, pool rows it serves) pairs for a pool of r1,
+    and the pool size at which its rounds stop.
+
+    Against victim counting each aggressor serves its victims, aggressors
+    `VICTIM_LAYOUT_STRIDE` apart, and rounds run down to one victim.
+    Against aggressor counting each pool row serves itself, and rounds
+    stop at the 2*br aggressors around the last victim.
+    """
+    if config.n_bo < 2:
+        raise ValueError("n_bo must be >= 2")
+    n_rows = geometry.rows_per_bank
+    if config.counter_semantics == VICTIM_COUNT:
+        if r1 < 4:
+            raise ValueError("victim-based waves need a pool of >= 4")
+        groups: List[Tuple[int, List[int]]] = []
+        a, left = WAVE_BASE_ROW, r1
+        while left > 0:
+            if a >= n_rows:
+                raise ValueError("victim pool does not fit in the bank")
+            victims = victim_set(a, geometry)[:left]
+            groups.append((a, victims))
+            left -= len(victims)
+            a += VICTIM_LAYOUT_STRIDE
+        return groups, 1
+    if r1 < 1:
+        raise ValueError("aggressor-based waves need a pool of >= 1")
+    if WAVE_BASE_ROW + r1 > n_rows:
+        raise ValueError("aggressor pool does not fit in the bank")
+    rows = range(WAVE_BASE_ROW, WAVE_BASE_ROW + r1)
+    return [(row, [row]) for row in rows], 2 * geometry.blast_radius
 
 
-def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
+def run_feinting(engine: BankEngine, r1: int, *,
                  stop_at_ps: Optional[int] = None) -> FeintingResult:
     """Drive the multi-round wave attack closed-loop against `engine`.
 
-    Setup charges n_bo - 1 activations per prepared aggressor; online
-    rounds activate every surviving pool row once, and rows the defense
-    refreshed (read back from the event log) leave the pool.  The final
-    survivor is squeezed with the extra activations the alert window and
-    the post-mitigation hold still admit.  The setup, each round and the
-    tail are each issued as one lazy stream of rows, one ACT at a time
-    while the bank's clock (`engine.now`) is still before `stop_at_ps`.
+    The layout is `wave_layout` for the engine's scheme and a pool of r1.
+    Setup charges n_bo - 1 activations per aggressor; online rounds
+    activate every aggressor that still serves a pool row once, and rows
+    the defense refreshed (read back from the event log) leave the pool.
+    The survivors are squeezed with the ABO_ACT + n_mit extra activations
+    the alert window and the post-mitigation hold still admit.  The setup,
+    each round and the tail are each issued as one lazy stream of rows,
+    one ACT at a time while the bank's clock (`engine.now`) is still
+    before `stop_at_ps`.
     """
-    geometry = engine.geometry
-    observer = DamageObserver(geometry)
+    config = engine.scheme.config
+    groups, floor = wave_layout(config, engine.geometry, r1)
+    observer = DamageObserver(engine.geometry)
     engine.attach_observer(observer)
     if stop_at_ps is None:
         stop_at_ps = engine.refresh.window_ps
@@ -204,56 +199,37 @@ def run_feinting(engine: BankEngine, spec: FeintingSpec, *,
                 mitigated.add(entry[3])
         log_cursor = len(engine.log)
 
-    result = FeintingResult(0, -1, 0, 0, 0, 0)
     issue_act = engine.issue_act
 
     def issue(rows: Iterable[int]) -> None:
-        done = 0
-        for done, row in enumerate(rows, 1):
+        for row in rows:
             if engine.now >= stop_at_ps:
-                done -= 1
                 break
             issue_act(row)
-        result.acts_issued += done
 
-    tail = engine.abo.abo_act + engine.abo.resolved_delay(
-        engine.scheme.config.n_mit)
-    if spec.discipline == VICTIM_COUNT:
-        groups = _victim_groups(spec, geometry)
-        # Setup: bring every prepared victim to n_bo - 1 without alerting.
-        issue(chain.from_iterable(repeat(a, spec.n_bo - 1)
-                                  for a, _victims in groups))
-        result.setup_acts = result.acts_issued
-        pool = {v for _a, victims in groups for v in victims}
-        while len(pool) > 1 and engine.now < stop_at_ps:
-            result.rounds += 1
-            result.pool_sizes.append(len(pool))
-            issue([a for a, vs in groups if not pool.isdisjoint(vs)])
-            harvest()
-            pool -= mitigated
-        # Tail: the window and hold still let a few activations through.
-        survivors = [a for a, vs in groups if not pool.isdisjoint(vs)]
-        issue(repeat(survivors[0], tail) if survivors else ())
-    else:
-        pool_rows = [spec.base_row + i for i in range(spec.r1)]
-        if pool_rows[-1] >= geometry.rows_per_bank:
-            raise ValueError("aggressor pool does not fit in the bank")
-        issue(chain.from_iterable(repeat(row, spec.n_bo - 1)
-                                  for row in pool_rows))
-        result.setup_acts = result.acts_issued
-        pool = set(pool_rows)
-        floor = 2 * geometry.blast_radius
-        while len(pool) > floor and engine.now < stop_at_ps:
-            result.rounds += 1
-            result.pool_sizes.append(len(pool))
-            issue([row for row in pool_rows if row in pool])
-            harvest()
-            pool -= mitigated
-        survivors = [r for r in pool_rows if r in pool]
-        issue(islice(cycle(survivors), tail))
+    def live() -> List[int]:
+        return [a for a, served in groups if not pool.isdisjoint(served)]
+
+    metrics = engine.metrics
+    acts_before = metrics.acts_issued
+    result = FeintingResult(0, -1, 0, 0, 0, 0)
+    # Setup: bring every pool row to n_bo - 1 without alerting.
+    issue(chain.from_iterable(repeat(a, config.n_bo - 1)
+                              for a, _served in groups))
+    result.setup_acts = metrics.acts_issued - acts_before
+    pool = {row for _a, served in groups for row in served}
+    while len(pool) > floor and engine.now < stop_at_ps:
+        result.rounds += 1
+        result.pool_sizes.append(len(pool))
+        issue(live())
+        harvest()
+        pool -= mitigated
+    # Tail: the window and hold still let a few activations through.
+    issue(islice(cycle(live()), ABO_ACT + config.n_mit))
 
     harvest()
-    result.alerts = engine.metrics.alerts_raised
+    result.acts_issued = metrics.acts_issued - acts_before
+    result.alerts = metrics.alerts_raised
     result.observed_hc = observer.max_peak()
     result.hottest_row = observer.argmax_peak()
     return result

@@ -23,7 +23,7 @@ from .config import (ConfigError, check_keys, dump_manifest, geometry_from,
                      scheme_from)
 from .counters import csa_scaled_latency
 from .dram import DeviceGeometry, RefreshConfig
-from .engine import AboConfig, BankEngine, audit_log, log_to_csv_lines
+from .engine import BankEngine, audit_log, log_to_csv_lines
 from .schemes import DEFAULT_QUEUE_DEPTH, SchemeConfig, preset
 from .security import (AnalysisParams, RecurrenceConfig, brute_force_oracle,
                        bw_bound, oracle_point, security_table,
@@ -111,8 +111,7 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
     rows = ["scheme,window,counter_mean,bandwidth,rfm_count,alert_count"]
     for name, scheme in zip(names, schemes):
         refresh = refresh_from(cfg, scheme)
-        engine = BankEngine(scheme, geometry, refresh, AboConfig(),
-                            collect_log=False)
+        engine = BankEngine(scheme, geometry, refresh, collect_log=False)
         means: List[float] = []
         for w in range(windows):
             engine.advance_to((w + 1) * refresh.window_ps)
@@ -309,7 +308,7 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     else:
         raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
 
-    engine = BankEngine(scheme, geometry, refresh, AboConfig())
+    engine = BankEngine(scheme, geometry, refresh)
     metrics = engine.run_trace(events, duration)
     rows = ["window,bandwidth,rfm_count,alert_count,blocked_ns"]
     for w in metrics.windows:
@@ -321,7 +320,7 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     if write_events:
         _write_text(os.path.join(outdir, "events.csv"),
                     log_to_csv_lines(engine.log))
-    problems = audit_log(engine.log, scheme, engine.abo, refresh)
+    problems = audit_log(engine.log, scheme, refresh)
     if problems:
         _write_text(os.path.join(outdir, "audit.txt"), problems)
         click.echo(f"audit failed: {len(problems)} violations "
@@ -350,8 +349,7 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
     if scheme is None:
         return (hc, stride), (f"{hc},{stride},{n},inf,,,,")
     refresh = RefreshConfig(tRFC=ns(scheme.tRFC_ns))
-    engine = BankEngine(scheme, geometry, refresh, AboConfig(),
-                        collect_log=False)
+    engine = BankEngine(scheme, geometry, refresh, collect_log=False)
     duration = windows * refresh.window_ps
     metrics = engine.run_trace(
         gen_round_robin(RoundRobinSpec(n=n, stride=stride)), duration)
@@ -387,7 +385,7 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     # config error before any job starts.
     schemes: Dict[int, SchemeConfig] = {}  # feasible hcs only
     with _config_errors("sweep_stride"):
-        params = AnalysisParams(n_mit=n_mit,
+        params = AnalysisParams(n_mit=n_mit, br=geometry.blast_radius,
                                 rows_per_bank=geometry.rows_per_bank)
         for hc in hcs:
             point = solve_nbo(name, hc, params)
@@ -432,12 +430,10 @@ def _run_oracle_check(cfg: Dict[str, Any], outdir: str, seed: int,
     n_bos = _get_list(sec, "n_bos", (int,), "oracle_check", [8, 12, 16, 24])
     n_mits = _get_list(sec, "n_mits", (int,), "oracle_check", [1, 4])
     rows = get_value(sec, "rows", (int,), "oracle_check", 256)
-    if not 16 <= rows <= 4096:
-        raise ConfigError("oracle_check.rows must be in [16, 4096]")
-    geometry = small_oracle_geometry(rows=rows)
     grid = [(name, n_mit, n_bo) for name in sorted(names)
             for n_mit in sorted(n_mits) for n_bo in sorted(n_bos)]
     with _config_errors("oracle_check"):
+        geometry = small_oracle_geometry(rows=rows)
         for name, n_mit, n_bo in grid:
             oracle_point(name, n_bo, n_mit, geometry)
     out = ["scheme,n_mit,n_bo,r1,observed_hc,bound_hc,sound"]

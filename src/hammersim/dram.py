@@ -16,6 +16,13 @@ from .units import ns, us, ms
 # model and the closed-form bounds all charge this one figure.
 RFM_NS = 350.0
 
+# The alert back-off (ABO) handshake the engine runs and the analysis
+# assumes: after an alert at most ABO_ACT more ACTs within TABO_ACT_NS,
+# then n_mit RFMs, then a hold of n_mit ACT opportunities before the next
+# alert (Canpolat et al., DRAMSec 2024).
+ABO_ACT = 3
+TABO_ACT_NS = 180.0
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:
@@ -26,6 +33,8 @@ class DeviceGeometry:
     blast_radius: int = 2
 
     def __post_init__(self) -> None:
+        if self.rows_per_bank < 1 or self.rows_per_dsa < 1:
+            raise ValueError("rows_per_bank and rows_per_dsa must be >= 1")
         if self.rows_per_bank % self.rows_per_dsa != 0:
             raise ValueError(
                 "rows_per_bank must be a multiple of rows_per_dsa "

@@ -5,10 +5,11 @@ The engine owns the memory-controller half of the alert protocol:
 * demand ACTs are admitted no closer than tRC (per the scheme's timing set);
 * a REF is scheduled every tREFI on an absolute grid, blocks the bank for
   tRFC, refreshes a sequential group of rows, and runs the scheme hook;
-* an alert opens a window in which up to ``abo_act`` more ACTs may issue
-  (only while demand is actually waiting — an idle controller proceeds
-  straight to mitigation), then the RFM burst runs back-to-back, then the
-  next alert is deferred until ``abo_delay`` further ACT opportunities pass.
+* an alert opens a window in which up to ``dram.ABO_ACT`` more ACTs may
+  issue within ``dram.TABO_ACT_NS`` (only while demand is actually waiting
+  — an idle controller proceeds straight to mitigation), then the RFM burst
+  runs back-to-back, then the next alert is deferred until ``n_mit``
+  further ACT opportunities pass.
 
 "Opportunity" is the operative word for both the window and the hold: when
 the controller has nothing queued, the opportunities lapse instantly; when
@@ -19,11 +20,10 @@ accounting charges REF and RFM blocks only — admitted ACTs are useful work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import cycle, islice
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .dram import (RFM_NS, DeviceGeometry, RefreshConfig, TimingSet,
-                   rows_per_refresh)
+from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
+                   RefreshConfig, TimingSet, rows_per_refresh)
 from .schemes import MitigationAction, SchemeConfig, SchemeState
 from .units import ns
 
@@ -31,26 +31,8 @@ _IDLE = 0
 _WINDOW = 1
 _HOLD = 2
 
-
-@dataclass(frozen=True)
-class AboConfig:
-    """Controller-side alert protocol constants."""
-
-    tABO_ACT: int = ns(180)
-    tABO_recovery_per_rfm: int = ns(RFM_NS)
-    abo_act: int = 3
-    abo_delay: Optional[int] = None  # None -> follow n_mit
-
-    def __post_init__(self) -> None:
-        if self.tABO_ACT <= 0 or self.tABO_recovery_per_rfm <= 0:
-            raise ValueError("ABO durations must be positive")
-        if self.abo_act < 0:
-            raise ValueError("abo_act must be >= 0")
-        if self.abo_delay is not None and self.abo_delay < 0:
-            raise ValueError("abo_delay must be >= 0 when set")
-
-    def resolved_delay(self, n_mit: int) -> int:
-        return self.abo_delay if self.abo_delay is not None else n_mit
+_TABO_ACT = ns(TABO_ACT_NS)
+_TRFM = ns(RFM_NS)
 
 
 class TraceEvent(NamedTuple):
@@ -87,13 +69,11 @@ class BankEngine:
     """Deterministic closed-loop engine for one bank."""
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
-                 refresh: Optional[RefreshConfig] = None,
-                 abo: Optional[AboConfig] = None, *,
+                 refresh: Optional[RefreshConfig] = None, *,
                  collect_log: bool = True) -> None:
         self.geometry = geometry
         self.refresh = refresh or RefreshConfig(
             tRFC=ns(scheme.tRFC_ns))
-        self.abo = abo or AboConfig()
         self.scheme = SchemeState(scheme, geometry)
         self.timing: TimingSet = scheme.timing_set()
         self.collect_log = collect_log
@@ -102,8 +82,6 @@ class BankEngine:
 
         self._tRC = self.timing.tRC
         self._tRFC = self.refresh.tRFC
-        self._tRFM = self.abo.tABO_recovery_per_rfm
-        self._delay = self.abo.resolved_delay(scheme.n_mit)
         self._rpr = rows_per_refresh(geometry, self.refresh)
         self._tREFI = self.refresh.tREFI
         self._rows = geometry.rows_per_bank
@@ -189,8 +167,8 @@ class BankEngine:
         if self.collect_log:
             self._log(t, "ALERT", row)
         self._state = _WINDOW
-        self._win_deadline = t + self.abo.tABO_ACT
-        self._win_acts_left = self.abo.abo_act
+        self._win_deadline = t + _TABO_ACT
+        self._win_acts_left = ABO_ACT
 
     def _surface_pending(self) -> bool:
         """Assert the parked alert now if its condition still holds.
@@ -214,8 +192,8 @@ class BankEngine:
                 cur = max(cur, self.now)
             t = max(cur, self.now)
             applied = self.scheme.on_rfm()
-            self.now = t + self._tRFM
-            self._charge_block(t, self._tRFM)
+            self.now = t + _TRFM
+            self._charge_block(t, _TRFM)
             self.metrics.rfms_issued += 1
             w = t // self._win_len
             self._win_rfms[w] = self._win_rfms.get(w, 0) + 1
@@ -233,7 +211,7 @@ class BankEngine:
                     break
             # Fixed-count schemes always issue all n_mit RFMs.
         self._state = _HOLD
-        self._hold_left = self._delay
+        self._hold_left = self.scheme.config.n_mit
 
     def _collapse_idle(self, until: Optional[int]) -> None:
         """Let opportunity states lapse across a demand-free gap.
@@ -375,17 +353,6 @@ class BankEngine:
         return m
 
 
-def saturation_act_stream(rows: Sequence[int] | int,
-                          count: int) -> List[TraceEvent]:
-    """ASAP activations round-robin over `rows`, `count` events long."""
-    if isinstance(rows, int):
-        rows = [rows]
-    if not rows:
-        raise ValueError("need at least one row")
-    events = [TraceEvent("act", row) for row in rows]
-    return list(islice(cycle(events), count))
-
-
 def log_to_csv_lines(log: Sequence[Tuple[int, int, str, int, int]]
                      ) -> List[str]:
     lines = ["time_ns,bank,event,row,counter_after"]
@@ -399,19 +366,18 @@ def log_to_csv_lines(log: Sequence[Tuple[int, int, str, int, int]]
 
 
 def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
-              scheme: SchemeConfig, abo: AboConfig,
-              refresh: RefreshConfig) -> List[str]:
+              scheme: SchemeConfig, refresh: RefreshConfig) -> List[str]:
     """Independent legality pass over an emitted event log.
 
     Checks tRC spacing between ACTs, non-overlap with REF/RFM blocking
-    intervals, the per-alert ACT budget and window bound, and that every
-    alert is followed by at least one RFM before the next alert.
+    intervals, the per-alert ACT budget (`dram.ABO_ACT`) and window bound
+    (`dram.TABO_ACT_NS`), and that every alert is followed by at least one
+    RFM before the next alert.
     """
     problems: List[str] = []
     timing = scheme.timing_set()
     tRC = timing.tRC
     tRFC = refresh.tRFC
-    tRFM = abo.tABO_recovery_per_rfm
 
     last_act: Optional[int] = None
     # The last four REF/RFM blocks and the latest end among them: an ACT
@@ -433,11 +399,11 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
                         problems.append(f"ACT at {t} ps inside {what} block")
             if alert_t is not None and rfms_since_alert == 0:
                 acts_in_window += 1
-                if acts_in_window > abo.abo_act:
+                if acts_in_window > ABO_ACT:
                     problems.append(
-                        f"more than {abo.abo_act} ACTs in window of alert "
+                        f"more than {ABO_ACT} ACTs in window of alert "
                         f"at {alert_t} ps")
-                if t > alert_t + abo.tABO_ACT:
+                if t > alert_t + _TABO_ACT:
                     problems.append(
                         f"ACT at {t} ps past the window of alert at "
                         f"{alert_t} ps")
@@ -447,7 +413,7 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
             elif blocks and blocks[-1][2] == "RFM" and blocks[-1][0] == t:
                 continue  # several rows logged for one RFM command
             else:
-                blocks.append((t, t + tRFM, "RFM"))
+                blocks.append((t, t + _TRFM, "RFM"))
                 if alert_t is not None:
                     rfms_since_alert += 1
             del blocks[:-4]

@@ -4,12 +4,14 @@ oracle that replays the wave attack on a small bank.
 
 Two counting disciplines, named by their `counters` codes, analyze
 differently; `discipline_for_scheme` reads a scheme's from the scheme
-table.  Victim-based counting pays per victim:
-HC = (n_bo - 1) + NR + delay + abo_act + br.  Aggressor-based
+table.  Both read the alert back-off protocol from `dram`: ABO_ACT
+ACTs after an alert, then n_mit RFMs, then a hold of n_mit ACTs.
+Victim-based counting pays per victim:
+HC = (n_bo - 1) + NR + n_mit + ABO_ACT + br.  Aggressor-based
 counting multiplies the per-aggressor terms by the 2*br surrounding
-aggressors: HC = 2*br*(n_bo - 1) + 2*br*NR + delay + abo_act + br - 1.
+aggressors: HC = 2*br*(n_bo - 1) + 2*br*NR + n_mit + ABO_ACT + br - 1.
 NR — the number of attack rounds the pool survives — comes from the pool
-recurrence R' = R - n_mit * floor((R - sub)/(abo_act + delay)).
+recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)).
 
 The literal recurrence stalls once the floor term is zero, and its
 alert count has two defensible readings; both are kept behind
@@ -26,10 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attacks import FeintingSpec, run_feinting
+from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
-from .dram import RFM_NS, DeviceGeometry, builtin_timing_set
-from .engine import AboConfig, BankEngine
+from .dram import ABO_ACT, RFM_NS, DeviceGeometry, builtin_timing_set
+from .engine import BankEngine
 from .schemes import SchemeConfig, preset, scheme_rules
 from .units import to_ns
 
@@ -53,7 +55,7 @@ class RecurrenceConfig:
     variant: 'literal' floors each round independently and freezes the
     round counter when progress stalls; 'carry' accumulates fractional
     alert credit across rounds.  granularity: 'body' divides activations
-    by (abo_act + delay); 'text' by 2*br*(abo_act + delay).  The setup
+    by (ABO_ACT + n_mit); 'text' by 2*br*(ABO_ACT + n_mit).  The setup
     budget (ns) caps the initial pool via n_bo-1 activations per prepared
     aggressor at the discipline's row-cycle time; None lifts the cap.
     """
@@ -75,20 +77,14 @@ class RecurrenceConfig:
 class AnalysisParams:
     n_mit: int
     br: int = 2
-    abo_act: int = 3
-    abo_delay: Optional[int] = None  # None -> n_mit
     rows_per_bank: int = 65536
     recurrence: RecurrenceConfig = RecurrenceConfig()
 
     def __post_init__(self) -> None:
         if self.n_mit not in (1, 2, 4):
             raise ValueError("n_mit must be 1, 2, or 4")
-        if self.br < 1 or self.abo_act < 0 or self.rows_per_bank < 8:
+        if self.br < 1 or self.rows_per_bank < 8:
             raise ValueError("implausible analysis parameters")
-
-    @property
-    def delay(self) -> int:
-        return self.abo_delay if self.abo_delay is not None else self.n_mit
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def _recurrence_knobs(discipline: int, params: AnalysisParams
                       ) -> Tuple[int, int, int, int]:
     """(subtrahend, terminal pool size, denominator, rows removed per
     alert) per discipline."""
-    den = params.abo_act + params.delay
+    den = ABO_ACT + params.n_mit
     remu = params.n_mit
     if params.recurrence.granularity == "text":
         den *= 2 * params.br
@@ -143,8 +139,8 @@ def _nr_tables(discipline: int, params: AnalysisParams
     cap = max_initial_pool(discipline, params.rows_per_bank)
     sub, term, den, remu = _recurrence_knobs(discipline, params)
     rec = params.recurrence
-    key = (discipline, params.n_mit, params.delay, params.abo_act,
-           params.br, rec.variant, rec.granularity, cap)
+    key = (discipline, params.n_mit, params.br, rec.variant,
+           rec.granularity, cap)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -221,7 +217,7 @@ def _hc(discipline: int, n_bo: int, nr: int, params: AnalysisParams
         ) -> int:
     """Worst-case hammered count of `discipline` after `nr` wave rounds;
     the one closed form behind hc_pvac, hc_prac and worst_case_hc."""
-    base = params.delay + params.abo_act + params.br
+    base = params.n_mit + ABO_ACT + params.br
     if discipline == VICTIM_COUNT:
         return (n_bo - 1) + nr + base
     return 2 * params.br * (n_bo - 1) + 2 * params.br * nr + base - 1
@@ -240,7 +236,7 @@ def hc_prac(n_bo: int, params: AnalysisParams, r1: int) -> int:
 
 def hc_chronus(n_bo: int, params: AnalysisParams) -> int:
     """Adaptive-RFM scheme: one round, every aggressor to n_bo - 1 plus one."""
-    return 2 * params.br * (n_bo - 1) + params.abo_act + params.br
+    return 2 * params.br * (n_bo - 1) + ABO_ACT + params.br
 
 
 def _setup_units(discipline: int, r1: int, br: int) -> int:
@@ -296,13 +292,13 @@ def solve_nbo(scheme: str, max_hc: int, params: AnalysisParams
         raise ValueError("max_hc must be >= 1")
     discipline = discipline_for_scheme(scheme)
     if discipline is None:
-        q = (max_hc - params.abo_act - params.br) // (2 * params.br)
+        q = (max_hc - ABO_ACT - params.br) // (2 * params.br)
         if q < 0:
             return SecurityCurvePoint(scheme, params.n_mit, max_hc,
                                       0, 0, 0, False)
         return SecurityCurvePoint(scheme, params.n_mit, max_hc,
                                   q + 1, 0, 0, True)
-    base = params.delay + params.abo_act + params.br
+    base = params.n_mit + ABO_ACT + params.br
     if discipline == VICTIM_COUNT:
         qmax = max_hc - base
     else:
@@ -364,16 +360,16 @@ def small_oracle_geometry(rows: int = 256) -> DeviceGeometry:
 
 def oracle_point(scheme: str, n_bo: int, n_mit: int,
                  geometry: DeviceGeometry
-                 ) -> Tuple[SchemeConfig, FeintingSpec, int]:
-    """The scheme, the wave attack and the bound of one oracle run.
+                 ) -> Tuple[SchemeConfig, int, int]:
+    """The scheme, the wave's pool size r1 and the bound of one oracle run.
 
     The bound is the analyzer's worst case over every pool the small
     geometry admits (no setup budget — strictly looser, so the comparison
-    stays one-sided).  The wave targets the scheme's own counting.  A
-    point the oracle cannot run raises ValueError here, before any run.
+    stays one-sided).  A point the oracle cannot run, including a bank
+    outside [16, 4096] rows, raises ValueError here, before any run.
     """
-    if geometry.rows_per_bank > 4096:
-        raise ValueError("oracle runs are limited to banks of <= 4096 rows")
+    if not 16 <= geometry.rows_per_bank <= 4096:
+        raise ValueError("oracle runs need a bank of [16, 4096] rows")
     params = AnalysisParams(
         n_mit=n_mit, br=geometry.blast_radius,
         rows_per_bank=geometry.rows_per_bank,
@@ -386,9 +382,8 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     else:
         bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
         r1 = max(4, min(worst, cap))
-    spec = FeintingSpec(discipline=config.counter_semantics, r1=r1,
-                        n_bo=n_bo, n_mit=n_mit)
-    return config, spec, bound
+    wave_layout(config, geometry, r1)  # raises if the wave cannot run
+    return config, r1, bound
 
 
 def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
@@ -397,8 +392,6 @@ def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
     """Replay the wave attack of `oracle_point` on a small bank; report
     observed vs bound."""
     geometry = geometry or small_oracle_geometry()
-    config, spec, bound = oracle_point(scheme, n_bo, n_mit, geometry)
-    result = run_feinting(BankEngine(config, geometry, abo=AboConfig()),
-                          spec)
-    return OracleCheck(scheme, n_mit, n_bo, spec.r1,
-                       result.observed_hc, bound)
+    config, r1, bound = oracle_point(scheme, n_bo, n_mit, geometry)
+    result = run_feinting(BankEngine(config, geometry), r1)
+    return OracleCheck(scheme, n_mit, n_bo, r1, result.observed_hc, bound)

@@ -13,6 +13,7 @@ until they pass.
 """
 
 import time
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
@@ -23,8 +24,7 @@ from hammersim.counters import (CSA_COMPONENT_GROWTH, CSA_UPDATE_SHRINK,
                                 CsaLayout, CsaTiming, counter_update_latency,
                                 csa_scaled_latency)
 from hammersim.energy import default_energy_model
-from hammersim.engine import (AboConfig, BankEngine, audit_log,
-                              saturation_act_stream)
+from hammersim.engine import BankEngine, audit_log
 from hammersim.attacks import RoundRobinSpec, gen_round_robin
 from hammersim.schemes import SchemeConfig, preset
 from hammersim.security import (AnalysisParams, brute_force_oracle, bw_bound,
@@ -40,7 +40,7 @@ OPTIMIZED = CsaLayout(kind="OptimizedDualCsa")
 
 def make_engine(config, collect_log=True):
     refresh = refresh_from({}, config)
-    return BankEngine(config, GEOMETRY, refresh, AboConfig(),
+    return BankEngine(config, GEOMETRY, refresh,
                       collect_log=collect_log), refresh
 
 
@@ -50,7 +50,7 @@ def finalize_audited(engine, config, refresh, duration_ps, events=None):
         metrics = engine.finalize(duration_ps)
     else:
         metrics = engine.run_trace(events, duration_ps)
-    problems = audit_log(engine.log, config, engine.abo, refresh)
+    problems = audit_log(engine.log, config, refresh)
     assert problems == [], problems[:5]
     return metrics
 
@@ -155,8 +155,9 @@ def test_criterion_4_mitigation_bandwidth_bound():
     # its non-idle time inside RFM service.
     config = SchemeConfig(scheme="PVAC", n_bo=237, n_mit=4)
     engine, refresh = make_engine(config)
+    row = RoundRobinSpec(n=1, base_row=5000)
     metrics = finalize_audited(engine, config, refresh, refresh.window_ps,
-                               events=saturation_act_stream(5000, 700_000))
+                               events=islice(gen_round_robin(row), 700_000))
     rfm_ns = 350.0 * metrics.rfms_issued
     act_ns = 48.0 * metrics.acts_issued
     share = rfm_ns / (rfm_ns + act_ns)
@@ -223,7 +224,7 @@ def test_criterion_6c_auditor_on_acceptance_runs():
     config = preset("PRAC", n_bo=64, n_mit=4)
     engine, refresh = make_engine(config)
     engine.run_trace([], 4 * refresh.window_ps)
-    problems = audit_log(engine.log, config, engine.abo, refresh)
+    problems = audit_log(engine.log, config, refresh)
     print(f"criterion 6c: auditor violations on a 4-window run: "
           f"{len(problems)}")
     assert problems == []

@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hammersim.attacks import (DamageObserver, FeintingSpec, RoundRobinSpec,
-                               gen_benign, gen_round_robin, lines_to_trace,
-                               run_feinting, trace_to_lines)
-from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
+from hammersim.attacks import (DamageObserver, RoundRobinSpec, gen_benign,
+                               gen_round_robin, lines_to_trace, run_feinting,
+                               trace_to_lines, wave_layout)
 from hammersim.dram import DeviceGeometry, us
 from hammersim.engine import BankEngine, TraceEvent, audit_log
 from hammersim.schemes import SchemeConfig, preset
@@ -135,60 +134,66 @@ def test_observer_matches_eager_ledger(dsa, br, rows):
 def test_wave_setup_charges_each_prepared_aggressor():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec(VICTIM_COUNT, r1=8, n_bo=8, n_mit=1)
-    result = run_feinting(engine, spec)
+    result = run_feinting(engine, 8)
     assert result.setup_acts == 2 * 7  # two groups, n_bo - 1 each
     acts = [row for _, _, kind, row, _ in engine.log if kind == "ACT"]
     assert acts[:14] == [8] * 7 + [13] * 7  # prepared five apart
 
 
 def test_wave_layout_stride_by_discipline():
-    assert FeintingSpec(VICTIM_COUNT, r1=4, n_bo=8).layout_stride == 5
-    assert FeintingSpec(AGGRESSOR_COUNT, r1=4, n_bo=8).layout_stride == 1
+    geometry = small_geometry()
+    groups, floor = wave_layout(preset("PVAC", 8), geometry, 6)
+    assert groups == [(8, [6, 7, 9, 10]), (13, [11, 12])]
+    assert floor == 1
+    groups, floor = wave_layout(preset("PRAC", 8), geometry, 4)
+    assert groups == [(8, [8]), (9, [9]), (10, [10]), (11, [11])]
+    assert floor == 4  # the 2*br aggressors around the last victim
 
 
-def test_wave_spec_validation():
-    with pytest.raises(ValueError):
-        FeintingSpec("Sideways", r1=4, n_bo=8)
-    with pytest.raises(ValueError):
-        FeintingSpec(VICTIM_COUNT, r1=3, n_bo=8)
-    with pytest.raises(ValueError):
-        FeintingSpec(AGGRESSOR_COUNT, r1=0, n_bo=8)
-    with pytest.raises(ValueError):
-        FeintingSpec(VICTIM_COUNT, r1=4, n_bo=1)
+def test_wave_rejects_a_bad_point_before_any_act():
+    for scheme, n_bo, r1 in [
+            ("PVAC", 8, 3),      # victim counting needs four victims
+            ("PRAC", 8, 0),      # aggressor counting needs one aggressor
+            ("PVAC", 1, 8),      # setup needs n_bo - 1 >= 1
+            ("PRAC", 1, 8),
+            ("PVAC", 8, 500),    # 500 victims need aggressors past row 511
+            ("PRAC", 8, 505)]:   # rows 8..512 overrun the 512-row bank
+        engine = BankEngine(preset(scheme, n_bo), small_geometry())
+        with pytest.raises(ValueError):
+            wave_layout(engine.scheme.config, engine.geometry, r1)
+        with pytest.raises(ValueError):
+            run_feinting(engine, r1)
+        assert engine.metrics.acts_issued == 0 and engine.log == []
 
 
 def test_wave_against_victim_counting_shrinks_the_pool():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec(VICTIM_COUNT, r1=8, n_bo=8, n_mit=1)
-    result = run_feinting(engine, spec)
+    result = run_feinting(engine, 8)
     assert result.alerts >= 1
     assert result.pool_sizes[0] == 8
     assert result.pool_sizes == sorted(result.pool_sizes, reverse=True)
     assert result.observed_hc >= 8  # some victim reached the threshold
-    assert audit_log(engine.log, engine.scheme.config, engine.abo,
+    assert audit_log(engine.log, engine.scheme.config,
                      engine.refresh) == []
 
 
 def test_wave_against_aggressor_counting_reaches_blast_floor():
     engine = BankEngine(preset("PRAC", 6, 1), small_geometry())
-    spec = FeintingSpec(AGGRESSOR_COUNT, r1=8, n_bo=6, n_mit=1)
-    result = run_feinting(engine, spec)
+    result = run_feinting(engine, 8)
     assert result.setup_acts == 8 * 5
     assert result.alerts >= 1
     # Rounds stop once only 2*BR aggressors (two per side) remain.
     assert result.pool_sizes[-1] > 4
     assert result.observed_hc > 6  # the squeeze beats the threshold
-    assert audit_log(engine.log, engine.scheme.config, engine.abo,
+    assert audit_log(engine.log, engine.scheme.config,
                      engine.refresh) == []
 
 
 def test_wave_only_drops_rows_the_defense_touched():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
-    spec = FeintingSpec(VICTIM_COUNT, r1=12, n_bo=8, n_mit=1)
-    result = run_feinting(engine, spec)
+    result = run_feinting(engine, 12)
     mitigated = {row for _, _, kind, row, _ in engine.log
                  if kind in ("RFM", "PROACT") and row >= 0}
     victims = {6, 7, 9, 10, 11, 12, 14, 15, 16, 17, 19, 20}

@@ -9,6 +9,7 @@ reproduces the files byte for byte.
 import pytest
 from click.testing import CliRunner
 
+from hammersim import cli
 from hammersim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -414,6 +415,26 @@ sweep_stride:
         assert int(r[7]) > 0
 
 
+@pytest.mark.parametrize("scheme, n_bo", [("PVAC", "47"), ("PRAC", "19")])
+def test_sweep_stride_solves_n_bo_for_the_geometry_blast_radius(
+        tmp_path, monkeypatch, scheme, n_bo):
+    # At blast radius 1 the hc-64 thresholds are 47 and 19; the radius-2
+    # solution would be 46 and 5.  Each job only reports its scheme's n_bo.
+    def solved_only(args):
+        hc, stride, n, config, _windows, _geometry = args
+        return (hc, stride), f"{hc},{stride},{n},{config.n_bo},,,,"
+    monkeypatch.setattr(cli, "_sweep_point", solved_only)
+    cfg = write_cfg(tmp_path, f"""\
+sweep_stride: {{hc: [64], strides: [1], n: 8, scheme: {scheme}}}
+geometry: {{rows_per_bank: 4096, blast_radius: 1}}
+""")
+    outdir = tmp_path / "out"
+    assert run_cli("sweep-stride", "--config", cfg, "--out",
+                   str(outdir)).exit_code == EXIT_OK
+    _header, rows = csv_rows(outdir / "sweep_stride.csv")
+    assert [r[3] for r in rows] == [n_bo]
+
+
 def test_sweep_stride_unknown_scheme_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "sweep_stride:\n  scheme: Nonesuch\n")
     result = run_cli("sweep-stride", "--config", cfg, "--out",
@@ -464,8 +485,16 @@ oracle_check:
 
 
 def test_oracle_check_rejects_out_of_range_banks(tmp_path):
-    cfg = write_cfg(tmp_path, "oracle_check:\n  rows: 8\n")
+    for rows in (8, 8192):
+        cfg = write_cfg(tmp_path, f"oracle_check:\n  rows: {rows}\n")
+        result = run_cli("oracle-check", "--config", cfg, "--out",
+                         str(tmp_path / "out"))
+        assert result.exit_code == EXIT_CONFIG
+        assert "oracle_check: " in all_text(result)
+        assert "[16, 4096]" in all_text(result)
+    # A bank too small to build is a config error too, not a crash.
+    cfg = write_cfg(tmp_path, "oracle_check:\n  rows: 0\n")
     result = run_cli("oracle-check", "--config", cfg, "--out",
                      str(tmp_path / "out"))
     assert result.exit_code == EXIT_CONFIG
-    assert "[16, 4096]" in all_text(result)
+    assert not (tmp_path / "out" / "oracle_check.csv").exists()

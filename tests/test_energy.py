@@ -1,15 +1,18 @@
 """Latency-proportional energy model, and the engine's per-window
 summaries that are read beside it."""
 
+from itertools import islice
+
 import pytest
 
+from hammersim.attacks import RoundRobinSpec, gen_round_robin
 from hammersim.counters import CsaLayout, CsaTiming
 from hammersim.dram import DeviceGeometry, RefreshConfig, ms, ns, us
 from hammersim.energy import (CSA_PER_ACCESS_NAIVE, CSA_PER_ACCESS_OPTIMIZED,
                               CSA_PER_REF_NAIVE, CSA_PER_REF_OPTIMIZED,
                               EnergyModel, EnergyReport, default_energy_model,
                               energy_report)
-from hammersim.engine import BankEngine, TraceEvent, saturation_act_stream
+from hammersim.engine import BankEngine, TraceEvent
 from hammersim.schemes import SchemeConfig, preset
 
 NAIVE = CsaLayout(kind="NaiveCsa")
@@ -19,6 +22,12 @@ IN_DSA = CsaLayout(kind="InDsaRow")
 
 def default_geometry() -> DeviceGeometry:
     return DeviceGeometry()
+
+
+def hammer(row: int, count: int):
+    """`count` back-to-back ACTs of one row."""
+    return list(islice(gen_round_robin(RoundRobinSpec(n=1, base_row=row)),
+                       count))
 
 
 # -- calibration ---------------------------------------------------------------
@@ -89,7 +98,7 @@ def test_total_is_the_sum_of_classes():
                               counter_bits=16, blast_radius=2)
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=4),
                         geometry)
-    engine.run_trace(saturation_act_stream(10, 200), us(5000))
+    engine.run_trace(hammer(10, 200), us(5000))
     report = energy_report(engine.log, engine.scheme.config, OPTIMIZED,
                            geometry, engine.refresh)
     assert report.total == pytest.approx(sum(report.energy.values()),
@@ -99,7 +108,7 @@ def test_total_is_the_sum_of_classes():
 
 def test_no_mitigation_default_run_normalizes_to_one():
     engine = BankEngine(preset("Chronus", 250), default_geometry())
-    engine.run_trace(saturation_act_stream(10, 50), us(2000))
+    engine.run_trace(hammer(10, 50), us(2000))
     report = energy_report(engine.log, engine.scheme.config, IN_DSA,
                            default_geometry(), engine.refresh)
     assert report.normalized_total == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +163,7 @@ def hammered_windows(first_act_ps, windows):
     from `first_act_ps`: one alert, and one RFM that logs four rows."""
     engine = BankEngine(preset("PVAC", 8), SMALL, SHORT_REFRESH)
     trace = [TraceEvent("act", 10, first_act_ps)] + \
-        saturation_act_stream(10, 7)
+        hammer(10, 7)
     metrics = engine.run_trace(trace, windows * SHORT_REFRESH.window_ps)
     rfm_times = [t for t, _b, kind, _r, _c in engine.log if kind == "RFM"]
     assert len(rfm_times) == 4 and len(set(rfm_times)) == 1

@@ -1,11 +1,13 @@
 """Closed-loop bank engine: timing legality, ABO protocol, determinism."""
 
+from itertools import cycle, islice
+
 import pytest
 
-from hammersim.attacks import DamageObserver
+from hammersim.attacks import DamageObserver, RoundRobinSpec, gen_round_robin
 from hammersim.dram import DeviceGeometry, RefreshConfig, ns, us
-from hammersim.engine import (AboConfig, BankEngine, TraceEvent, audit_log,
-                              log_to_csv_lines, saturation_act_stream)
+from hammersim.engine import (BankEngine, TraceEvent, audit_log,
+                              log_to_csv_lines)
 from hammersim.schemes import SchemeConfig, preset
 
 TREFI = us(3.9)
@@ -22,6 +24,17 @@ def plain_pvac(n_bo: int, n_mit: int = 4) -> SchemeConfig:
     return SchemeConfig(scheme="PVAC", n_bo=n_bo, n_mit=n_mit)
 
 
+def hammer(row: int, count: int):
+    """`count` back-to-back ACTs of one row."""
+    return islice(gen_round_robin(RoundRobinSpec(n=1, base_row=row)), count)
+
+
+def three_rows(count: int):
+    """`count` back-to-back ACTs cycling rows 10, 17 and 301."""
+    return islice(cycle([TraceEvent("act", r) for r in (10, 17, 301)]),
+                  count)
+
+
 def act_times(engine: BankEngine):
     return [t for t, _, kind, _, _ in engine.log if kind == "ACT"]
 
@@ -30,7 +43,7 @@ def act_times(engine: BankEngine):
 
 def test_back_to_back_acts_sit_one_trc_apart():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 30), us(3.9))
+    engine.run_trace(hammer(10, 30), us(3.9))
     times = act_times(engine)
     assert times[0] == TRFC  # the t=0 refresh runs first
     assert all(b - a == ns(48) for a, b in zip(times, times[1:]))
@@ -38,7 +51,7 @@ def test_back_to_back_acts_sit_one_trc_apart():
 
 def test_prac_timing_stretches_the_act_gap():
     engine = BankEngine(preset("PRAC", 10_000), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 30), us(3.9))
+    engine.run_trace(hammer(10, 30), us(3.9))
     times = act_times(engine)
     assert all(b - a == ns(52) for a, b in zip(times, times[1:]))
 
@@ -60,14 +73,6 @@ def test_refresh_sweep_wraps_around_the_bank():
 
 
 # -- trace plumbing ----------------------------------------------------------
-
-def test_saturation_stream_round_robins():
-    events = saturation_act_stream([5, 9], 5)
-    assert [e.row for e in events] == [5, 9, 5, 9, 5]
-    assert all(e.kind == "act" and e.time_ps is None for e in events)
-    with pytest.raises(ValueError):
-        saturation_act_stream([], 3)
-
 
 def test_idle_event_opens_a_gap():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
@@ -116,7 +121,7 @@ def test_out_of_bank_act_fails_without_counting(scheme):
 
 def test_every_admitted_act_is_counted():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
-    metrics = engine.run_trace(saturation_act_stream(10, 300), us(10_000))
+    metrics = engine.run_trace(hammer(10, 300), us(10_000))
     assert metrics.acts_issued == 300
     assert len(act_times(engine)) == 300
 
@@ -125,7 +130,7 @@ def test_every_admitted_act_is_counted():
 
 def test_alert_window_admits_three_acts_then_bursts():
     engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 40), us(100))
+    engine.run_trace(hammer(10, 40), us(100))
     kinds = [kind for _, _, kind, _, _ in engine.log]
     first = kinds.index("ALERT")
     assert kinds[first + 1:first + 4] == ["ACT", "ACT", "ACT"]
@@ -143,7 +148,7 @@ def test_alert_window_admits_three_acts_then_bursts():
 
 def test_alert_fires_with_the_crossing_act():
     engine = BankEngine(plain_pvac(8), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 8), us(100))
+    engine.run_trace(hammer(10, 8), us(100))
     acts = act_times(engine)
     alerts = [t for t, _, kind, _, _ in engine.log if kind == "ALERT"]
     assert alerts[0] == acts[7]  # eighth activation pushes victims to 8
@@ -153,16 +158,16 @@ def test_idle_time_consumes_window_hold_and_burst():
     # With no demand waiting, the opportunity states lapse on their own:
     # a single hammered burst still ends with all n_mit RFMs issued.
     engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
-    metrics = engine.run_trace(saturation_act_stream(10, 8), us(1000))
+    metrics = engine.run_trace(hammer(10, 8), us(1000))
     assert metrics.alerts_raised == 1
     assert metrics.rfms_issued == 4
-    assert audit_log(engine.log, engine.scheme.config, engine.abo,
+    assert audit_log(engine.log, engine.scheme.config,
                      engine.refresh) == []
 
 
 def test_every_alert_is_separated_by_rfm_service():
     engine = BankEngine(preset("PRAC", 4, 2), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 120), us(2000))
+    engine.run_trace(hammer(10, 120), us(2000))
     kinds = [kind for _, _, kind, _, _ in engine.log]
     assert kinds.count("ALERT") >= 2
     rfms_between = None
@@ -176,20 +181,19 @@ def test_every_alert_is_separated_by_rfm_service():
 
 
 def test_hold_admits_delay_acts_before_next_alert():
-    # After the burst, the next alert waits for abo_delay demand ACTs.
+    # After the burst, the next alert waits for n_mit demand ACTs.
     # Here the refill takes three: the burst's second RFM services a cold
     # victim whose own victim set bumps row 10 once, so three demand ACTs
     # complete the climb back to four.
     engine = BankEngine(preset("PRAC", 4, 2), small_geometry())
-    engine.run_trace(saturation_act_stream(10, 40), us(500))
+    engine.run_trace(hammer(10, 40), us(500))
     log = engine.log
     alert_ts = [t for t, _, kind, _, _ in log if kind == "ALERT"]
     last_rfm_before = max(t for t, _, kind, _, _ in log
                           if kind == "RFM" and t < alert_ts[1])
     acts_in_gap = [t for t in act_times(engine)
                    if last_rfm_before < t < alert_ts[1]]
-    delay = engine.abo.resolved_delay(engine.scheme.config.n_mit)
-    assert len(acts_in_gap) >= delay
+    assert len(acts_in_gap) >= engine.scheme.config.n_mit
     assert len(acts_in_gap) == 3
 
 
@@ -202,17 +206,17 @@ def test_mini_domino_crosses_at_the_fourth_sweep():
     alerts = [t for t, _, kind, _, _ in engine.log if kind == "ALERT"]
     assert metrics.alerts_raised >= 1
     assert alerts[0] == 1536 * TREFI + TRFC
-    assert audit_log(engine.log, engine.scheme.config, engine.abo,
+    assert audit_log(engine.log, engine.scheme.config,
                      engine.refresh) == []
 
 
 def test_chronus_alert_clears_every_hot_counter():
     engine = BankEngine(preset("Chronus", 6), small_geometry())
-    rows = [50 + 5 * k for k in range(24)]
-    engine.run_trace(saturation_act_stream(rows, 200), us(5000))
+    rows = RoundRobinSpec(n=24, stride=5, base_row=50)  # rows 50, 55, ...
+    engine.run_trace(islice(gen_round_robin(rows), 200), us(5000))
     assert engine.metrics.alerts_raised >= 1
     assert engine.scheme.bank.core.max_count() < 6
-    assert audit_log(engine.log, engine.scheme.config, engine.abo,
+    assert audit_log(engine.log, engine.scheme.config,
                      engine.refresh) == []
 
 
@@ -245,7 +249,7 @@ def test_partial_last_window_is_reported_over_its_own_length():
 
 def test_window_bandwidth_stays_in_unit_range():
     engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
-    metrics = engine.run_trace(saturation_act_stream(10, 2000),
+    metrics = engine.run_trace(hammer(10, 2000),
                                RefreshConfig().window_ps)
     assert metrics.windows
     for w in metrics.windows:
@@ -255,7 +259,7 @@ def test_window_bandwidth_stays_in_unit_range():
 def test_identical_runs_emit_identical_logs():
     def run():
         engine = BankEngine(plain_pvac(8, n_mit=2), small_geometry())
-        engine.run_trace(saturation_act_stream([10, 17, 301], 400), us(3000))
+        engine.run_trace(three_rows(400), us(3000))
         return engine.log
     first, second = run(), run()
     assert first == second
@@ -268,7 +272,7 @@ def test_unlogged_run_does_no_log_work():
                             collect_log=collect_log)
         if not collect_log:
             engine._log = lambda *event: pytest.fail(f"logged {event}")
-        metrics = engine.run_trace(saturation_act_stream([10, 17, 301], 400),
+        metrics = engine.run_trace(three_rows(400),
                                    us(3000))
         return engine, metrics
     logged, logged_metrics = run(True)
@@ -295,52 +299,53 @@ def ev(t_ns: float, kind: str, row: int = 0):
     return (ns(t_ns), 0, kind, row, 0)
 
 
-SHORT_RFM = AboConfig(tABO_recovery_per_rfm=ns(10))
-
-# (log, abo, expected problems); tRC 48 ns, tRFC 295 ns, RFM 350 ns, and an
-# alert window of 3 ACTs within 180 ns unless the row says otherwise.
+# (log, expected problems); tRC 48 ns, tRFC 295 ns, RFM 350 ns, and an
+# alert window of 3 ACTs within 180 ns.
 AUDIT_CASES = {
     "act_within_trc": (
-        [ev(0, "ACT", 1), ev(40, "ACT", 2)], AboConfig(),
+        [ev(0, "ACT", 1), ev(40, "ACT", 2)],
         ["ACT at 40000 ps violates tRC after 0"]),
     "act_inside_ref": (
-        [ev(0, "REF"), ev(100, "ACT")], AboConfig(),
+        [ev(0, "REF"), ev(100, "ACT")],
         ["ACT at 100000 ps inside REF block"]),
     "act_at_ref_end": (
-        [ev(0, "REF"), ev(295, "ACT")], AboConfig(), []),
+        [ev(0, "REF"), ev(295, "ACT")], []),
     "act_inside_rfm": (
-        [ev(0, "RFM", 5), ev(100, "ACT")], AboConfig(),
+        [ev(0, "RFM", 5), ev(100, "ACT")],
         ["ACT at 100000 ps inside RFM block"]),
     "rfm_rows_at_one_time_are_one_block": (
         [ev(0, "RFM", 5), ev(0, "RFM", 6), ev(0, "RFM", 7), ev(0, "RFM", 8),
-         ev(100, "ACT")], AboConfig(),
+         ev(100, "ACT")],
         ["ACT at 100000 ps inside RFM block"]),
+    # The RFM at 0 outlasts the REFs after it: an ACT at 330 ns is inside
+    # it while it is the fourth-latest block, and an ACT at 340 ns is not
+    # checked against it once it is the fifth-latest.
     "act_inside_fourth_latest_block": (
-        [ev(0, "REF"), ev(10, "RFM"), ev(20, "RFM"), ev(30, "RFM"),
-         ev(100, "ACT")], SHORT_RFM,
-        ["ACT at 100000 ps inside REF block"]),
+        [ev(0, "RFM"), ev(10, "REF"), ev(20, "REF"), ev(30, "REF"),
+         ev(330, "ACT")],
+        ["ACT at 330000 ps inside RFM block"]),
     "act_inside_only_fifth_latest_block": (
-        [ev(0, "REF"), ev(10, "RFM"), ev(20, "RFM"), ev(30, "RFM"),
-         ev(40, "RFM"), ev(100, "ACT")], SHORT_RFM, []),
+        [ev(0, "RFM"), ev(10, "REF"), ev(20, "REF"), ev(30, "REF"),
+         ev(40, "REF"), ev(340, "ACT")], []),
     "fourth_act_in_alert_window": (
         [ev(0, "ALERT"), ev(10, "ACT"), ev(58, "ACT"), ev(106, "ACT"),
-         ev(154, "ACT")], AboConfig(),
+         ev(154, "ACT")],
         ["more than 3 ACTs in window of alert at 0 ps"]),
     "act_past_alert_window": (
-        [ev(0, "ALERT"), ev(200, "ACT")], AboConfig(),
+        [ev(0, "ALERT"), ev(200, "ACT")],
         ["ACT at 200000 ps past the window of alert at 0 ps"]),
     "alerts_without_rfm_between": (
-        [ev(0, "ALERT"), ev(1000, "ALERT")], AboConfig(),
+        [ev(0, "ALERT"), ev(1000, "ALERT")],
         ["alert at 1000000 ps follows alert at 0 ps with no RFM between"]),
     "alerts_with_rfm_between": (
-        [ev(0, "ALERT"), ev(10, "RFM"), ev(1000, "ALERT")], AboConfig(), []),
+        [ev(0, "ALERT"), ev(10, "RFM"), ev(1000, "ALERT")], []),
     "act_inside_two_blocks": (
-        [ev(0, "REF"), ev(100, "RFM"), ev(200, "ACT")], AboConfig(),
+        [ev(0, "REF"), ev(100, "RFM"), ev(200, "ACT")],
         ["ACT at 200000 ps inside REF block",
          "ACT at 200000 ps inside RFM block"]),
     "messages_keep_their_order": (
         [ev(0, "ALERT"), ev(10, "ACT"), ev(58, "ACT"), ev(106, "ACT"),
-         ev(120, "REF"), ev(130, "ACT"), ev(200, "ACT")], AboConfig(),
+         ev(120, "REF"), ev(130, "ACT"), ev(200, "ACT")],
         ["ACT at 130000 ps violates tRC after 106000",
          "ACT at 130000 ps inside REF block",
          "more than 3 ACTs in window of alert at 0 ps",
@@ -350,19 +355,10 @@ AUDIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("log, abo, expected", AUDIT_CASES.values(),
+@pytest.mark.parametrize("log, expected", AUDIT_CASES.values(),
                          ids=AUDIT_CASES.keys())
-def test_audit_flags_hand_built_violations(log, abo, expected):
-    assert audit_log(log, plain_pvac(64), abo, RefreshConfig()) == expected
-
-
-def test_abo_config_validation():
-    assert AboConfig().resolved_delay(4) == 4
-    assert AboConfig(abo_delay=2).resolved_delay(4) == 2
-    with pytest.raises(ValueError):
-        AboConfig(tABO_ACT=0)
-    with pytest.raises(ValueError):
-        AboConfig(abo_act=-1)
+def test_audit_flags_hand_built_violations(log, expected):
+    assert audit_log(log, plain_pvac(64), RefreshConfig()) == expected
 
 
 def test_refresh_only_victim_counts_stay_bounded():

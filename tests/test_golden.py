@@ -28,9 +28,8 @@ from click.testing import CliRunner
 
 from hammersim import _kernel_py, counters, schemes
 from hammersim.cli import EXIT_OK, main
-from hammersim.attacks import (FeintingSpec, RoundRobinSpec, gen_benign,
-                               gen_round_robin, run_feinting)
-from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
+from hammersim.attacks import (RoundRobinSpec, gen_benign, gen_round_robin,
+                               run_feinting)
 from hammersim.dram import DeviceGeometry, RefreshConfig
 from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
@@ -92,11 +91,8 @@ def run_case(scheme: str, workload: str) -> dict:
     duration = 2 * refresh.window_ps
     out = {}
     if workload.startswith("feinting"):
-        discipline = VICTIM_COUNT if scheme == "PVAC" else AGGRESSOR_COUNT
         stop = workload == "feinting_stop"
-        spec = FeintingSpec(discipline=discipline,
-                            r1=STOP_POOL if stop else 16, n_bo=N_BO)
-        result = run_feinting(engine, spec,
+        result = run_feinting(engine, STOP_POOL if stop else 16,
                               stop_at_ps=STOP_AT_PS if stop else duration)
         engine.advance_to(duration)
         engine.finalize(duration)

@@ -13,6 +13,7 @@ from hammersim.security import (AnalysisParams, OracleCheck, RecurrenceConfig,
                                 security_table, small_oracle_geometry,
                                 solve_nbo, worst_case_hc)
 from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
+from hammersim.dram import ABO_ACT
 from hammersim.security import _nr_tables
 
 
@@ -33,8 +34,10 @@ def test_recurrence_config_validation():
 
 
 def test_analysis_params_delay_follows_n_mit():
-    assert params(4).delay == 4
-    assert params(4, abo_delay=0).delay == 0
+    # The hold after each burst is n_mit ACTs, on top of ABO_ACT.
+    for n_mit in (1, 2, 4):
+        assert hc_pvac(64, params(n_mit), r1=1) == \
+            63 + 1 + n_mit + ABO_ACT + 2
     with pytest.raises(ValueError):
         params(3)
 
@@ -59,7 +62,7 @@ def test_initial_pool_extremes():
 # -- the pool recurrence ------------------------------------------------------
 
 def test_victim_pool_recurrence_hand_trace():
-    p = params(4)  # den = abo_act + delay = 7, removes 4 per alert
+    p = params(4)  # den = ABO_ACT + n_mit = 7, removes 4 per alert
     assert pool_recurrence_pvac(0, p) == 0
     assert pool_recurrence_pvac(1, p) == 1
     # 22 -> 3 alerts (22//7), 10 -> 1 alert, 6 -> stall: three rounds.
@@ -219,9 +222,10 @@ def test_oracle_check_verdict():
 
 
 def test_oracle_rejects_big_banks():
-    with pytest.raises(ValueError):
-        brute_force_oracle("PVAC", 16, 1,
-                           geometry=small_oracle_geometry(rows=8192))
+    for rows in (8, 8192):
+        with pytest.raises(ValueError, match=r"\[16, 4096\]"):
+            brute_force_oracle("PVAC", 16, 1,
+                               geometry=small_oracle_geometry(rows=rows))
 
 
 def test_oracle_bounds_hold_on_small_banks():
