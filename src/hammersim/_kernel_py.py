@@ -24,12 +24,17 @@ class CounterCore:
     """Saturating per-row activation counters for one bank.
 
     Rows are grouped into subarrays of `dsa_rows`; victim-side updates
-    never cross a subarray edge.  `_view` is a numpy view that aliases
-    the buffer of `_c`, so the full-bank scans run in C; `_c` must never
-    be resized.
+    never cross a subarray edge.  `_below[p]` and `_above[p]` hold the
+    offsets of the neighbours of a row at place `p` of its subarray, in
+    row order and clipped at the edges, so a victim ACT walks
+    below, self, above with no per-call bounds arithmetic.  Interior
+    places share one tuple; only the `br` places at each edge get their
+    own.  `_view` is a numpy view that aliases the buffer of `_c`, so
+    the full-bank scans run in C; `_c` must never be resized.
     """
 
-    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view")
+    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view",
+                 "_below", "_above")
 
     def __init__(self, n_rows: int, dsa_rows: int, br: int, cap: int) -> None:
         if n_rows <= 0 or dsa_rows <= 0 or n_rows % dsa_rows != 0:
@@ -42,30 +47,43 @@ class CounterCore:
         self.cap = cap
         self._c = array("L", [0]) * n_rows
         self._view = numpy.frombuffer(self._c, dtype=f"u{self._c.itemsize}")
+        below = [tuple(range(-br, 0))] * dsa_rows
+        above = [tuple(range(1, br + 1))] * dsa_rows
+        for p in range(min(br, dsa_rows)):
+            below[p] = tuple(range(-p, 0))
+        for p in range(max(0, dsa_rows - br), dsa_rows):
+            above[p] = tuple(range(1, dsa_rows - p))
+        self._below = below
+        self._above = above
 
     def act(self, row: int, sem: int) -> List[Tuple[int, int]]:
         """Apply one activation of `row`; return rows whose count changed."""
         c = self._c
-        changed: List[Tuple[int, int]] = []
-        if sem == NONE:
-            return changed
         if sem == AGGRESSOR:
             v = c[row]
             if v < self.cap:
                 c[row] = v + 1
-                changed.append((row, v + 1))
+                return [(row, v + 1)]
+            return []
+        changed: List[Tuple[int, int]] = []
+        if sem == NONE:
             return changed
-        # VICTIM: reset self, bump in-subarray neighbors, in row order.
+        # VICTIM: bump in-subarray neighbors and reset self, in row order.
         cap = self.cap
-        lo = (row // self.dsa_rows) * self.dsa_rows
-        for n in range(max(row - self.br, lo),
-                       min(row + self.br, lo + self.dsa_rows - 1) + 1):
+        place = row % self.dsa_rows
+        for o in self._below[place]:
+            n = row + o
             v = c[n]
-            if n == row:
-                if v != 0:
-                    c[n] = 0
-                    changed.append((n, 0))
-            elif v < cap:
+            if v < cap:
+                c[n] = v + 1
+                changed.append((n, v + 1))
+        if c[row]:
+            c[row] = 0
+            changed.append((row, 0))
+        for o in self._above[place]:
+            n = row + o
+            v = c[n]
+            if v < cap:
                 c[n] = v + 1
                 changed.append((n, v + 1))
         return changed

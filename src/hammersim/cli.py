@@ -434,7 +434,9 @@ def _run_oracle_check(cfg: Dict[str, Any], outdir: str, seed: int,
             for n_mit in sorted(n_mits) for n_bo in sorted(n_bos)]
     with _config_errors("oracle_check"):
         geometry = small_oracle_geometry(rows=rows)
-        for name, n_mit, n_bo in grid:
+    for name, n_mit, n_bo in grid:
+        with _config_errors(f"oracle_check: {name} n_bo={n_bo} "
+                            f"n_mit={n_mit}"):
             oracle_point(name, n_bo, n_mit, geometry)
     out = ["scheme,n_mit,n_bo,r1,observed_hc,bound_hc,sound"]
     unsound = 0

@@ -13,7 +13,8 @@ kernel's codes and the package's one name for a discipline.
 
 `CounterBank` holds one bank's counters in a kernel `CounterCore`, which
 exists in two interchangeable builds (compiled and pure Python); see
-`kernel`.  `neighbour_offsets` is the one Python copy of the victim rule.
+`kernel`.  `neighbour_offsets` is the victim rule for everything outside
+the kernel; `tests/test_kernel.py` ties the kernel's own copy to it.
 The rest of the module models the counter subarray (CSA): its layouts,
 its access timings, the latency of one counter update and how many CSA
 row cycles an ACT or a REF costs, which `energy` charges.

@@ -127,15 +127,15 @@ class BankEngine:
 
     # -- primitive command issue --------------------------------------------
 
-    def _ref_due(self) -> int:
-        return self._ref_k * self._tREFI
-
     def _issue_ref(self) -> None:
-        due = self._ref_due()
-        t = max(due, self.now)
-        start_row = (self._ref_k * self._rpr) % self.geometry.rows_per_bank
-        rows = [(start_row + i) % self.geometry.rows_per_bank
-                for i in range(self._rpr)]
+        """Issue the next scheduled REF (due at `_ref_k * tREFI`)."""
+        t = max(self._ref_k * self._tREFI, self.now)
+        n, rpr = self._rows, self._rpr
+        start_row = (self._ref_k * rpr) % n
+        if start_row + rpr <= n:
+            rows: Sequence[int] = range(start_row, start_row + rpr)
+        else:  # the group wraps past the last row
+            rows = [(start_row + i) % n for i in range(rpr)]
         self._ref_k += 1
         self.now = t + self._tRFC
         self._charge_block(t, self._tRFC)
@@ -187,7 +187,7 @@ class BankEngine:
         budget = self.scheme.alert_burst_length()
         issued = 0
         while issued < budget:
-            while self._ref_due() <= cur:
+            while self._ref_k * self._tREFI <= cur:
                 self._issue_ref()
                 cur = max(cur, self.now)
             t = max(cur, self.now)
@@ -302,9 +302,11 @@ class BankEngine:
 
     def advance_to(self, t: int) -> None:
         """Run all scheduled work (REFs, deferred mitigation) up to t."""
+        tREFI = self._tREFI
         while True:
-            self._collapse_idle(None)
-            if self._ref_due() < t:
+            if self._state != _IDLE or self.scheme.pending_alert:
+                self._collapse_idle(None)
+            if self._ref_k * tREFI < t:
                 self._issue_ref()
                 continue
             return

@@ -19,7 +19,8 @@ engine collects it once the hold expires — deferral, never suppression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
@@ -168,17 +169,23 @@ class SchemeState:
 
     # -- internal plumbing ------------------------------------------------
 
-    def _absorb(self, changed: Sequence[Tuple[int, int]]) -> List[int]:
-        """Feed counter changes to the queue; return rows now >= n_bo."""
-        hot = []
-        n_bo = self._n_bo
-        for row, count in changed:
-            if count == 0:
-                self._q_remove(row)
-            else:
-                self._q_update(row, count)
-            if count >= n_bo:
-                hot.append(row)
+    def _count(self, rows: Iterable[int], sem: int) -> List[int]:
+        """Count one activation of each of `rows` as `sem` and feed the
+        counter changes to the queue; return the rows now >= n_bo.
+
+        The one walk from the kernel into the queue for REF groups and
+        mitigation work; `on_act` keeps its own inline copy for one row."""
+        act, update, remove, n_bo = (self._act, self._q_update,
+                                     self._q_remove, self._n_bo)
+        hot: List[int] = []
+        for row in rows:
+            for r, count in act(row, sem):
+                if count == 0:
+                    remove(r)
+                else:
+                    update(r, count)
+                    if count >= n_bo:
+                        hot.append(r)
         return hot
 
     def _raise_or_park(self, rows: List[int],
@@ -221,31 +228,17 @@ class SchemeState:
 
         `row` must already be out of the queue: the caller popped or
         removed it."""
-        applied: List[Tuple[int, str]] = [(row, "reset")]
         self.bank.core.reset(row)
-        hot: List[int] = []
         # Nearest victims first on each side, the order the refresh burst
         # walks the blast radius in.
-        for offset in self._neighbours[row % self.geometry.rows_per_dsa]:
-            victim = row + offset
-            if self.activation_observer is not None:
-                self.activation_observer(victim)
-            hot += self._absorb(self._act(victim, self._sem))
-            applied.append((victim, "act"))
-        if hot:
-            self._raise_or_park(sorted(set(hot)), alert_allowed=False)
-        return applied
-
-    def _mitigate_one_victim(self, row: int) -> List[Tuple[int, str]]:
-        """Refresh `row` as a victim-counted activation (reset + bumps).
-
-        `row` must already be out of the queue: the caller popped it."""
+        victims = [row + offset for offset
+                   in self._neighbours[row % self.geometry.rows_per_dsa]]
         if self.activation_observer is not None:
-            self.activation_observer(row)
-        hot = self._absorb(self._act(row, VICTIM_COUNT))
-        if hot:
-            self._raise_or_park(hot, alert_allowed=False)
-        return [(row, "refresh")]
+            for victim in victims:
+                self.activation_observer(victim)
+        if self._count(victims, self._sem):
+            self.pending_alert = True  # mitigation work never raises
+        return [(row, "reset")] + [(victim, "act") for victim in victims]
 
     def _one_mitigation_unit(self, require_hot: bool = False
                              ) -> List[Tuple[int, str]]:
@@ -258,11 +251,19 @@ class SchemeState:
         """
         applied: List[Tuple[int, str]] = []
         if self._sem == VICTIM_COUNT:
+            # Each popped row is refreshed as a victim-counted activation
+            # (reset + bumps) before the next pop sees the queue.
+            observer = self.activation_observer
             for _ in range(RFM_ROWS_PER_PVAC_BURST):
                 top = self.queue.pop_max()
                 if top is None:
                     break
-                applied += self._mitigate_one_victim(top[0])
+                row = top[0]
+                if observer is not None:
+                    observer(row)
+                if self._count((row,), VICTIM_COUNT):
+                    self.pending_alert = True  # mitigation work never raises
+                applied.append((row, "refresh"))
         else:
             target: Optional[int] = None
             top = self.queue.pop_max()
@@ -287,7 +288,7 @@ class SchemeState:
         """Count one demand activation; maybe ask for an alert."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
-        # The _absorb walk, inlined: it runs for every demand ACT.
+        # The _count walk, inlined: it runs for every demand ACT.
         hot = []
         for r, count in self._act(row, self._sem):
             if count == 0:
@@ -304,19 +305,7 @@ class SchemeState:
                    ) -> Optional[MitigationAction]:
         """Count a REF's row group, then run the proactive hook if due."""
         self._refs_seen += 1
-        # The _absorb walk, inlined: it runs for every row of every REF.
-        act, sem, update, remove, n_bo = (self._act, self._ref_sem,
-                                          self._q_update, self._q_remove,
-                                          self._n_bo)
-        hot: List[int] = []
-        for row in rows:
-            for r, count in act(row, sem):
-                if count == 0:
-                    remove(r)
-                else:
-                    update(r, count)
-                    if count >= n_bo:
-                        hot.append(r)
+        hot = self._count(rows, self._ref_sem)
         proactive = self._proactive_if_due()
         if hot:
             alert = self._raise_or_park(sorted(set(hot)),

@@ -366,7 +366,9 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     The bound is the analyzer's worst case over every pool the small
     geometry admits (no setup budget — strictly looser, so the comparison
     stays one-sided).  A point the oracle cannot run, including a bank
-    outside [16, 4096] rows, raises ValueError here, before any run.
+    outside [16, 4096] rows or an `n_mit` other than 1 for a scheme
+    that performs a single mitigation per alert, raises ValueError here,
+    before any run.
     """
     if not 16 <= geometry.rows_per_bank <= 4096:
         raise ValueError("oracle runs need a bank of [16, 4096] rows")
@@ -375,6 +377,11 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
         rows_per_bank=geometry.rows_per_bank,
         recurrence=RecurrenceConfig(setup_budget_ns=None))
     config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
+    if config.n_mit != n_mit:
+        # The preset pins the scheme's one mitigation; the bound must not
+        # be taken for a count the run cannot have.
+        raise ValueError(f"{scheme} performs a single mitigation per "
+                         f"alert, so n_mit={n_mit} is not a point it runs")
     config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank)
     if discipline_for_scheme(scheme) is None:

@@ -484,6 +484,24 @@ oracle_check:
     assert int(rows[0][4]) <= int(rows[0][5])
 
 
+def test_oracle_check_names_a_point_the_scheme_cannot_run(tmp_path):
+    # MOAT's n_mit-1 point is valid and sorts first; the n_mit-4 point
+    # still stops the grid before any run.
+    cfg = write_cfg(tmp_path, """\
+oracle_check:
+  schemes: [MOAT]
+  n_bos: [8]
+  n_mits: [1, 4]
+  rows: 64
+""")
+    outdir = tmp_path / "out"
+    result = run_cli("oracle-check", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    text = all_text(result)
+    assert "config error: oracle_check: MOAT n_bo=8 n_mit=4" in text, text
+    assert not (outdir / "oracle_check.csv").exists()
+
+
 def test_oracle_check_rejects_out_of_range_banks(tmp_path):
     for rows in (8, 8192):
         cfg = write_cfg(tmp_path, f"oracle_check:\n  rows: {rows}\n")

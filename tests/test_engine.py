@@ -72,6 +72,27 @@ def test_refresh_sweep_wraps_around_the_bank():
     assert rows[512:514] == [0, 1]
 
 
+def test_ref_groups_that_do_not_divide_the_bank_wrap_row_by_row():
+    # 16 REFs per window over 40 rows: 3 rows per REF, 40 % 3 == 1, so
+    # the groups at k=13 and k=26 wrap past the last row.
+    geometry = DeviceGeometry(rows_per_bank=40, banks=1, rows_per_dsa=40,
+                              counter_bits=16, blast_radius=2)
+    refresh = RefreshConfig(tREFW=16 * TREFI + 1, tREFI=TREFI, tRFC=TRFC)
+    engine = BankEngine(plain_pvac(10_000), geometry, refresh)
+    groups = []
+    on_refresh = engine.scheme.on_refresh
+
+    def spy(rows, **kwargs):
+        groups.append(list(rows))
+        return on_refresh(rows, **kwargs)
+    engine.scheme.on_refresh = spy
+    engine.advance_to(30 * TREFI)
+    rpr, n = 3, 40
+    assert groups == [[(k * rpr + i) % n for i in range(rpr)]
+                      for k in range(30)]
+    assert groups[13] == [39, 0, 1] and groups[26] == [38, 39, 0]
+
+
 # -- trace plumbing ----------------------------------------------------------
 
 def test_idle_event_opens_a_gap():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim import _kernel_py
+from hammersim.counters import victim_set
+from hammersim.dram import DeviceGeometry
 from hammersim.kernel import KERNEL_BUILD
 
 try:
@@ -50,6 +52,21 @@ def test_victim_act_clips_at_dsa_edge(mod):
     assert [r for r, _ in changed] == [61, 62]
     changed = core.act(64, VIC)
     assert [r for r, _ in changed] == [65, 66]
+
+
+@pytest.mark.parametrize("br", [1, 2, 3])
+@pytest.mark.parametrize("dsa_rows", [1, 2, 3, 16])
+@pytest.mark.parametrize("mod", kernels())
+def test_victim_act_bumps_exactly_the_victim_set(mod, dsa_rows, br):
+    # The kernel's neighbour rule and `counters.victim_set` are two copies
+    # of one rule; subarrays narrower than the radius clip on both sides.
+    geometry = DeviceGeometry(rows_per_bank=3 * dsa_rows, banks=1,
+                              rows_per_dsa=dsa_rows, blast_radius=br)
+    for row in range(geometry.rows_per_bank):
+        core = mod.CounterCore(geometry.rows_per_bank, dsa_rows, br,
+                               geometry.counter_cap)
+        assert core.act(row, VIC) == [(v, 1)
+                                      for v in victim_set(row, geometry)]
 
 
 @pytest.mark.parametrize("mod", kernels())

@@ -1,12 +1,15 @@
-"""The benchmark's gated workloads reproduce their reference outputs.
+"""The benchmark's gated workloads reproduce their reference outputs,
+and its kernel op-stream replay still follows the program.
 
 `perfbench/reference.json` pins the SHA-256 of every CSV and manifest
 that the `domino_refresh`, `trace_audited` and `oracle_grid` workloads
 write.  Each case writes one workload's inputs with
 `perfbench/workloads.py`, runs its CLI calls in-process in a temporary
 directory and compares the digests, so a change to the CLI bytes fails
-here and not only in the benchmark.  Nothing is written under
-`perfbench/`, not even bytecode.
+here and not only in the benchmark.  The replay case records the kernel
+ops of small CLI runs with `perfbench/layers.py` and replays them, so a
+kernel call the recorder does not know fails here and not only under
+`--trace 1`.  Nothing is written under `perfbench/`, not even bytecode.
 """
 
 import hashlib
@@ -24,12 +27,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GATED = ("domino_refresh", "trace_audited", "oracle_grid")
 
 
-def load_workloads():
-    """`perfbench/workloads.py` as a module, imported once."""
-    name = "perfbench_workloads"
+def load_perfbench(stem: str):
+    """`perfbench/<stem>.py` as a module, imported once."""
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(
-            name, PERFBENCH / "workloads.py")
+            name, PERFBENCH / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         # Registered first: dataclasses look their module up by name.
         sys.modules[name] = module
@@ -52,7 +55,7 @@ def output_digests(out: Path) -> dict:
 
 @pytest.mark.parametrize("name", GATED)
 def test_gated_workload_matches_reference(name, tmp_path, monkeypatch):
-    workloads = load_workloads()
+    workloads = load_perfbench("workloads")
     workload = workloads.WORKLOADS[name]
     seed = workloads.DEFAULT_SEED
     reference = json.loads((PERFBENCH / "reference.json").read_text())
@@ -66,3 +69,39 @@ def test_gated_workload_matches_reference(name, tmp_path, monkeypatch):
             catch_exceptions=False)
         assert result.exit_code == EXIT_OK, result.output
     assert output_digests(tmp_path / "out") == expected
+
+
+# A 128-row domino that PRAC crosses in its last window and PVAC from
+# the second on, so REF groups, RFM bursts and alerts all reach the
+# kernel; and one oracle point, the closed-loop wave.
+REPLAY_CALLS = (
+    ("domino", "domino:\n  windows: 4\n  schemes: [PRAC, PVAC]\n"
+     "  n_bo: 4\n  n_mit: 4\ngeometry:\n  rows_per_bank: 128\n"
+     "  rows_per_dsa: 128\nrefresh:\n  tREFW_ns: 125000\n"),
+    ("oracle-check", "oracle_check:\n  schemes: [PVAC]\n  n_bos: [8]\n"
+     "  n_mits: [4]\n  rows: 64\n"),
+)
+
+
+def test_kernel_op_stream_replays(tmp_path, monkeypatch):
+    layers = load_perfbench("layers")
+    from hammersim import kernel
+
+    recorder = layers.Recorder(10_000_000)
+    monkeypatch.chdir(tmp_path)
+    restore = recorder.install()
+    try:
+        for command, yaml_text in REPLAY_CALLS:
+            (tmp_path / "cfg.yaml").write_text(yaml_text)
+            result = CliRunner().invoke(
+                main, [command, "--config", "cfg.yaml", "--out", command],
+                catch_exceptions=False)
+            assert result.exit_code == EXIT_OK, result.output
+    finally:
+        restore()
+    replayed = layers.replay(recorder.objects, {
+        "CounterCore": kernel.CounterCore, "TopQueue": kernel.TopQueue})
+    assert sum(ops for ops, _s, _ok in replayed.values()) == recorder.count
+    for name, (ops, _seconds, matches) in replayed.items():
+        assert ops > 0, name
+        assert matches, name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hammersim.security import (AnalysisParams, OracleCheck, RecurrenceConfig,
                                 act_time_ns, brute_force_oracle, bw_bound,
                                 discipline_for_scheme, hc_chronus, hc_prac,
-                                hc_pvac, max_initial_pool,
+                                hc_pvac, max_initial_pool, oracle_point,
                                 pool_recurrence_prac, pool_recurrence_pvac,
                                 security_table, small_oracle_geometry,
                                 solve_nbo, worst_case_hc)
@@ -226,6 +226,17 @@ def test_oracle_rejects_big_banks():
         with pytest.raises(ValueError, match=r"\[16, 4096\]"):
             brute_force_oracle("PVAC", 16, 1,
                                geometry=small_oracle_geometry(rows=rows))
+
+
+def test_oracle_rejects_a_mitigation_count_the_scheme_cannot_run():
+    # MOAT performs one mitigation per alert: an n_mit-4 point would run
+    # at n_mit 1 yet be judged against the n_mit-4 bound.
+    geometry = small_oracle_geometry(rows=256)
+    with pytest.raises(ValueError, match="single mitigation"):
+        oracle_point("MOAT", 8, 4, geometry)
+    config, _r1, bound = oracle_point("MOAT", 8, 1, geometry)
+    assert config.n_mit == 1
+    assert bound == oracle_point("PRAC", 8, 1, geometry)[2]
 
 
 def test_oracle_bounds_hold_on_small_banks():
