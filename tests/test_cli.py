@@ -7,6 +7,7 @@ reproduces the files byte for byte.
 """
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from hammersim import cli
@@ -92,6 +93,83 @@ def test_out_of_range_values_exit_2_before_any_output(tmp_path, command,
     assert not list(outdir.glob("*.csv"))
 
 
+def _wrong(types):
+    """A value that no key of `types` takes; for a list, a list holding
+    one wrong item."""
+    if isinstance(types, list):
+        item = types[0]
+        return [_wrong((item,)) if isinstance(item, type) else "x"]
+    return 1 if str in types else "x"
+
+
+def _base_config(command):
+    """The least config `command` runs with: simulate needs a scheme."""
+    if "scheme" in cli.TABLES[command]:
+        return {"scheme": {"name": "PVAC", "n_bo": 32}}
+    return {}
+
+
+def _item_table(key):
+    """The table each item of a list-of-mappings key is read against."""
+    item = key.types[0] if isinstance(key.types, list) else None
+    return item if isinstance(item, tuple) else ()
+
+
+def _key_cases(value_of):
+    """(command, section, section body, key path) for each key in every
+    command's tables, and each key of a list of mappings, set to
+    `value_of(key)`; a key it maps to None is left out."""
+    for command, tables in cli.TABLES.items():
+        for section, table in tables.items():
+            for key in table:
+                if value_of(key) is not None:
+                    yield (command, section, {key.name: value_of(key)},
+                           f"{section}.{key.name}")
+                for inner in _item_table(key):
+                    if value_of(inner) is not None:
+                        point = dict(key.default[0])
+                        point[inner.name] = value_of(inner)
+                        yield (command, section, {key.name: [point]},
+                               f"{section}.{key.name}[0].{inner.name}")
+
+
+def _run_with(tmp_path, command, section, body):
+    cfg = _base_config(command)
+    cfg[section] = dict(cfg.get(section, {}), **body)
+    outdir = tmp_path / "out"
+    result = run_cli(command, "--config",
+                     write_cfg(tmp_path, yaml.safe_dump(cfg)),
+                     "--out", str(outdir))
+    return result, outdir
+
+
+def _key_params(value_of):
+    # Test ids without nested brackets: points[0].n_mit is points.0.n_mit.
+    return [pytest.param(*case, id=f"{case[0]}:{case[3]}".replace(
+        "[", ".").replace("]", "")) for case in _key_cases(value_of)]
+
+
+@pytest.mark.parametrize("command, section, body, path",
+                         _key_params(lambda key: _wrong(key.types)))
+def test_every_tabled_key_rejects_a_wrong_type(tmp_path, command, section,
+                                               body, path):
+    result, outdir = _run_with(tmp_path, command, section, body)
+    assert result.exit_code == EXIT_CONFIG
+    text = all_text(result)
+    assert f"config error: {path}" in text, text
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section, body, path", _key_params(
+    lambda key: None if key.minimum is None else key.minimum - 1))
+def test_every_tabled_count_rejects_a_value_below_its_minimum(
+        tmp_path, command, section, body, path):
+    result, outdir = _run_with(tmp_path, command, section, body)
+    assert result.exit_code == EXIT_CONFIG
+    assert f"config error: {path} must be >= " in all_text(result)
+    assert not list(outdir.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # bw-bound
 
@@ -131,6 +209,7 @@ bw_bound:
     ("bogus: 1\n", "bogus"),
     ("a: [unclosed\n", "not valid YAML"),
     ("bw_bound:\n  points: [3]\n", "must be a mapping"),
+    ("bw_bound:\n  points: 3\n", "must be a non-empty list"),
     ("bw_bound:\n  points:\n    - {n_mit: 1, n_bo: 15}\n",
      "missing required key"),
 ])
@@ -218,6 +297,30 @@ def test_security_table_values_and_rerun(tmp_path):
     assert len(inf_line) == 1
     assert inf_line[0].split(",")[3] == "inf"
     assert inf_line[0].endswith("false")
+
+
+def test_security_table_manifest_echoes_an_int_budget(tmp_path):
+    # An int setup budget stays an int in the echo; the other keys take
+    # their defaults.
+    cfg = write_cfg(tmp_path, "security_table: {max_hc: [32], schemes: "
+                    "[PVAC], n_mits: [4], setup_budget_ns: 1000000}\n")
+    outdir = tmp_path / "out"
+    assert run_cli("security-table", "--config", cfg, "--out",
+                   str(outdir)).exit_code == EXIT_OK
+    assert (outdir / "manifest.yaml").read_text() == """\
+scenario: security-table
+security_table:
+  granularity: body
+  max_hc:
+  - 32
+  n_mits:
+  - 4
+  schemes:
+  - PVAC
+  setup_budget_ns: 1000000
+  variant: literal
+seed: 0
+"""
 
 
 def test_security_table_rejects_bad_variant(tmp_path):
@@ -331,6 +434,48 @@ simulate:
     assert "ACT" in (out1 / "events.csv").read_text()
 
 
+def test_simulate_manifest_echoes_the_resolved_config(tmp_path):
+    # The int gap echoes as a float; MOAT's preset forces n_mit to 1 and
+    # stretches tRFC to 410 ns, and the echo shows what ran.
+    cfg = write_cfg(tmp_path, """\
+scheme: {name: MOAT, n_bo: 32, n_mit: 2}
+geometry: {rows_per_bank: 4096}
+simulate: {kind: benign, count: 20, act_gap_ns: 60}
+""")
+    outdir = tmp_path / "out"
+    assert run_cli("simulate", "--config", cfg, "--out",
+                   str(outdir)).exit_code == EXIT_OK
+    assert (outdir / "manifest.yaml").read_text() == """\
+geometry:
+  banks: 32
+  blast_radius: 2
+  counter_bits: 8
+  rows_per_bank: 4096
+  rows_per_dsa: 512
+refresh:
+  tREFI_ns: 3900.0
+  tREFW_ns: 32000000.0
+  tRFC_ns: 410.0
+scenario: simulate
+scheme:
+  n_bo: 32
+  n_mit: 1
+  name: MOAT
+  queue_depth: 20
+seed: 0
+simulate:
+  act_gap_ns: 60.0
+  base_row: 0
+  count: 20
+  duration_windows: 1
+  kind: benign
+  n: 8
+  stride: 1
+  trace: null
+  write_events: false
+"""
+
+
 def test_simulate_trace_file(tmp_path):
     trace = tmp_path / "attack.trace"
     trace.write_text("# two touches, one timed\n"
@@ -415,14 +560,17 @@ sweep_stride:
         assert int(r[7]) > 0
 
 
+def solved_only(args):
+    """A sweep cell that only reports its scheme's n_bo."""
+    hc, stride, n, config, _windows, _geometry = args
+    return (hc, stride), f"{hc},{stride},{n},{config.n_bo},,,,"
+
+
 @pytest.mark.parametrize("scheme, n_bo", [("PVAC", "47"), ("PRAC", "19")])
 def test_sweep_stride_solves_n_bo_for_the_geometry_blast_radius(
         tmp_path, monkeypatch, scheme, n_bo):
     # At blast radius 1 the hc-64 thresholds are 47 and 19; the radius-2
     # solution would be 46 and 5.  Each job only reports its scheme's n_bo.
-    def solved_only(args):
-        hc, stride, n, config, _windows, _geometry = args
-        return (hc, stride), f"{hc},{stride},{n},{config.n_bo},,,,"
     monkeypatch.setattr(cli, "_sweep_point", solved_only)
     cfg = write_cfg(tmp_path, f"""\
 sweep_stride: {{hc: [64], strides: [1], n: 8, scheme: {scheme}}}
@@ -433,6 +581,69 @@ geometry: {{rows_per_bank: 4096, blast_radius: 1}}
                    str(outdir)).exit_code == EXIT_OK
     _header, rows = csv_rows(outdir / "sweep_stride.csv")
     assert [r[3] for r in rows] == [n_bo]
+
+
+def test_sweep_stride_manifest_echoes_the_resolved_config(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_point", solved_only)
+    cfg = write_cfg(tmp_path, """\
+sweep_stride: {hc: [64], strides: [1], n: 8, scheme: PVAC}
+geometry: {rows_per_bank: 4096, blast_radius: 1}
+""")
+    outdir = tmp_path / "out"
+    assert run_cli("sweep-stride", "--config", cfg, "--out",
+                   str(outdir)).exit_code == EXIT_OK
+    assert (outdir / "manifest.yaml").read_text() == """\
+geometry:
+  banks: 32
+  blast_radius: 1
+  counter_bits: 8
+  rows_per_bank: 4096
+  rows_per_dsa: 512
+scenario: sweep-stride
+seed: 0
+sweep_stride:
+  hc:
+  - 64
+  n: 8
+  n_mit: 4
+  queue_depth: 20
+  scheme: PVAC
+  strides:
+  - 1
+  windows: 1
+"""
+
+
+def test_sweep_stride_starts_no_more_workers_than_cells(tmp_path,
+                                                       monkeypatch):
+    # A stand-in pool records its size and maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_sweep_point", solved_only)
+    cfg = write_cfg(tmp_path, "sweep_stride: {hc: [32], strides: [1, 2], "
+                    "n: 8}\n")
+    for jobs, size in (("5000", 2), ("2", 2)):
+        outdir = tmp_path / jobs
+        assert run_cli("sweep-stride", "--config", cfg, "--out", str(outdir),
+                       "--jobs", jobs).exit_code == EXIT_OK
+        assert sizes.pop() == size
+        _header, rows = csv_rows(outdir / "sweep_stride.csv")
+        assert [r[1] for r in rows] == ["1", "2"]
 
 
 def test_sweep_stride_unknown_scheme_exits_2(tmp_path):

@@ -54,8 +54,9 @@ STOP_AT_PS = us(20)
 
 # CLI runs: three closed-form commands on their defaults, a domino on a
 # 512-row bank whose 8 ms window laps it four times (PRAC alerts in the
-# second window, PVAC stays silent), and an alerting stride-3 simulate
-# that writes its event log.
+# second window, PVAC stays silent), an alerting stride-3 simulate
+# that writes its event log, and a two-scheme oracle grid on a 64-row
+# bank.
 CLI_CASES = {
     "bw-bound": None,
     "csa-latency": None,
@@ -71,6 +72,9 @@ geometry: {rows_per_bank: 4096}
 refresh: {tREFW_ns: 1000000}
 simulate: {kind: round_robin, n: 128, stride: 3, base_row: 100,
            write_events: true}
+""",
+    "oracle-check": """\
+oracle_check: {schemes: [PVAC, PRAC], n_bos: [8], n_mits: [4], rows: 64}
 """,
 }
 

@@ -9,7 +9,10 @@ directory and compares the digests, so a change to the CLI bytes fails
 here and not only in the benchmark.  The replay case records the kernel
 ops of small CLI runs with `perfbench/layers.py` and replays them, so a
 kernel call the recorder does not know fails here and not only under
-`--trace 1`.  Nothing is written under `perfbench/`, not even bytecode.
+`--trace 1`.  The spans case installs `perfbench/layers.py`'s tracing
+on small CLI runs, so a runner the tracer cannot reach by the names it
+wraps (the closure variable `runner`, `cli`'s module globals) fails
+here too.  Nothing is written under `perfbench/`, not even bytecode.
 """
 
 import hashlib
@@ -105,3 +108,61 @@ def test_kernel_op_stream_replays(tmp_path, monkeypatch):
     for name, (ops, _seconds, matches) in replayed.items():
         assert ops > 0, name
         assert matches, name
+
+
+# The replay runs, plus a simulate that reads a two-line trace file,
+# writes its event log and audits it, and a one-cell security table: the
+# runners' calls through `cli`'s module globals must reach the tracer.
+SPAN_CALLS = REPLAY_CALLS + (
+    ("simulate", "scheme: {name: PVAC, n_bo: 32, n_mit: 4}\n"
+     "geometry: {rows_per_bank: 4096}\nrefresh: {tREFW_ns: 1000000}\n"
+     "simulate: {trace: two.trace, write_events: true}\n"),
+    ("security-table", "security_table: {max_hc: [32], schemes: [PVAC], "
+     "n_mits: [4]}\n"),
+)
+
+
+def _bindings(layers, modules, classes) -> dict:
+    """Every module global, class attribute and command runner that
+    `install_spans` may rebind, keyed by where it lives."""
+    from hammersim import cli
+
+    found = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    found.update({(c.__qualname__, k): v for c in classes
+                  for k, v in vars(c).items()})
+    found.update({("runner", name): layers._runner_cell(cli, name)
+                  .cell_contents for name in cli.main.commands})
+    return found
+
+
+def test_spans_wrap_every_command_and_restore(tmp_path, monkeypatch):
+    layers = load_perfbench("layers")
+    from hammersim import attacks, cli, counters, engine, schemes, security
+
+    modules = (attacks, cli, counters, engine, schemes, security)
+    classes = (counters.CounterBank, schemes.SchemeState, engine.BankEngine,
+               attacks.DamageObserver)
+    before = _bindings(layers, modules, classes)
+    spans = layers.Spans()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.trace").write_text("ASAP,0,ACT,10\n7000,0,ACT,44\n")
+    restore = layers.install_spans(spans, main.commands)
+    try:
+        for command, yaml_text in SPAN_CALLS:
+            (tmp_path / "cfg.yaml").write_text(yaml_text)
+            result = CliRunner().invoke(
+                main, [command, "--config", "cfg.yaml", "--out", command],
+                catch_exceptions=False)
+            assert result.exit_code == EXIT_OK, result.output
+    finally:
+        restore()
+    calls = {name: stat[0] for name, stat in spans.stats.items()}
+    assert calls["cli"] == len(SPAN_CALLS)
+    for name in ("engine.audit_log", "engine.log_to_csv_lines",
+                 "attacks.lines_to_trace", "attacks.run_feinting",
+                 "security.brute_force_oracle", "security.security_table"):
+        assert calls[name] == 1, name
+    after = _bindings(layers, modules, classes)
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert not moved
