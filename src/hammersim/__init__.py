@@ -23,8 +23,7 @@ from .energy import (EnergyModel, EnergyReport, default_energy_model,
 from .engine import (BankEngine, EngineMetrics, TraceEvent, WindowStats,
                      audit_log, log_to_csv_lines)
 from .kernel import KERNEL_BUILD, CounterCore, TopQueue
-from .schemes import (SCHEMES, MitigationAction, SchemeConfig, SchemeState,
-                      preset)
+from .schemes import SCHEMES, SchemeConfig, SchemeState, preset
 from .security import (AnalysisParams, OracleCheck, RecurrenceConfig,
                        SecurityCurvePoint, brute_force_oracle, bw_bound,
                        hc_chronus, hc_prac, hc_pvac, max_initial_pool,
@@ -40,7 +39,7 @@ __all__ = [
     "BankEngine", "CounterBank", "CounterCore", "CsaLayout", "CsaTiming",
     "DamageObserver", "DeviceGeometry", "EngineMetrics", "EnergyModel",
     "EnergyReport", "FeintingResult", "KERNEL_BUILD",
-    "MitigationAction", "NO_COUNT", "OracleCheck", "RecurrenceConfig",
+    "NO_COUNT", "OracleCheck", "RecurrenceConfig",
     "RefreshConfig", "RoundRobinSpec", "SCHEMES", "SchemeConfig",
     "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
     "TraceEvent", "VICTIM_COUNT", "WindowStats",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .dram import DeviceGeometry
 from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, NONE as NO_COUNT,

@@ -8,7 +8,7 @@ integer picoseconds throughout; see `units`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .units import ns, us, ms
 

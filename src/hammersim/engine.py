@@ -11,6 +11,10 @@ The engine owns the memory-controller half of the alert protocol:
   runs back-to-back, then the next alert is deferred until ``n_mit``
   further ACT opportunities pass.
 
+The scheme answers each hook in rows (see `schemes`): an alert is the
+lowest hot row, logged on the ``ALERT`` line; the rows an RFM or a
+proactive hook serviced are logged one ``RFM`` or ``PROACT`` line each.
+
 "Opportunity" is the operative word for both the window and the hold: when
 the controller has nothing queued, the opportunities lapse instantly; when
 demand is waiting, they are consumed by real activations.  Bandwidth
@@ -24,7 +28,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
                    RefreshConfig, TimingSet, rows_per_refresh)
-from .schemes import MitigationAction, SchemeConfig, SchemeState
+from .schemes import SchemeConfig, SchemeState
 from .units import ns
 
 _IDLE = 0
@@ -145,25 +149,21 @@ class BankEngine:
         if self._observer is not None:
             for r in rows:
                 self._observer(r)
-        action = self.scheme.on_refresh(rows,
-                                        alert_allowed=(self._state == _IDLE))
-        if action is not None and action.kind == "ProactiveRefresh":
+        refreshed, alert = self.scheme.on_refresh(
+            rows, alert_allowed=(self._state == _IDLE))
+        if refreshed:
             # Runs inside the tRFC block; no extra time.
             self.metrics.proactive_count += 1
             if self.collect_log:
-                for r in action.rows:
+                for r in refreshed:
                     self._log(t, "PROACT", r)
-            action = (self.scheme.take_pending_alert()
-                      if self._state == _IDLE else None)
-        if (action is not None and action.kind == "Alert"
-                and self._state == _IDLE):
-            self._assert_alert(self.now, action)
+        if alert is not None:
+            self._assert_alert(self.now, alert)
 
-    def _assert_alert(self, t: int, action: MitigationAction) -> None:
+    def _assert_alert(self, t: int, row: int) -> None:
         self.metrics.alerts_raised += 1
         w = t // self._win_len
         self._win_alerts[w] = self._win_alerts.get(w, 0) + 1
-        row = min(action.rows) if action.rows else -1
         if self.collect_log:
             self._log(t, "ALERT", row)
         self._state = _WINDOW
@@ -175,10 +175,10 @@ class BankEngine:
 
         Returns whether it did.  Callers test `scheme.pending_alert`
         first, so an ACT with nothing parked makes no call here."""
-        pending = self.scheme.take_pending_alert()
-        if pending is None:
+        row = self.scheme.take_pending_alert()
+        if row is None:
             return False
-        self._assert_alert(self.now, pending)
+        self._assert_alert(self.now, row)
         return True
 
     def _run_burst(self, start: int) -> None:
@@ -191,25 +191,19 @@ class BankEngine:
                 self._issue_ref()
                 cur = max(cur, self.now)
             t = max(cur, self.now)
-            applied = self.scheme.on_rfm()
+            serviced = self.scheme.on_rfm()
             self.now = t + _TRFM
             self._charge_block(t, _TRFM)
             self.metrics.rfms_issued += 1
             w = t // self._win_len
             self._win_rfms[w] = self._win_rfms.get(w, 0) + 1
             if self.collect_log:
-                if applied:
-                    for row, what in applied:
-                        if what != "act":
-                            self._log(t, "RFM", row)
-                else:
-                    self._log(t, "RFM", -1)
+                for row in serviced or (-1,):
+                    self._log(t, "RFM", row)
             issued += 1
             cur = self.now
-            if self.scheme.config.adaptive_rfm:
-                if not self.scheme.rfm_pending_more():
-                    break
-            # Fixed-count schemes always issue all n_mit RFMs.
+            if not self.scheme.rfm_pending_more():
+                break
         self._state = _HOLD
         self._hold_left = self.scheme.config.n_mit
 
@@ -284,21 +278,20 @@ class BankEngine:
             if self.scheme.pending_alert and self._surface_pending():
                 continue
             issue = t
-            action = self._admit(issue, row)
-            if action is not None and action.kind == "Alert":
-                self._assert_alert(issue, action)
+            alert = self._admit(issue, row)
+            if alert is not None:
+                self._assert_alert(issue, alert)
             return issue
 
-    def _admit(self, t: int, row: int) -> Optional[MitigationAction]:
+    def _admit(self, t: int, row: int) -> Optional[int]:
         self.metrics.acts_issued += 1
         self.now = t + self._tRC
         if self._observer is not None:
             self._observer(row)
-        action = self.scheme.on_act(row,
-                                    alert_allowed=(self._state == _IDLE))
+        alert = self.scheme.on_act(row, alert_allowed=(self._state == _IDLE))
         if self.collect_log:
             self.log.append((t, 0, "ACT", row, self._get(row)))
-        return action
+        return alert
 
     def advance_to(self, t: int) -> None:
         """Run all scheduled work (REFs, deferred mitigation) up to t."""

@@ -8,7 +8,9 @@ knobs a run may set; `preset` is each name's stock configuration.
 
 Each scheme owns a per-bank counter store and a fixed-depth priority queue
 of the hottest rows.  The engine feeds it activations, refreshes, and RFM
-grants; the scheme answers with alert requests and row-refresh actions.
+grants; the scheme answers in rows.  An alert is the lowest row at or
+above ``n_bo`` (``None``: no alert); `on_refresh` also returns the rows its
+proactive hook refreshed, and `on_rfm` the rows one RFM serviced.
 
 Alert deferral: while the controller is inside the post-mitigation hold
 window it calls these hooks with ``alert_allowed=False``.  A threshold
@@ -18,9 +20,8 @@ engine collects it once the hold expires — deferral, never suppression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
@@ -106,10 +107,6 @@ class SchemeConfig:
         """What a demand ACT counts: a `counters` code."""
         return SCHEME_RULES[self.scheme].act_count
 
-    @property
-    def adaptive_rfm(self) -> bool:
-        return SCHEME_RULES[self.scheme].adaptive
-
     def timing_set(self) -> TimingSet:
         return builtin_timing_set(self.timing)
 
@@ -132,12 +129,6 @@ def preset(scheme: str, n_bo: int, n_mit: int = 1, *,
         proactive_threshold=(max(1, n_bo // 2) if rules.proactive_at_half
                              else None),
         proactive_period=rules.proactive_period, queue_depth=queue_depth)
-
-
-@dataclass
-class MitigationAction:
-    kind: str  # Alert | RfmRefresh | ProactiveRefresh
-    rows: List[int] = field(default_factory=list)
 
 
 class SchemeState:
@@ -188,14 +179,7 @@ class SchemeState:
                         hot.append(r)
         return hot
 
-    def _raise_or_park(self, rows: List[int],
-                       alert_allowed: bool) -> Optional[MitigationAction]:
-        if alert_allowed:
-            return MitigationAction("Alert", rows)
-        self.pending_alert = True
-        return None
-
-    def take_pending_alert(self) -> Optional[MitigationAction]:
+    def take_pending_alert(self) -> Optional[int]:
         """Fire a deferred alert — if its condition still holds.
 
         The alert line is level-sensitive: a crossing parked during the
@@ -205,15 +189,11 @@ class SchemeState:
         if not self.pending_alert:
             return None
         self.pending_alert = False
-        hot = [row for row, count in self.queue.items()
-               if count >= self.config.n_bo]
-        if not hot and self._adaptive:
-            row = self._hottest_if_hot()
-            if row is not None:
-                hot = [row]
-        if not hot:
-            return None
-        return MitigationAction("Alert", hot)
+        row = min((row for row, count in self.queue.items()
+                   if count >= self._n_bo), default=None)
+        if row is None and self._adaptive:
+            return self._hottest_if_hot()
+        return row
 
     def _hottest_if_hot(self) -> Optional[int]:
         """The bank's hottest row if it holds a count >= n_bo, else None.
@@ -223,7 +203,7 @@ class SchemeState:
         row = self.bank.core.argmax()
         return row if self.bank.get(row) >= self._n_bo else None
 
-    def _mitigate_one_aggressor(self, row: int) -> List[Tuple[int, str]]:
+    def _mitigate_one_aggressor(self, row: int) -> None:
         """Reset `row`, then activate its victims (counted activations).
 
         `row` must already be out of the queue: the caller popped or
@@ -238,18 +218,16 @@ class SchemeState:
                 self.activation_observer(victim)
         if self._count(victims, self._sem):
             self.pending_alert = True  # mitigation work never raises
-        return [(row, "reset")] + [(victim, "act") for victim in victims]
 
-    def _one_mitigation_unit(self, require_hot: bool = False
-                             ) -> List[Tuple[int, str]]:
+    def _one_mitigation_unit(self, require_hot: bool = False) -> List[int]:
         """One RFM's worth of work: 4 victims under victim counting,
-        else 1 aggressor.
+        else 1 aggressor; returns the rows refreshed or reset.
 
         With require_hot (adaptive alert servicing) the target must hold a
         count >= n_bo; if the queue's top does not, the bank is scanned so
         a displaced hot row cannot be missed.
         """
-        applied: List[Tuple[int, str]] = []
+        applied: List[int] = []
         if self._sem == VICTIM_COUNT:
             # Each popped row is refreshed as a victim-counted activation
             # (reset + bumps) before the next pop sees the queue.
@@ -263,7 +241,7 @@ class SchemeState:
                     observer(row)
                 if self._count((row,), VICTIM_COUNT):
                     self.pending_alert = True  # mitigation work never raises
-                applied.append((row, "refresh"))
+                applied.append(row)
         else:
             target: Optional[int] = None
             top = self.queue.pop_max()
@@ -278,14 +256,15 @@ class SchemeState:
                     if target is not None:
                         self.queue.remove(target)
             if target is not None:
-                applied += self._mitigate_one_aggressor(target)
+                self._mitigate_one_aggressor(target)
+                applied.append(target)
         return applied
 
     # -- engine-facing hooks ----------------------------------------------
 
     def on_act(self, row: int, *, alert_allowed: bool = True
-               ) -> Optional[MitigationAction]:
-        """Count one demand activation; maybe ask for an alert."""
+               ) -> Optional[int]:
+        """Count one demand activation; returns the alert to raise now."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
         # The _count walk, inlined: it runs for every demand ACT.
@@ -298,46 +277,50 @@ class SchemeState:
                 if count >= self._n_bo:
                     hot.append(r)
         if hot:
-            return self._raise_or_park(sorted(hot), alert_allowed)
+            if alert_allowed:
+                return min(hot)
+            self.pending_alert = True
         return None
 
     def on_refresh(self, rows: Sequence[int], *, alert_allowed: bool = True
-                   ) -> Optional[MitigationAction]:
-        """Count a REF's row group, then run the proactive hook if due."""
-        self._refs_seen += 1
-        hot = self._count(rows, self._ref_sem)
-        proactive = self._proactive_if_due()
-        if hot:
-            alert = self._raise_or_park(sorted(set(hot)),
-                                        alert_allowed and proactive is None)
-            if proactive is None:
-                return alert
-        return proactive
+                   ) -> Tuple[List[int], Optional[int]]:
+        """Count a REF's row group, then run the proactive hook if due.
 
-    def _proactive_if_due(self) -> Optional[MitigationAction]:
+        Returns the rows the hook refreshed (empty: it did not run) and
+        the alert to raise now.  A crossing in a REF whose hook ran is
+        parked, then re-checked after the hook's refreshes."""
+        self._refs_seen += 1
+        # Chronus counts nothing on REF: no kernel call per refreshed row.
+        hot = (self._count(rows, self._ref_sem)
+               if self._ref_sem != NO_COUNT else [])
+        refreshed = self._proactive_if_due()
+        if hot:
+            if alert_allowed and not refreshed:
+                return refreshed, min(hot)
+            self.pending_alert = True
+        if refreshed and alert_allowed:
+            return refreshed, self.take_pending_alert()
+        return refreshed, None
+
+    def _proactive_if_due(self) -> List[int]:
         period = self.config.proactive_period
         if period is None or self._refs_seen % period != 0:
-            return None
+            return []
         threshold = self.config.proactive_threshold
         if threshold is not None and self.queue.peek_max_count() < threshold:
-            return None
+            return []
         if len(self.queue) == 0:
-            return None
-        applied = self._one_mitigation_unit()
-        if not applied:
-            return None
-        return MitigationAction("ProactiveRefresh",
-                                [r for r, what in applied if what != "act"])
+            return []
+        return self._one_mitigation_unit()
 
-    def on_rfm(self) -> List[Tuple[int, str]]:
-        """Service one RFM command; returns the applied per-row updates."""
+    def on_rfm(self) -> List[int]:
+        """Service one RFM command; returns the rows it serviced."""
         return self._one_mitigation_unit(require_hot=self._adaptive)
 
     def rfm_pending_more(self) -> bool:
-        """Adaptive schemes keep issuing RFMs while a counter is still hot."""
-        if not self._adaptive:
-            return False
-        return self.bank.core.max_count() >= self.config.n_bo
+        """Whether the alert's RFM burst goes on: fixed-count schemes
+        issue all their RFMs, adaptive ones stop once no counter is hot."""
+        return not self._adaptive or self.bank.core.max_count() >= self._n_bo
 
     def alert_burst_length(self) -> int:
         """RFMs the controller should issue for one alert."""

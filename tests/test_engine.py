@@ -231,6 +231,23 @@ def test_mini_domino_crosses_at_the_fourth_sweep():
                      engine.refresh) == []
 
 
+def test_proactive_refresh_logs_before_the_alert_of_its_ref():
+    # QPRAC at n_bo=4 counts REFs and runs its hook (counts >= 2) on every
+    # REF; here one row is refreshed per REF.  The REF at tREFI takes row 1
+    # from 3 to 4, the hook services row 1 and bumps its victim row 3 from
+    # 3 to 4, and the parked crossing re-checks to an alert on row 3.
+    engine = BankEngine(preset("QPRAC", 4), small_geometry())
+    for row in (1, 1, 1, 3, 3, 3):
+        engine.issue_act(row)
+    assert engine.metrics.alerts_raised == 0
+    engine.advance_to(TREFI + 1)
+    ref = engine.log.index((TREFI, 0, "REF", 1, 3))  # logged before counting
+    assert [(t, kind, row) for t, _, kind, row, _ in engine.log[ref:ref + 3]] \
+        == [(TREFI, "REF", 1), (TREFI, "PROACT", 1),
+            (TREFI + TRFC, "ALERT", 3)]
+    assert engine.metrics.proactive_count == 1
+
+
 def test_chronus_alert_clears_every_hot_counter():
     engine = BankEngine(preset("Chronus", 6), small_geometry())
     rows = RoundRobinSpec(n=24, stride=5, base_row=50)  # rows 50, 55, ...

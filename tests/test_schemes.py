@@ -8,8 +8,7 @@ from hammersim.counters import AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry
 from hammersim.engine import BankEngine, EngineMetrics
 from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, SCHEME_RULES, SCHEMES,
-                               MitigationAction, SchemeConfig, SchemeState,
-                               preset)
+                               SchemeConfig, SchemeState, preset)
 from hammersim.security import act_time_ns, discipline_for_scheme
 
 
@@ -20,6 +19,12 @@ def small_geometry(rows: int = 256, bits: int = 16) -> DeviceGeometry:
 
 def make_state(scheme: str, n_bo: int, n_mit: int = 1, **kw) -> SchemeState:
     return SchemeState(preset(scheme, n_bo, n_mit, **kw), small_geometry())
+
+
+def hot_rows(state: SchemeState):
+    """The queued rows at or above n_bo, lowest first."""
+    return sorted(row for row, count in state.queue.items()
+                  if count >= state.config.n_bo)
 
 
 def engine_fed(scheme: str, n_bo: int, rows, refs: int = 0) -> EngineMetrics:
@@ -117,9 +122,10 @@ def test_victim_counting_alerts_on_neighbours_not_self():
     state = make_state("PVAC", 3)
     actions = [state.on_act(10) for _ in range(3)]
     # The hammered row resets itself each time; its four victims cross
-    # together on the third activation, which returns the only alert.
-    assert [a and a.kind for a in actions] == [None, None, "Alert"]
-    assert actions[2].rows == [8, 9, 11, 12]
+    # together on the third activation, which returns the only alert,
+    # naming the lowest of them.
+    assert actions == [None, None, 8]
+    assert hot_rows(state) == [8, 9, 11, 12]
     assert state.bank.get(10) == 0
 
 
@@ -127,10 +133,7 @@ def test_aggressor_counting_alerts_on_self():
     state = make_state("PRAC", 3)
     assert state.on_act(10) is None
     assert state.on_act(10) is None
-    action = state.on_act(10)
-    assert action is not None
-    assert action.kind == "Alert"
-    assert action.rows == [10]
+    assert state.on_act(10) == 10
     assert state.bank.get(10) == 3
 
 
@@ -150,7 +153,7 @@ def test_adjacent_ping_pong_keeps_hammered_rows_reset():
     assert len(alerts) == 1
     step, action = alerts[0]
     assert step == 7  # fourth round trip pushes both flanks to the line
-    assert action.rows == [9, 12]
+    assert action == 9
     assert state.bank.get(9) == 8 and state.bank.get(12) == 8
 
 
@@ -174,7 +177,8 @@ def test_multiple_victims_cross_together_single_alert():
     state = make_state("PVAC", 8)
     actions = [state.on_act(10) for _ in range(8)]
     assert all(a is None for a in actions[:7])
-    assert actions[7] is not None and actions[7].rows == [8, 9, 11, 12]
+    assert actions[7] == 8
+    assert hot_rows(state) == [8, 9, 11, 12]
     assert engine_fed("PVAC", 8, [10] * 8).alerts_raised == 1
 
 
@@ -185,9 +189,7 @@ def test_parked_alert_fires_after_hold():
     for _ in range(3):
         assert state.on_act(10, alert_allowed=False) is None
     assert state.pending_alert
-    action = state.take_pending_alert()
-    assert action is not None and action.kind == "Alert"
-    assert action.rows == [10]
+    assert state.take_pending_alert() == 10
 
 
 def test_parked_alert_deasserts_once_serviced():
@@ -197,8 +199,7 @@ def test_parked_alert_deasserts_once_serviced():
     for _ in range(3):
         state.on_act(10, alert_allowed=False)
     assert state.pending_alert
-    applied = state.on_rfm()
-    assert (10, "reset") in applied
+    assert state.on_rfm() == [10]
     assert state.take_pending_alert() is None
     assert state.bank.get(10) == 0
 
@@ -209,10 +210,9 @@ def test_refresh_passes_walk_aggressor_counters_to_threshold():
     state = make_state("PRAC", 64)
     group = list(range(8))
     for i in range(63):
-        assert state.on_refresh(group) is None
-    action = state.on_refresh(group)
-    assert action is not None and action.kind == "Alert"
-    assert action.rows == group
+        assert state.on_refresh(group) == ([], None)
+    # Row 0 is the lowest of the eight rows crossing together.
+    assert state.on_refresh(group) == ([], 0)
     assert all(state.bank.get(r) == 64 for r in group)
 
 
@@ -222,8 +222,7 @@ def test_refresh_only_victim_counts_peak_at_twice_blast_radius():
     peak = 0
     for _ in range(2):  # two full retention sweeps
         for start in range(0, rows, 8):
-            action = state.on_refresh(range(start, start + 8))
-            assert action is None
+            assert state.on_refresh(range(start, start + 8)) == ([], None)
             peak = max(peak, state.bank.core.max_count())
     assert peak == 4  # flanks of the sweep front, just before their own turn
 
@@ -231,9 +230,57 @@ def test_refresh_only_victim_counts_peak_at_twice_blast_radius():
 def test_chronus_refresh_leaves_counters_alone():
     state = make_state("Chronus", 64)
     state.on_act(100)
-    assert state.on_refresh(range(8, 16)) is None
+    assert state.on_refresh(range(8, 16)) == ([], None)
     assert state.bank.get(100) == 1
     assert all(state.bank.get(r) == 0 for r in range(8, 16))
+
+
+@pytest.mark.parametrize("scheme,counted", [("Chronus", False),
+                                            ("PRAC", True)])
+def test_uncounted_refresh_makes_no_kernel_calls(scheme, counted):
+    state = make_state(scheme, 64)
+    calls = []
+    act = state._act
+
+    def spy(row, sem):
+        calls.append(row)
+        return act(row, sem)
+    state._act = spy
+    state.on_refresh(range(8, 16))
+    assert calls == (list(range(8, 16)) if counted else [])
+
+
+# -- on_refresh: the alert it raises, parks or re-checks ---------------------
+
+@pytest.mark.parametrize("allowed,alert", [(True, 5), (False, None)])
+def test_refresh_crossing_alerts_now_or_parks(allowed, alert):
+    state = make_state("PRAC", 2)
+    state.on_act(5)
+    assert state.on_refresh(range(4, 8), alert_allowed=allowed) == ([], alert)
+    assert state.pending_alert is not allowed
+    assert state.take_pending_alert() == (None if allowed else 5)
+
+
+@pytest.mark.parametrize("allowed,alert", [(True, 100), (False, None)])
+def test_refresh_crossing_under_a_proactive_hook_is_rechecked(allowed,
+                                                              alert):
+    # QPRAC at n_bo=4 runs its hook on every REF at counts >= 2.  The REF
+    # takes rows 50 and 100 to 4; the hook services 50 (lowest on the
+    # tie), so the parked crossing re-checks to 100 once alerts may fire.
+    state = make_state("QPRAC", 4)
+    for row in (50, 100):
+        for _ in range(3):
+            state.on_act(row)
+    rechecks = []
+    take = state.take_pending_alert
+
+    def spy():
+        rechecks.append(take())
+        return rechecks[-1]
+    state.take_pending_alert = spy
+    assert state.on_refresh([50, 100], alert_allowed=allowed) == ([50], alert)
+    assert rechecks == ([100] if allowed else [])
+    assert state.pending_alert is not allowed
 
 
 # -- RFM service -------------------------------------------------------------
@@ -242,9 +289,7 @@ def test_aggressor_rfm_resets_and_disturbs_victims():
     state = make_state("PRAC", 100)
     for _ in range(3):
         state.on_act(10)
-    applied = state.on_rfm()
-    assert applied[0] == (10, "reset")
-    assert sorted(r for r, what in applied if what == "act") == [8, 9, 11, 12]
+    assert state.on_rfm() == [10]
     assert state.bank.get(10) == 0
     assert all(state.bank.get(r) == 1 for r in (8, 9, 11, 12))
 
@@ -257,8 +302,10 @@ def test_aggressor_rfm_walks_victims_nearest_first_inside_subarray(
                               counter_bits=16)
     state = SchemeState(preset("PRAC", 100), geometry)
     state.on_act(row)
-    applied = state.on_rfm()
-    assert applied == [(row, "reset")] + [(v, "act") for v in victims]
+    activated = []
+    state.activation_observer = activated.append
+    assert state.on_rfm() == [row]
+    assert activated == victims
 
 
 def test_victim_rfm_services_queue_top_then_cascades():
@@ -269,9 +316,7 @@ def test_victim_rfm_services_queue_top_then_cascades():
     state = make_state("PVAC", 100)
     state.on_act(9)
     state.on_act(13)  # row 11 is a victim of both, so it tops the queue
-    applied = state.on_rfm()
-    assert applied == [(11, "refresh"), (10, "refresh"),
-                       (12, "refresh"), (8, "refresh")]
+    assert state.on_rfm() == [11, 10, 12, 8]
     # Rows serviced late enough to dodge later bumps end the burst reset.
     assert state.bank.get(8) == 0
     assert state.bank.get(12) == 0
@@ -285,9 +330,7 @@ def test_victim_rfm_burst_services_four_rows():
     for _ in range(8):
         state.on_act(10, alert_allowed=False)
         state.on_act(30, alert_allowed=False)
-    applied = state.on_rfm()
-    assert [what for _, what in applied] == ["refresh"] * 4
-    assert [row for row, _ in applied] == [8, 9, 11, 12]
+    assert state.on_rfm() == [8, 9, 11, 12]
     assert state.bank.get(12) == 0  # the last serviced row ends reset
 
 
@@ -299,25 +342,23 @@ def test_rfm_with_empty_queue_is_noop():
 
 def test_chronus_alert_services_until_no_counter_is_hot():
     state = make_state("Chronus", 3)
-    hot_rows = [10, 20, 30, 40, 50, 60, 70]
-    for row in hot_rows:
+    hot = [10, 20, 30, 40, 50, 60, 70]
+    for row in hot:
         for _ in range(3):
             state.on_act(row, alert_allowed=False)
-    action = state.take_pending_alert()
-    assert action is not None and action.kind == "Alert"
-    # One alert names every hot row, and it fires only once.
-    assert action.rows == hot_rows
+    # One alert names the lowest hot row, and it fires only once.
+    assert hot_rows(state) == hot
+    assert state.take_pending_alert() == 10
     assert state.take_pending_alert() is None
     bursts = 0
     while True:
-        applied = state.on_rfm()
-        assert applied, "adaptive service must find every hot row"
+        assert state.on_rfm(), "adaptive service must find every hot row"
         bursts += 1
         if not state.rfm_pending_more():
             break
-    assert bursts == len(hot_rows)
+    assert bursts == len(hot)
     assert state.bank.core.max_count() < 3
-    assert all(state.bank.get(r) == 0 for r in hot_rows)
+    assert all(state.bank.get(r) == 0 for r in hot)
 
 
 def test_chronus_finds_hot_row_displaced_from_queue():
@@ -335,7 +376,7 @@ def test_chronus_finds_hot_row_displaced_from_queue():
         applied = state.on_rfm()
         if not applied:
             break
-        serviced.append(applied[0][0])
+        serviced.append(applied[0])
         if not state.rfm_pending_more():
             break
     assert set(serviced) == {10, 40}
@@ -348,9 +389,7 @@ def test_proactive_fires_at_threshold_on_refresh_boundary():
     state = make_state("QPRAC", 64)
     for _ in range(32):
         state.on_act(10)
-    action = state.on_refresh(range(200, 208))
-    assert action is not None and action.kind == "ProactiveRefresh"
-    assert action.rows == [10]
+    assert state.on_refresh(range(200, 208)) == ([10], None)
     assert state.bank.get(10) == 0
     assert state.bank.get(9) == 1  # serviced as a real refresh, not an erase
     assert engine_fed("QPRAC", 64, [10] * 32, refs=1).proactive_count == 1
@@ -360,7 +399,7 @@ def test_proactive_respects_threshold():
     state = make_state("QPRAC", 64)
     for _ in range(31):  # one short of n_bo // 2
         state.on_act(10)
-    assert state.on_refresh(range(200, 208)) is None
+    assert state.on_refresh(range(200, 208)) == ([], None)
     assert engine_fed("QPRAC", 64, [10] * 31, refs=1).proactive_count == 0
     assert state.bank.get(10) == 31
 
@@ -370,8 +409,7 @@ def test_proactive_respects_period():
     for _ in range(40):
         state.on_act(10)
     results = [state.on_refresh(range(200, 208)) for _ in range(4)]
-    assert results[:3] == [None, None, None]
-    assert results[3] is not None and results[3].kind == "ProactiveRefresh"
+    assert results == [([], None)] * 3 + [([10], None)]
     # In the engine the REF at t=0 is the first of the four.
     assert engine_fed("MOAT", 64, [10] * 40, refs=3).proactive_count == 1
 
@@ -380,9 +418,7 @@ def test_pvac_proactive_refreshes_victims():
     state = make_state("PVAC", 64)  # threshold 32, every refresh
     for _ in range(32):
         state.on_act(10, alert_allowed=True)
-    action = state.on_refresh(range(200, 208))
-    assert action is not None and action.kind == "ProactiveRefresh"
-    assert action.rows == [8, 9, 11, 12]
+    assert state.on_refresh(range(200, 208)) == ([8, 9, 11, 12], None)
     assert state.bank.get(12) == 0
 
 
@@ -392,6 +428,8 @@ def test_alert_burst_length_by_scheme():
     assert make_state("Chronus", 64).alert_burst_length() > 20
 
 
-def test_mitigation_action_shape():
-    action = MitigationAction("Alert", [3, 4])
-    assert action.kind == "Alert" and action.rows == [3, 4]
+def test_fixed_count_bursts_always_go_on():
+    # Only an adaptive burst stops early; the rest issue all n_mit RFMs.
+    for scheme in ("PRAC", "PVAC", "QPRAC", "MOAT"):
+        assert make_state(scheme, 64).rfm_pending_more()
+    assert not make_state("Chronus", 64).rfm_pending_more()
