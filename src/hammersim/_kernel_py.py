@@ -11,8 +11,6 @@ from array import array
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
-import numpy
-
 KERNEL_BUILD = "python"
 
 AGGRESSOR = 0
@@ -29,8 +27,10 @@ class CounterCore:
     row order and clipped at the edges, so a victim ACT walks
     below, self, above with no per-call bounds arithmetic.  Interior
     places share one tuple; only the `br` places at each edge get their
-    own.  `_view` is a numpy view that aliases the buffer of `_c`, so
-    the full-bank scans run in C; `_c` must never be resized.
+    own.  The full-bank scans run in C on `_view`, a numpy view that
+    aliases the buffer of `_c`; it is built, and numpy imported, on the
+    first scan, so a run that never scans never loads numpy.  `_c` must
+    never be resized.
     """
 
     __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view",
@@ -46,7 +46,7 @@ class CounterCore:
         self.br = br
         self.cap = cap
         self._c = array("L", [0]) * n_rows
-        self._view = numpy.frombuffer(self._c, dtype=f"u{self._c.itemsize}")
+        self._view = None
         below = [tuple(range(-br, 0))] * dsa_rows
         above = [tuple(range(1, br + 1))] * dsa_rows
         for p in range(min(br, dsa_rows)):
@@ -113,12 +113,20 @@ class CounterCore:
     def snapshot(self) -> List[int]:
         return list(self._c)
 
+    def _scan_view(self):
+        view = self._view
+        if view is None:
+            import numpy
+            view = self._view = numpy.frombuffer(
+                self._c, dtype=f"u{self._c.itemsize}")
+        return view
+
     def max_count(self) -> int:
-        return int(self._view.max())
+        return int(self._scan_view().max())
 
     def argmax(self) -> int:
         """Lowest row index holding the maximum count."""
-        return int(self._view.argmax())
+        return int(self._scan_view().argmax())
 
     def count_at_least(self, threshold: int) -> int:
         return sum(1 for v in self._c if v >= threshold)

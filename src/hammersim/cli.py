@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -355,6 +354,9 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     tasks = [(hc, stride, n, schemes.get(hc), opts["windows"], geometry)
              for hc in hcs for stride in strides]
     if jobs > 1:
+        # Imported here: loading the pool costs every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts all its workers at once: no more than cells.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_point, tasks))

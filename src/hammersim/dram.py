@@ -42,8 +42,9 @@ class DeviceGeometry:
             )
         if self.blast_radius < 1:
             raise ValueError("blast_radius must be >= 1")
-        if self.counter_bits < 1:
-            raise ValueError("counter_bits must be >= 1")
+        # The compiled kernel stores each count in 32 bits.
+        if not 1 <= self.counter_bits <= 32:
+            raise ValueError("counter_bits must be in 1..32")
 
     @property
     def counter_cap(self) -> int:
@@ -106,6 +107,8 @@ class RefreshConfig:
     tRFC: int = ns(295)
 
     def __post_init__(self) -> None:
+        if self.tRFC <= 0:
+            raise ValueError("tRFC must be > 0")
         if not self.tREFI < self.tREFW:
             raise ValueError("tREFI must be < tREFW")
         if not self.tRFC < self.tREFI:

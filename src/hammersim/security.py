@@ -24,9 +24,7 @@ points they do and do not reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
@@ -34,6 +32,9 @@ from .dram import ABO_ACT, RFM_NS, DeviceGeometry, builtin_timing_set
 from .engine import BankEngine
 from .schemes import SchemeConfig, preset, scheme_rules
 from .units import to_ns
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def discipline_for_scheme(scheme: str) -> Optional[int]:
@@ -135,7 +136,9 @@ _TABLE_CACHE: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 def _nr_tables(discipline: int, params: AnalysisParams
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """(prefix-max NR, raw NR) over r1 = 0..cap, vectorized."""
+    """(prefix-max NR, raw NR) over r1 = 0..cap, vectorized.  numpy is
+    imported here, the one place that builds arrays, so commands that
+    build no table never load it."""
     cap = max_initial_pool(discipline, params.rows_per_bank)
     sub, term, den, remu = _recurrence_knobs(discipline, params)
     rec = params.recurrence
@@ -144,6 +147,8 @@ def _nr_tables(discipline: int, params: AnalysisParams
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
+
+    import numpy as np
 
     R = np.arange(cap + 1, dtype=np.int64)
     NR = np.ones(cap + 1, dtype=np.int64)
@@ -281,7 +286,7 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
         nr, worst = 0, 0
     else:
         nr = int(M[r1_cap])
-        worst = int(np.searchsorted(M, nr, side="left"))
+        worst = int(M.searchsorted(nr, side="left"))
     return _hc(discipline, n_bo, nr, params), worst, nr
 
 

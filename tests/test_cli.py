@@ -6,6 +6,8 @@ every output directory, and rerunning with the same config and seed
 reproduces the files byte for byte.
 """
 
+import concurrent.futures
+
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -76,10 +78,17 @@ def test_missing_out_is_a_usage_error():
     ("oracle-check", "oracle_check: {n_mits: [3]}\n", "oracle_check"),
     ("bw-bound", "bw_bound: {points: [{n_mit: 0, n_bo: 4, tRC_ns: 48}]}\n",
      "bw_bound"),
+    ("simulate", "scheme: {name: PVAC, n_bo: 32}\nrefresh: {tRFC_ns: -100}\n",
+     "refresh"),
+    ("simulate", "scheme: {name: PVAC, n_bo: 32}\n"
+     "refresh: {tREFI_ns: -100, tRFC_ns: -200}\n", "refresh"),
+    ("domino", "geometry: {counter_bits: 33}\n", "geometry"),
 ], ids=["domino_n_mit", "domino_n_bo_past_counter_cap", "domino_windows",
         "simulate_n_bo_past_counter_cap", "sweep_n_mit", "sweep_windows",
         "sweep_solved_n_bo_past_counter_cap",
-        "oracle_n_bo", "oracle_n_mit", "bw_bound_n_mit"])
+        "oracle_n_bo", "oracle_n_mit", "bw_bound_n_mit",
+        "simulate_negative_tRFC", "simulate_negative_tREFI_and_tRFC",
+        "domino_counter_bits_past_kernel"])
 def test_out_of_range_values_exit_2_before_any_output(tmp_path, command,
                                                       yaml_text, section):
     # The default bank has 8-bit counters, so n_bo=300 cannot be counted,
@@ -633,7 +642,7 @@ def test_sweep_stride_starts_no_more_workers_than_cells(tmp_path,
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_sweep_point", solved_only)
     cfg = write_cfg(tmp_path, "sweep_stride: {hc: [32], strides: [1, 2], "
                     "n: 8}\n")

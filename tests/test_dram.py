@@ -14,6 +14,14 @@ def test_default_geometry_counter_cap():
     assert DeviceGeometry(counter_bits=16).counter_cap == 65535
 
 
+@pytest.mark.parametrize("bits", [0, 33, 64])
+def test_geometry_rejects_counter_widths_the_kernels_cannot_hold(bits):
+    # Both kernel builds must hold the cap; the compiled one stores 32 bits.
+    with pytest.raises(ValueError, match="counter_bits"):
+        DeviceGeometry(counter_bits=bits)
+    assert DeviceGeometry(counter_bits=32).counter_cap == 2**32 - 1
+
+
 def test_geometry_rejects_nondividing_dsa():
     with pytest.raises(ValueError):
         DeviceGeometry(rows_per_bank=1000, rows_per_dsa=512)
@@ -62,3 +70,13 @@ def test_idle_bandwidth_value():
 def test_refresh_config_rejects_inverted_cadence():
     with pytest.raises(ValueError):
         RefreshConfig(tREFI=ns(100), tRFC=ns(295))
+
+
+@pytest.mark.parametrize("timings", [
+    {"tRFC": ns(-100)},
+    {"tRFC": 0},
+    {"tREFI": ns(-100), "tRFC": ns(-200)},
+], ids=["negative_tRFC", "zero_tRFC", "negative_tREFI_and_tRFC"])
+def test_refresh_config_rejects_non_positive_timings(timings):
+    with pytest.raises(ValueError, match="tRFC must be > 0"):
+        RefreshConfig(**timings)

@@ -131,6 +131,10 @@ def run_cli_case(name: str, workdir: Path) -> dict:
         argv += ["--config", str(cfg)]
     result = CliRunner().invoke(main, argv, catch_exceptions=False)
     assert result.exit_code == EXIT_OK, result.output
+    return file_digests(outdir)
+
+
+def file_digests(outdir: Path) -> dict:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(outdir.iterdir())
             if f.suffix in (".csv", ".yaml")}

@@ -1,4 +1,5 @@
-"""Every import in the package is used, and every exported name exists.
+"""Every import in the package is used, every exported name exists, and
+the CLI loads numpy and the process pool only when a command needs them.
 
 No linter ships with the package, so the stdlib `ast` stands in for one.
 `__init__.py` and `kernel.py` exist to re-export names, and so does an
@@ -6,11 +7,19 @@ No linter ships with the package, so the stdlib `ast` stands in for one.
 """
 
 import ast
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import hammersim
+from test_golden import CLI_CASES, GEOMETRY, GOLDEN, N_BO, _digest, \
+    file_digests
 
 SRC = Path(hammersim.__file__).parent
 REEXPORTERS = {"__init__.py", "kernel.py"}
@@ -46,3 +55,58 @@ def test_every_exported_name_resolves():
     missing = [name for name in hammersim.__all__
                if not hasattr(hammersim, name)]
     assert missing == []
+
+
+# Runs in a fresh interpreter: imports the CLI, then runs each
+# (name, argv) of argv[1] and reports the exit code and which of HEAVY
+# each left loaded.
+PROBE = """
+import json, sys
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+import hammersim.cli
+report = {"import": loaded()}
+from click.testing import CliRunner
+from hammersim.kernel import KERNEL_BUILD
+report["build"] = KERNEL_BUILD
+for name, argv in json.loads(sys.argv[1]):
+    code = CliRunner().invoke(hammersim.cli.main, argv).exit_code
+    report[name] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
+        tmp_path):
+    # numpy serves only the Python kernel's bank scans (Chronus) and the
+    # security tables; the process pool only `sweep-stride --jobs >1`.
+    domino = tmp_path / "domino.yaml"
+    domino.write_text(CLI_CASES["domino"])
+    chronus = tmp_path / "chronus.yaml"
+    # The golden Chronus/rr128_s3 case, as a simulate config.
+    chronus.write_text(yaml.safe_dump({
+        "scheme": {"name": "Chronus", "n_bo": N_BO},
+        "geometry": dataclasses.asdict(GEOMETRY),
+        "refresh": {"tREFW_ns": 1_000_000},
+        "simulate": {"kind": "round_robin", "n": 128, "stride": 3,
+                     "base_row": 64, "duration_windows": 2,
+                     "write_events": True}}))
+    runs = [(name, [command, "--config", str(cfg), "--out",
+                    str(tmp_path / name)])
+            for name, command, cfg in (("domino", "domino", domino),
+                                       ("chronus", "simulate", chronus))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["domino"] == [0, []]
+    scans_in_numpy = report["build"] == "python"
+    assert report["chronus"] == [0, ["numpy"] if scans_in_numpy else []]
+    golden = json.loads(GOLDEN.read_text())
+    assert file_digests(tmp_path / "domino") == golden["cli/domino"]
+    events = (tmp_path / "chronus" / "events.csv").read_text().splitlines()
+    assert _digest(events) == golden["Chronus/rr128_s3"]["log"]
