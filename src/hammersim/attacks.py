@@ -235,27 +235,41 @@ def run_feinting(engine: BankEngine, r1: int, *,
     return result
 
 
-def trace_to_lines(events: Sequence[TraceEvent], bank: int = 0) -> List[str]:
-    """Line format: `<ns|ASAP>,<bank>,ACT,<row>`."""
+def trace_to_lines(events: Sequence[TraceEvent]) -> List[str]:
+    """Line format: `<ns|ASAP>,0,ACT,<row>`; the bank field is always 0."""
     out = []
     for ev in events:
         if ev.kind != "act":
             continue
         stamp = "ASAP" if ev.time_ps is None else str(ev.time_ps // 1000)
-        out.append(f"{stamp},{bank},ACT,{ev.row}")
+        out.append(f"{stamp},0,ACT,{ev.row}")
     return out
 
 
-def lines_to_trace(lines: Sequence[str]) -> List[TraceEvent]:
-    events: List[TraceEvent] = []
-    append, make = events.append, TraceEvent._make
-    for ln in lines:
+def lines_to_trace(lines: Iterable[str], rows: Optional[int] = None
+                   ) -> Iterator[TraceEvent]:
+    """Parse trace lines one at a time, yielding each line's ACT as soon
+    as it is read; blank and `#` lines are skipped.
+
+    The bank field must be 0 (the engine models one bank) and, when
+    `rows` is given, the row must lie in [0, rows).  A broken line raises
+    ValueError naming its 1-based line number."""
+    make = TraceEvent._make
+    for number, ln in enumerate(lines, 1):
         ln = ln.strip()
         if not ln or ln[0] == "#":
             continue
-        stamp, _bank, kind, row = ln.split(",")
-        if kind != "ACT":
-            raise ValueError(f"unknown trace line kind {kind!r}")
-        t = None if stamp == "ASAP" else int(stamp) * 1000
-        append(make(("act", int(row), t, 0)))
-    return events
+        try:
+            stamp, bank, kind, row = ln.split(",")
+            if kind != "ACT":
+                raise ValueError(f"unknown trace line kind {kind!r}")
+            if bank != "0":
+                raise ValueError(f"bank {bank!r} is not 0, the one bank "
+                                 "the engine models")
+            row = int(row)
+            if rows is not None and not 0 <= row < rows:
+                raise ValueError(f"row {row} is outside the {rows}-row bank")
+            t = None if stamp == "ASAP" else int(stamp) * 1000
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        yield make(("act", row, t, 0))

@@ -15,7 +15,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import asdict
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+from itertools import islice
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 import click
@@ -78,11 +79,19 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
     return register
 
 
-def _write_text(outdir: str, name: str, lines: Sequence[str]) -> None:
+# Lines per write in `_write_text`: a write call per line costs more
+# than joining a block of lines first.
+_WRITE_BLOCK = 1024
+
+
+def _write_text(outdir: str, name: str, lines: Iterable[str]) -> None:
+    """Write `lines` as they come, each ended by a newline."""
+    lines = iter(lines)
     with open(os.path.join(outdir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        while block := list(islice(lines, _WRITE_BLOCK)):
+            fh.write("\n".join(block))
+            fh.write("\n")
 
 
 def _write_manifest(outdir: str, scenario: str, seed: int,
@@ -251,36 +260,36 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     with config_errors("scheme"):
         scheme.check_fits(geometry)
     refresh = refresh_from(cfg, scheme)
-    kind, trace_path = opts["kind"], opts["trace"]
-    if trace_path is not None:
-        kind = opts["kind"] = "file"
-        try:
-            with open(trace_path, "r", encoding="utf-8") as fh:
-                events = lines_to_trace(fh.read().splitlines())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"simulate.trace: {exc}") from exc
-        n_rows = geometry.rows_per_bank
-        for _kind, row, _t, _d in events:
-            if not 0 <= row < n_rows:
-                raise ConfigError(f"simulate.trace: row {row} is outside "
-                                  f"the {n_rows}-row bank")
-    elif kind == "idle":
-        events = []
-    elif kind in ("round_robin", "benign"):
-        with config_errors("simulate"):
-            if kind == "round_robin":
-                spec = RoundRobinSpec(n=opts["n"], stride=opts["stride"],
-                                      base_row=opts["base_row"])
-                events = gen_round_robin(spec, geometry)
-            else:
-                events = gen_benign(geometry, seed, ns(opts["act_gap_ns"]),
-                                    opts["count"])
-    else:
-        raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
-
+    kind = opts["kind"]
     engine = BankEngine(scheme, geometry, refresh)
-    metrics = engine.run_trace(events,
-                               opts["duration_windows"] * refresh.window_ps)
+    duration_ps = opts["duration_windows"] * refresh.window_ps
+    if opts["trace"] is not None:
+        opts["kind"] = "file"
+        try:
+            with open(opts["trace"], "r", encoding="utf-8") as fh:
+                events = lines_to_trace(fh, geometry.rows_per_bank)
+                metrics = engine.run_trace(events, duration_ps)
+                for _event in events:  # lines past the run are checked too
+                    pass
+        except (OSError, ValueError) as exc:
+            # run_trace's own ValueErrors are about the events it is fed,
+            # and all of those come from the file.
+            raise ConfigError(f"simulate.trace: {exc}") from exc
+    else:
+        if kind == "idle":
+            events = []
+        elif kind in ("round_robin", "benign"):
+            with config_errors("simulate"):
+                if kind == "round_robin":
+                    spec = RoundRobinSpec(n=opts["n"], stride=opts["stride"],
+                                          base_row=opts["base_row"])
+                    events = gen_round_robin(spec, geometry)
+                else:
+                    events = gen_benign(geometry, seed,
+                                        ns(opts["act_gap_ns"]), opts["count"])
+        else:
+            raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
+        metrics = engine.run_trace(events, duration_ps)
     rows = ["window,bandwidth,rfm_count,alert_count,blocked_ns"]
     for w in metrics.windows:
         rows.append(f"{w.index},{w.bandwidth:.6f},{w.rfm_count},"

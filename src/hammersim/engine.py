@@ -24,7 +24,8 @@ accounting charges REF and RFM blocks only — admitted ACTs are useful work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
                    RefreshConfig, TimingSet, rows_per_refresh)
@@ -348,16 +349,16 @@ class BankEngine:
         return m
 
 
-def log_to_csv_lines(log: Sequence[Tuple[int, int, str, int, int]]
-                     ) -> List[str]:
-    lines = ["time_ns,bank,event,row,counter_after"]
+def log_to_csv_lines(log: Iterable[Tuple[int, int, str, int, int]]
+                     ) -> Iterator[str]:
+    """The event log as CSV lines, header first, one line at a time."""
+    yield "time_ns,bank,event,row,counter_after"
     for t, bank, kind, row, counter in log:
         if t % 1000 == 0:
             stamp = str(t // 1000)
         else:
             stamp = f"{t / 1000:.3f}"
-        lines.append(f"{stamp},{bank},{kind},{row},{counter}")
-    return lines
+        yield f"{stamp},{bank},{kind},{row},{counter}"
 
 
 def audit_log(log: Sequence[Tuple[int, int, str, int, int]],

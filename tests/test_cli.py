@@ -499,12 +499,15 @@ def test_simulate_trace_file(tmp_path):
 
 
 def test_simulate_rejects_broken_traces(tmp_path):
-    # The bank has 4096 rows; each trace is rejected before any run.
+    # The bank has 4096 rows and is bank 0; the run stops at the first
+    # broken line, which the message names, and writes no output.
     for body, needle in (("ASAP,0,REF,0\n", "REF"),
                          ("ASAP,0,ACT\n", "values"),
                          ("ASAP,0,ACT,ten\n", "ten"),
                          ("ASAP,0,ACT,5\n9000,0,ACT,4096\n", "row 4096 "),
-                         ("ASAP,0,ACT,-1\nASAP,0,ACT,5000\n", "row -1 ")):
+                         ("ASAP,0,ACT,-1\nASAP,0,ACT,5000\n", "row -1 "),
+                         ("ASAP,x,ACT,5\n", "bank 'x'"),
+                         ("ASAP,0,ACT,5\nASAP,7,ACT,6\n", "line 2: bank '7'")):
         trace = tmp_path / "attack.trace"
         trace.write_text(body)
         cfg = write_cfg(tmp_path, SIM_PREFIX
@@ -515,6 +518,19 @@ def test_simulate_rejects_broken_traces(tmp_path):
         text = all_text(result)
         assert "simulate.trace" in text and needle in text, (body, text)
         assert not (outdir / "summary.csv").exists()
+
+
+def test_simulate_checks_trace_lines_past_the_run(tmp_path):
+    # The one-window run ends at the 33 ms ACT; the broken line after it
+    # is still read and rejected.
+    trace = tmp_path / "attack.trace"
+    trace.write_text("ASAP,0,ACT,5\n33000000,0,ACT,6\nASAP,0,ACT,4096\n")
+    cfg = write_cfg(tmp_path, SIM_PREFIX + f"simulate: {{trace: '{trace}'}}\n")
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    assert "simulate.trace: line 3: row 4096 " in all_text(result)
+    assert not (outdir / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("body, needle", [

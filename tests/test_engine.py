@@ -301,7 +301,7 @@ def test_identical_runs_emit_identical_logs():
         return engine.log
     first, second = run(), run()
     assert first == second
-    assert log_to_csv_lines(first) == log_to_csv_lines(second)
+    assert list(log_to_csv_lines(first)) == list(log_to_csv_lines(second))
 
 
 def test_unlogged_run_does_no_log_work():
@@ -323,7 +323,7 @@ def test_unlogged_run_does_no_log_work():
 
 def test_csv_lines_render_nanoseconds():
     log = [(295000, 0, "ACT", 10, 3), (343500, 0, "RFM", 11, 0)]
-    lines = log_to_csv_lines(log)
+    lines = list(log_to_csv_lines(log))
     assert lines[0] == "time_ns,bank,event,row,counter_after"
     assert lines[1] == "295,0,ACT,10,3"
     assert lines[2] == "343.500,0,RFM,11,0"

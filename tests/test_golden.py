@@ -112,7 +112,7 @@ def run_case(scheme: str, workload: str) -> dict:
             events = gen_benign(GEOMETRY, seed=0, act_gap_ps=ns(200),
                                 count=duration // ns(200))
         engine.run_trace(events, duration)
-    out["log"] = _digest(log_to_csv_lines(engine.log))
+    out["log"] = _digest(list(log_to_csv_lines(engine.log)))
     out["metrics"] = _digest(dataclasses.asdict(engine.metrics))
     return out
 
