@@ -246,14 +246,17 @@ def trace_to_lines(events: Sequence[TraceEvent]) -> List[str]:
     return out
 
 
-def lines_to_trace(lines: Iterable[str], rows: Optional[int] = None
-                   ) -> Iterator[TraceEvent]:
+class TraceError(ValueError):
+    """A trace line that cannot be read; the message names the line."""
+
+
+def lines_to_trace(lines: Iterable[str], rows: int) -> Iterator[TraceEvent]:
     """Parse trace lines one at a time, yielding each line's ACT as soon
     as it is read; blank and `#` lines are skipped.
 
-    The bank field must be 0 (the engine models one bank) and, when
-    `rows` is given, the row must lie in [0, rows).  A broken line raises
-    ValueError naming its 1-based line number."""
+    The bank field must be 0 (the engine models one bank) and the row
+    must lie in [0, rows).  A broken line raises TraceError naming its
+    1-based line number."""
     make = TraceEvent._make
     for number, ln in enumerate(lines, 1):
         ln = ln.strip()
@@ -267,9 +270,9 @@ def lines_to_trace(lines: Iterable[str], rows: Optional[int] = None
                 raise ValueError(f"bank {bank!r} is not 0, the one bank "
                                  "the engine models")
             row = int(row)
-            if rows is not None and not 0 <= row < rows:
+            if not 0 <= row < rows:
                 raise ValueError(f"row {row} is outside the {rows}-row bank")
             t = None if stamp == "ASAP" else int(stamp) * 1000
         except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
+            raise TraceError(f"line {number}: {exc}") from None
         yield make(("act", row, t, 0))

@@ -15,14 +15,13 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import asdict
-from itertools import islice
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 import click
 
-from .attacks import RoundRobinSpec, gen_benign, gen_round_robin, \
-    lines_to_trace
+from .attacks import (RoundRobinSpec, TraceError, gen_benign,
+                      gen_round_robin, lines_to_trace)
 from .config import (GEOMETRY, REFRESH, SCHEME, ConfigError, Key,
                      config_errors, dump_manifest, geometry_from,
                      load_config, read_section, refresh_doc, refresh_from,
@@ -79,19 +78,11 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
     return register
 
 
-# Lines per write in `_write_text`: a write call per line costs more
-# than joining a block of lines first.
-_WRITE_BLOCK = 1024
-
-
 def _write_text(outdir: str, name: str, lines: Iterable[str]) -> None:
     """Write `lines` as they come, each ended by a newline."""
-    lines = iter(lines)
     with open(os.path.join(outdir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        while block := list(islice(lines, _WRITE_BLOCK)):
-            fh.write("\n".join(block))
-            fh.write("\n")
+        fh.writelines(f"{ln}\n" for ln in lines)
 
 
 def _write_manifest(outdir: str, scenario: str, seed: int,
@@ -271,9 +262,7 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                 metrics = engine.run_trace(events, duration_ps)
                 for _event in events:  # lines past the run are checked too
                     pass
-        except (OSError, ValueError) as exc:
-            # run_trace's own ValueErrors are about the events it is fed,
-            # and all of those come from the file.
+        except (OSError, TraceError) as exc:
             raise ConfigError(f"simulate.trace: {exc}") from exc
     else:
         if kind == "idle":

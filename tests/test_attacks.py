@@ -211,21 +211,21 @@ def test_trace_lines_round_trip():
               TraceEvent("act", row=3)]
     lines = trace_to_lines(events)
     assert lines == ["ASAP,0,ACT,10", "7000,0,ACT,44", "ASAP,0,ACT,3"]
-    back = list(lines_to_trace(lines))
+    back = list(lines_to_trace(lines, 4096))
     assert [(e.kind, e.row, e.time_ps) for e in back] == \
         [(e.kind, e.row, e.time_ps) for e in events]
 
 
 def test_trace_lines_skip_blanks_and_comments():
     text = ["# header", "", "ASAP,0,ACT,5"]
-    events = list(lines_to_trace(text))
+    events = list(lines_to_trace(text, 4096))
     assert len(events) == 1 and events[0].row == 5
     with pytest.raises(ValueError):
-        list(lines_to_trace(["ASAP,0,REF,5"]))
+        list(lines_to_trace(["ASAP,0,REF,5"], 4096))
 
 
 def test_trace_lines_are_read_one_at_a_time():
     def lines():
         yield "ASAP,0,ACT,5"
         pytest.fail("read a second line before the first event was used")
-    assert next(lines_to_trace(lines())) == TraceEvent("act", row=5)
+    assert next(lines_to_trace(lines(), 4096)) == TraceEvent("act", row=5)

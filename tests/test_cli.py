@@ -533,6 +533,19 @@ def test_simulate_checks_trace_lines_past_the_run(tmp_path):
     assert not (outdir / "summary.csv").exists()
 
 
+def test_simulate_trace_run_keeps_engine_faults_apart(tmp_path, monkeypatch):
+    # Only the file's own errors are config errors; a fault inside the
+    # run is not blamed on the trace.
+    def broken_run(self, events, duration_ps):
+        raise ValueError("engine fault")
+    monkeypatch.setattr(cli.BankEngine, "run_trace", broken_run)
+    trace = tmp_path / "attack.trace"
+    trace.write_text("ASAP,0,ACT,5\n")
+    cfg = write_cfg(tmp_path, SIM_PREFIX + f"simulate: {{trace: '{trace}'}}\n")
+    with pytest.raises(ValueError, match="^engine fault$"):
+        run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+
+
 @pytest.mark.parametrize("body, needle", [
     ("count: -1", "count >= 0"),
     ("act_gap_ns: 0", "act_gap_ps must be >= 1"),
