@@ -11,7 +11,7 @@ cross-checks the analysis on small banks.
 
 from .attacks import (DamageObserver, FeintingResult, RoundRobinSpec,
                       gen_benign, gen_round_robin, lines_to_trace,
-                      run_feinting, trace_to_lines, wave_layout)
+                      run_feinting, wave_layout)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        CsaLayout, CsaTiming, counter_update_latency,
                        csa_activations_for_event, csa_scaled_latency,
@@ -51,6 +51,6 @@ __all__ = [
     "log_to_csv_lines", "max_initial_pool", "ms", "ns",
     "pool_recurrence_prac", "pool_recurrence_pvac", "preset",
     "rows_per_refresh", "run_feinting", "security_table",
-    "small_oracle_geometry", "solve_nbo", "to_ns", "trace_to_lines", "us",
-    "victim_set", "wave_layout", "worst_case_hc",
+    "small_oracle_geometry", "solve_nbo", "to_ns", "us", "victim_set",
+    "wave_layout", "worst_case_hc",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .counters import VICTIM_COUNT, neighbour_offsets, victim_set
 from .dram import ABO_ACT, DeviceGeometry
@@ -63,7 +63,7 @@ def gen_round_robin(spec: RoundRobinSpec,
     `geometry` here, and each row's event is built once and repeated."""
     if geometry is not None:
         spec.check_fits(geometry)
-    return cycle([TraceEvent("act", row) for row in spec.rows()])
+    return cycle([TraceEvent(row) for row in spec.rows()])
 
 
 def gen_benign(geometry: DeviceGeometry, seed: int, act_gap_ps: int,
@@ -75,8 +75,7 @@ def gen_benign(geometry: DeviceGeometry, seed: int, act_gap_ps: int,
     events = []
     t = act_gap_ps
     for _ in range(count):
-        events.append(TraceEvent(
-            "act", row=rng.randrange(geometry.rows_per_bank), time_ps=t))
+        events.append(TraceEvent(rng.randrange(geometry.rows_per_bank), t))
         t += act_gap_ps
     return events
 
@@ -195,8 +194,8 @@ def run_feinting(engine: BankEngine, r1: int, *,
     def harvest() -> None:
         nonlocal log_cursor
         for entry in engine.log[log_cursor:]:
-            if entry[2] in ("RFM", "PROACT") and entry[3] >= 0:
-                mitigated.add(entry[3])
+            if entry[1] in ("RFM", "PROACT") and entry[2] >= 0:
+                mitigated.add(entry[2])
         log_cursor = len(engine.log)
 
     issue_act = engine.issue_act
@@ -235,17 +234,6 @@ def run_feinting(engine: BankEngine, r1: int, *,
     return result
 
 
-def trace_to_lines(events: Sequence[TraceEvent]) -> List[str]:
-    """Line format: `<ns|ASAP>,0,ACT,<row>`; the bank field is always 0."""
-    out = []
-    for ev in events:
-        if ev.kind != "act":
-            continue
-        stamp = "ASAP" if ev.time_ps is None else str(ev.time_ps // 1000)
-        out.append(f"{stamp},0,ACT,{ev.row}")
-    return out
-
-
 class TraceError(ValueError):
     """A trace line that cannot be read; the message names the line."""
 
@@ -254,9 +242,10 @@ def lines_to_trace(lines: Iterable[str], rows: int) -> Iterator[TraceEvent]:
     """Parse trace lines one at a time, yielding each line's ACT as soon
     as it is read; blank and `#` lines are skipped.
 
-    The bank field must be 0 (the engine models one bank) and the row
-    must lie in [0, rows).  A broken line raises TraceError naming its
-    1-based line number."""
+    Line format: `<ns|ASAP>,0,ACT,<row>`.  The time must not be negative
+    (ASAP is time 0), the bank field must be 0 (the engine models one
+    bank) and the row must lie in [0, rows).  A broken line raises
+    TraceError naming its 1-based line number."""
     make = TraceEvent._make
     for number, ln in enumerate(lines, 1):
         ln = ln.strip()
@@ -272,7 +261,9 @@ def lines_to_trace(lines: Iterable[str], rows: int) -> Iterator[TraceEvent]:
             row = int(row)
             if not 0 <= row < rows:
                 raise ValueError(f"row {row} is outside the {rows}-row bank")
-            t = None if stamp == "ASAP" else int(stamp) * 1000
+            t = 0 if stamp == "ASAP" else int(stamp) * 1000
+            if t < 0:
+                raise ValueError(f"time {stamp} ns is negative")
         except ValueError as exc:
             raise TraceError(f"line {number}: {exc}") from None
-        yield make(("act", row, t, 0))
+        yield make((row, t))

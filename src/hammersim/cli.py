@@ -262,7 +262,7 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                 metrics = engine.run_trace(events, duration_ps)
                 for _event in events:  # lines past the run are checked too
                     pass
-        except (OSError, TraceError) as exc:
+        except (OSError, UnicodeDecodeError, TraceError) as exc:
             raise ConfigError(f"simulate.trace: {exc}") from exc
     else:
         if kind == "idle":

@@ -180,12 +180,12 @@ class EnergyReport:
         return lines
 
 
-def _rfm_commands(log: Sequence[Tuple[int, int, str, int, int]]
+def _rfm_commands(log: Sequence[Tuple[int, str, int, int]]
                   ) -> "OrderedDict[int, List[int]]":
     """Group RFM log lines (one per mitigated row) into commands by
     issue time."""
     cmds: "OrderedDict[int, List[int]]" = OrderedDict()
-    for t, _bank, kind, row, _c in log:
+    for t, kind, row, _c in log:
         if kind == "RFM":
             cmds.setdefault(t, [])
             if row >= 0:
@@ -193,7 +193,7 @@ def _rfm_commands(log: Sequence[Tuple[int, int, str, int, int]]
     return cmds
 
 
-def energy_report(log: Sequence[Tuple[int, int, str, int, int]],
+def energy_report(log: Sequence[Tuple[int, str, int, int]],
                   scheme: SchemeConfig,
                   layout: CsaLayout,
                   geometry: Optional[DeviceGeometry] = None,
@@ -212,9 +212,9 @@ def energy_report(log: Sequence[Tuple[int, int, str, int, int]],
     model = model or default_energy_model(geometry)
     known = {"ACT", "REF", "RFM", "ALERT", "PROACT"}
     for entry in log:
-        if entry[2] not in known:
+        if entry[1] not in known:
             raise ValueError(f"log/scheme mismatch: unknown event "
-                             f"{entry[2]!r}")
+                             f"{entry[1]!r}")
     trc_ns = to_ns(scheme.timing_set().tRC)
     trfc_ns = to_ns(refresh.tRFC)
     rpr = rows_per_refresh(geometry, refresh)
@@ -223,7 +223,7 @@ def energy_report(log: Sequence[Tuple[int, int, str, int, int]],
     n_acts = 0
     n_refs = 0
     batch = list(range(rpr))
-    for t, _bank, kind, row, _c in log:
+    for t, kind, row, _c in log:
         if kind == "ACT":
             n_acts += 1
             occ["dsa_act"] += trc_ns

@@ -41,12 +41,12 @@ _TRFM = ns(RFM_NS)
 
 
 class TraceEvent(NamedTuple):
-    """One trace entry: an immutable 4-tuple that generators may repeat."""
+    """One demand ACT: the arguments of one `BankEngine.issue_act` call.
 
-    kind: str  # "act" | "idle" | "end"
-    row: int = -1
-    time_ps: Optional[int] = None  # None = as soon as possible
-    duration_ps: int = 0
+    An immutable pair that generators may repeat."""
+
+    row: int
+    time_ps: int = 0  # 0 = as soon as possible
 
 
 @dataclass
@@ -82,8 +82,8 @@ class BankEngine:
         self.scheme = SchemeState(scheme, geometry)
         self.timing: TimingSet = scheme.timing_set()
         self.collect_log = collect_log
-        # (time_ps, bank, kind, row, counter); the bank is always 0.
-        self.log: List[Tuple[int, int, str, int, int]] = []
+        # (time_ps, kind, row, counter)
+        self.log: List[Tuple[int, str, int, int]] = []
 
         self._tRC = self.timing.tRC
         self._tRFC = self.refresh.tRFC
@@ -123,7 +123,7 @@ class BankEngine:
         Callers skip it when `collect_log` is off, so a run without a log
         never reads counters for it."""
         counter = self._get(row) if row >= 0 else 0
-        self.log.append((t, 0, kind, row, counter))
+        self.log.append((t, kind, row, counter))
 
     def _charge_block(self, t: int, dur: int) -> None:
         w = t // self._win_len
@@ -291,7 +291,7 @@ class BankEngine:
             self._observer(row)
         alert = self.scheme.on_act(row, alert_allowed=(self._state == _IDLE))
         if self.collect_log:
-            self.log.append((t, 0, "ACT", row, self._get(row)))
+            self.log.append((t, "ACT", row, self._get(row)))
         return alert
 
     def advance_to(self, t: int) -> None:
@@ -309,22 +309,13 @@ class BankEngine:
                   duration_ps: int) -> EngineMetrics:
         cursor = 0
         issue_act = self.issue_act
-        # `idle_ps` is the event's own duration_ps field; the run's length
-        # is the `duration_ps` parameter.
-        for kind, row, time_ps, idle_ps in events:
-            if kind == "act":
-                if time_ps is not None and time_ps > cursor:
-                    cursor = time_ps
-                issued = issue_act(row, cursor)
-                if issued >= duration_ps:
-                    break
-                cursor = issued
-            elif kind == "idle":
-                cursor = max(cursor, self.now) + idle_ps
-            elif kind == "end":
+        for row, time_ps in events:
+            if time_ps > cursor:
+                cursor = time_ps
+            issued = issue_act(row, cursor)
+            if issued >= duration_ps:
                 break
-            else:
-                raise ValueError(f"unknown trace event kind {kind!r}")
+            cursor = issued
         self.advance_to(duration_ps)
         return self.finalize(duration_ps)
 
@@ -349,19 +340,20 @@ class BankEngine:
         return m
 
 
-def log_to_csv_lines(log: Iterable[Tuple[int, int, str, int, int]]
+def log_to_csv_lines(log: Iterable[Tuple[int, str, int, int]]
                      ) -> Iterator[str]:
-    """The event log as CSV lines, header first, one line at a time."""
+    """The event log as CSV lines, header first, one line at a time; the
+    bank column is always 0, the one bank the engine models."""
     yield "time_ns,bank,event,row,counter_after"
-    for t, bank, kind, row, counter in log:
+    for t, kind, row, counter in log:
         if t % 1000 == 0:
             stamp = str(t // 1000)
         else:
             stamp = f"{t / 1000:.3f}"
-        yield f"{stamp},{bank},{kind},{row},{counter}"
+        yield f"{stamp},0,{kind},{row},{counter}"
 
 
-def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
+def audit_log(log: Sequence[Tuple[int, str, int, int]],
               scheme: SchemeConfig, refresh: RefreshConfig) -> List[str]:
     """Independent legality pass over an emitted event log.
 
@@ -384,7 +376,7 @@ def audit_log(log: Sequence[Tuple[int, int, str, int, int]],
     acts_in_window = 0
     rfms_since_alert = 0
 
-    for t, _bank, kind, row, _counter in log:
+    for t, kind, _row, _counter in log:
         if kind == "ACT":
             if last_act is not None and t - last_act < tRC:
                 problems.append(f"ACT at {t} ps violates tRC after {last_act}")

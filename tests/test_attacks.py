@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hammersim.attacks import (DamageObserver, RoundRobinSpec, gen_benign,
                                gen_round_robin, lines_to_trace, run_feinting,
-                               trace_to_lines, wave_layout)
+                               wave_layout)
 from hammersim.dram import DeviceGeometry, us
 from hammersim.engine import BankEngine, TraceEvent, audit_log
 from hammersim.schemes import SchemeConfig, preset
@@ -52,8 +52,7 @@ def test_round_robin_checks_the_pool_when_called():
 def test_round_robin_repeats_one_event_per_pool_row():
     gen = gen_round_robin(RoundRobinSpec(n=3, base_row=7), small_geometry())
     events = [next(gen) for _ in range(7)]
-    assert events == [("act", 7, None, 0), ("act", 8, None, 0),
-                      ("act", 9, None, 0)] * 2 + [("act", 7, None, 0)]
+    assert events == [(7, 0), (8, 0), (9, 0)] * 2 + [(7, 0)]
     assert events[0] is events[3] is events[6]
 
 
@@ -136,7 +135,7 @@ def test_wave_setup_charges_each_prepared_aggressor():
                         small_geometry())
     result = run_feinting(engine, 8)
     assert result.setup_acts == 2 * 7  # two groups, n_bo - 1 each
-    acts = [row for _, _, kind, row, _ in engine.log if kind == "ACT"]
+    acts = [row for _, kind, row, _ in engine.log if kind == "ACT"]
     assert acts[:14] == [8] * 7 + [13] * 7  # prepared five apart
 
 
@@ -194,7 +193,7 @@ def test_wave_only_drops_rows_the_defense_touched():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())
     result = run_feinting(engine, 12)
-    mitigated = {row for _, _, kind, row, _ in engine.log
+    mitigated = {row for _, kind, row, _ in engine.log
                  if kind in ("RFM", "PROACT") and row >= 0}
     victims = {6, 7, 9, 10, 11, 12, 14, 15, 16, 17, 19, 20}
     dropped = victims - {r for r in victims
@@ -206,14 +205,13 @@ def test_wave_only_drops_rows_the_defense_touched():
 # -- trace serialization ------------------------------------------------------
 
 def test_trace_lines_round_trip():
-    events = [TraceEvent("act", row=10),
-              TraceEvent("act", row=44, time_ps=us(7)),
-              TraceEvent("act", row=3)]
-    lines = trace_to_lines(events)
-    assert lines == ["ASAP,0,ACT,10", "7000,0,ACT,44", "ASAP,0,ACT,3"]
+    events = [TraceEvent(row=10),
+              TraceEvent(row=44, time_ps=us(7)),
+              TraceEvent(row=3)]
+    lines = ["ASAP,0,ACT,10", "7000,0,ACT,44", "ASAP,0,ACT,3"]
     back = list(lines_to_trace(lines, 4096))
-    assert [(e.kind, e.row, e.time_ps) for e in back] == \
-        [(e.kind, e.row, e.time_ps) for e in events]
+    assert [(e.row, e.time_ps) for e in back] == \
+        [(e.row, e.time_ps) for e in events]
 
 
 def test_trace_lines_skip_blanks_and_comments():
@@ -228,4 +226,4 @@ def test_trace_lines_are_read_one_at_a_time():
     def lines():
         yield "ASAP,0,ACT,5"
         pytest.fail("read a second line before the first event was used")
-    assert next(lines_to_trace(lines(), 4096)) == TraceEvent("act", row=5)
+    assert next(lines_to_trace(lines(), 4096)) == TraceEvent(row=5)

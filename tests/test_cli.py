@@ -501,15 +501,17 @@ def test_simulate_trace_file(tmp_path):
 def test_simulate_rejects_broken_traces(tmp_path):
     # The bank has 4096 rows and is bank 0; the run stops at the first
     # broken line, which the message names, and writes no output.
-    for body, needle in (("ASAP,0,REF,0\n", "REF"),
-                         ("ASAP,0,ACT\n", "values"),
-                         ("ASAP,0,ACT,ten\n", "ten"),
-                         ("ASAP,0,ACT,5\n9000,0,ACT,4096\n", "row 4096 "),
-                         ("ASAP,0,ACT,-1\nASAP,0,ACT,5000\n", "row -1 "),
-                         ("ASAP,x,ACT,5\n", "bank 'x'"),
-                         ("ASAP,0,ACT,5\nASAP,7,ACT,6\n", "line 2: bank '7'")):
+    for body, needle in ((b"ASAP,0,REF,0\n", "REF"),
+                         (b"ASAP,0,ACT\n", "values"),
+                         (b"ASAP,0,ACT,ten\n", "ten"),
+                         (b"ASAP,0,ACT,5\n9000,0,ACT,4096\n", "row 4096 "),
+                         (b"ASAP,0,ACT,-1\nASAP,0,ACT,5000\n", "row -1 "),
+                         (b"ASAP,x,ACT,5\n", "bank 'x'"),
+                         (b"ASAP,0,ACT,5\nASAP,7,ACT,6\n", "line 2: bank '7'"),
+                         (b"ASAP,0,ACT,5\n-5,0,ACT,3\n", "line 2: time -5 "),
+                         (b"ASAP,0,ACT,5\n\xff,0,ACT,3\n", "byte 0xff")):
         trace = tmp_path / "attack.trace"
-        trace.write_text(body)
+        trace.write_bytes(body)
         cfg = write_cfg(tmp_path, SIM_PREFIX
                         + f"simulate: {{trace: '{trace}'}}\n")
         outdir = tmp_path / "out"

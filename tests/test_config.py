@@ -23,6 +23,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("a: [unclosed\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(str(bad))
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"# caf\xff\na: 1\n")
+    with pytest.raises(ConfigError, match="cannot read.*0xff"):
+        load_config(str(binary))
     scalar = tmp_path / "scalar.yaml"
     scalar.write_text("42\n")
     with pytest.raises(ConfigError, match="mapping at top level"):

@@ -81,11 +81,11 @@ def test_zero_length_log_reports_zero_energy():
 
 def test_unknown_log_event_rejected():
     with pytest.raises(ValueError):
-        energy_report([(0, 0, "WARP", 1, 0)], preset("PVAC", 64), OPTIMIZED)
+        energy_report([(0, "WARP", 1, 0)], preset("PVAC", 64), OPTIMIZED)
 
 
 def test_prac_timing_costs_more_per_access():
-    log = [(0, 0, "ACT", 10, 1)]
+    log = [(0, "ACT", 10, 1)]
     prac = energy_report(log, preset("PRAC", 64), IN_DSA)
     default = energy_report(log, preset("Chronus", 64), IN_DSA)
     assert prac.energy["dsa_act"] > default.energy["dsa_act"]
@@ -128,8 +128,8 @@ def test_refresh_batches_separate_the_layouts():
 
 
 def test_rfm_commands_charge_once_per_timestamp():
-    log = [(1_000_000, 0, "RFM", 5, 0), (1_000_000, 0, "RFM", 6, 0),
-           (2_000_000, 0, "RFM", -1, 0)]
+    log = [(1_000_000, "RFM", 5, 0), (1_000_000, "RFM", 6, 0),
+           (2_000_000, "RFM", -1, 0)]
     report = energy_report(log, preset("PVAC", 64), IN_DSA)
     assert report.occupancy_ns["rfm"] == pytest.approx(700.0)
     assert report.energy["rfm"] == pytest.approx(700.0 / 48.0)
@@ -137,7 +137,7 @@ def test_rfm_commands_charge_once_per_timestamp():
 
 
 def test_csv_lines_shape():
-    report = energy_report([(0, 0, "ACT", 10, 1)], preset("PVAC", 64),
+    report = energy_report([(0, "ACT", 10, 1)], preset("PVAC", 64),
                            OPTIMIZED)
     lines = report.to_csv_lines()
     assert lines[0] == "class,occupancy_ns,energy,fraction_of_total"
@@ -162,10 +162,10 @@ def hammered_windows(first_act_ps, windows):
     """PVAC (n_bo 8, one RFM per alert) with row 10 hammered eight times
     from `first_act_ps`: one alert, and one RFM that logs four rows."""
     engine = BankEngine(preset("PVAC", 8), SMALL, SHORT_REFRESH)
-    trace = [TraceEvent("act", 10, first_act_ps)] + \
+    trace = [TraceEvent(10, first_act_ps)] + \
         hammer(10, 7)
     metrics = engine.run_trace(trace, windows * SHORT_REFRESH.window_ps)
-    rfm_times = [t for t, _b, kind, _r, _c in engine.log if kind == "RFM"]
+    rfm_times = [t for t, kind, _r, _c in engine.log if kind == "RFM"]
     assert len(rfm_times) == 4 and len(set(rfm_times)) == 1
     return metrics.windows
 

@@ -31,12 +31,12 @@ def hammer(row: int, count: int):
 
 def three_rows(count: int):
     """`count` back-to-back ACTs cycling rows 10, 17 and 301."""
-    return islice(cycle([TraceEvent("act", r) for r in (10, 17, 301)]),
+    return islice(cycle([TraceEvent(r) for r in (10, 17, 301)]),
                   count)
 
 
 def act_times(engine: BankEngine):
-    return [t for t, _, kind, _, _ in engine.log if kind == "ACT"]
+    return [t for t, kind, _, _ in engine.log if kind == "ACT"]
 
 
 # -- command spacing ---------------------------------------------------------
@@ -59,7 +59,7 @@ def test_prac_timing_stretches_the_act_gap():
 def test_refs_hold_their_cadence_when_idle():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
     engine.run_trace([], us(200))
-    refs = [t for t, _, kind, _, _ in engine.log if kind == "REF"]
+    refs = [t for t, kind, _, _ in engine.log if kind == "REF"]
     assert refs == [k * TREFI for k in range(len(refs))]
     assert len(refs) == 52  # ceil(200 / 3.9) slots due strictly before 200 us
 
@@ -67,7 +67,7 @@ def test_refs_hold_their_cadence_when_idle():
 def test_refresh_sweep_wraps_around_the_bank():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
     engine.advance_to(514 * TREFI)
-    rows = [row for _, _, kind, row, _ in engine.log if kind == "REF"]
+    rows = [row for _, kind, row, _ in engine.log if kind == "REF"]
     assert rows[:512] == list(range(512))
     assert rows[512:514] == [0, 1]
 
@@ -95,27 +95,24 @@ def test_ref_groups_that_do_not_divide_the_bank_wrap_row_by_row():
 
 # -- trace plumbing ----------------------------------------------------------
 
-def test_idle_event_opens_a_gap():
-    engine = BankEngine(plain_pvac(10_000), small_geometry())
-    trace = [TraceEvent("act", 10), TraceEvent("idle", duration_ps=us(1)),
-             TraceEvent("act", 10)]
-    engine.run_trace(trace, us(100))
-    t1, t2 = act_times(engine)
-    assert t2 - t1 >= us(1)
-
-
 def test_timed_event_waits_for_its_timestamp():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
-    engine.run_trace([TraceEvent("act", 10, time_ps=us(7))], us(100))
+    engine.run_trace([TraceEvent(10, time_ps=us(7))], us(100))
     assert act_times(engine) == [us(7)]
 
 
 def test_bad_trace_events_rejected():
     engine = BankEngine(plain_pvac(10_000), small_geometry())
     with pytest.raises(ValueError):
-        engine.run_trace([TraceEvent("warp", 3)], us(10))
+        engine.run_trace([TraceEvent(512)], us(10))
+
+
+def test_stale_four_field_event_is_rejected_before_any_act():
+    engine = BankEngine(plain_pvac(10_000), small_geometry())
     with pytest.raises(ValueError):
-        engine.run_trace([TraceEvent("act", 512)], us(10))
+        engine.run_trace([("act", 10, None, 0)], us(10))
+    assert engine.metrics.acts_issued == 0
+    assert engine.log == []
 
 
 @pytest.mark.parametrize("scheme", [plain_pvac(10_000), preset("PRAC", 64)],
@@ -136,7 +133,7 @@ def test_out_of_bank_act_fails_without_counting(scheme):
     assert engine.metrics.acts_issued == acts
     assert engine.now == now
     assert observer.damage == damage
-    assert [row for _, _, kind, row, _ in engine.log if kind == "ACT"] \
+    assert [row for _, kind, row, _ in engine.log if kind == "ACT"] \
         == [0, 511]
 
 
@@ -152,14 +149,14 @@ def test_every_admitted_act_is_counted():
 def test_alert_window_admits_three_acts_then_bursts():
     engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
     engine.run_trace(hammer(10, 40), us(100))
-    kinds = [kind for _, _, kind, _, _ in engine.log]
+    kinds = [kind for _, kind, _, _ in engine.log]
     first = kinds.index("ALERT")
     assert kinds[first + 1:first + 4] == ["ACT", "ACT", "ACT"]
     tail = engine.log[first + 4:]
-    assert tail[0][2] == "RFM"
+    assert tail[0][1] == "RFM"
     rfm_times = []
     for entry in tail:
-        if entry[2] != "RFM":
+        if entry[1] != "RFM":
             break
         rfm_times.append(entry[0])
     assert len(set(rfm_times)) == 4  # n_mit commands, rows logged per command
@@ -171,7 +168,7 @@ def test_alert_fires_with_the_crossing_act():
     engine = BankEngine(plain_pvac(8), small_geometry())
     engine.run_trace(hammer(10, 8), us(100))
     acts = act_times(engine)
-    alerts = [t for t, _, kind, _, _ in engine.log if kind == "ALERT"]
+    alerts = [t for t, kind, _, _ in engine.log if kind == "ALERT"]
     assert alerts[0] == acts[7]  # eighth activation pushes victims to 8
 
 
@@ -189,7 +186,7 @@ def test_idle_time_consumes_window_hold_and_burst():
 def test_every_alert_is_separated_by_rfm_service():
     engine = BankEngine(preset("PRAC", 4, 2), small_geometry())
     engine.run_trace(hammer(10, 120), us(2000))
-    kinds = [kind for _, _, kind, _, _ in engine.log]
+    kinds = [kind for _, kind, _, _ in engine.log]
     assert kinds.count("ALERT") >= 2
     rfms_between = None
     for kind in kinds:
@@ -209,8 +206,8 @@ def test_hold_admits_delay_acts_before_next_alert():
     engine = BankEngine(preset("PRAC", 4, 2), small_geometry())
     engine.run_trace(hammer(10, 40), us(500))
     log = engine.log
-    alert_ts = [t for t, _, kind, _, _ in log if kind == "ALERT"]
-    last_rfm_before = max(t for t, _, kind, _, _ in log
+    alert_ts = [t for t, kind, _, _ in log if kind == "ALERT"]
+    last_rfm_before = max(t for t, kind, _, _ in log
                           if kind == "RFM" and t < alert_ts[1])
     acts_in_gap = [t for t in act_times(engine)
                    if last_rfm_before < t < alert_ts[1]]
@@ -224,7 +221,7 @@ def test_mini_domino_crosses_at_the_fourth_sweep():
     # touches row 0, at the end of that REF's blocking interval.
     engine = BankEngine(preset("PRAC", 4, 1), small_geometry())
     metrics = engine.run_trace([], 8 * 10**9)
-    alerts = [t for t, _, kind, _, _ in engine.log if kind == "ALERT"]
+    alerts = [t for t, kind, _, _ in engine.log if kind == "ALERT"]
     assert metrics.alerts_raised >= 1
     assert alerts[0] == 1536 * TREFI + TRFC
     assert audit_log(engine.log, engine.scheme.config,
@@ -241,8 +238,8 @@ def test_proactive_refresh_logs_before_the_alert_of_its_ref():
         engine.issue_act(row)
     assert engine.metrics.alerts_raised == 0
     engine.advance_to(TREFI + 1)
-    ref = engine.log.index((TREFI, 0, "REF", 1, 3))  # logged before counting
-    assert [(t, kind, row) for t, _, kind, row, _ in engine.log[ref:ref + 3]] \
+    ref = engine.log.index((TREFI, "REF", 1, 3))  # logged before counting
+    assert [(t, kind, row) for t, kind, row, _ in engine.log[ref:ref + 3]] \
         == [(TREFI, "REF", 1), (TREFI, "PROACT", 1),
             (TREFI + TRFC, "ALERT", 3)]
     assert engine.metrics.proactive_count == 1
@@ -314,7 +311,7 @@ def test_unlogged_run_does_no_log_work():
                                    us(3000))
         return engine, metrics
     logged, logged_metrics = run(True)
-    assert {kind for _, _, kind, _, _ in logged.log} == {
+    assert {kind for _, kind, _, _ in logged.log} == {
         "ACT", "REF", "ALERT", "RFM", "PROACT"}
     unlogged, unlogged_metrics = run(False)
     assert unlogged.log == []
@@ -322,7 +319,7 @@ def test_unlogged_run_does_no_log_work():
 
 
 def test_csv_lines_render_nanoseconds():
-    log = [(295000, 0, "ACT", 10, 3), (343500, 0, "RFM", 11, 0)]
+    log = [(295000, "ACT", 10, 3), (343500, "RFM", 11, 0)]
     lines = list(log_to_csv_lines(log))
     assert lines[0] == "time_ns,bank,event,row,counter_after"
     assert lines[1] == "295,0,ACT,10,3"
@@ -333,8 +330,8 @@ def test_csv_lines_render_nanoseconds():
 # -- the independent auditor -------------------------------------------------
 
 def ev(t_ns: float, kind: str, row: int = 0):
-    """One hand-built log entry: (time_ps, bank, kind, row, counter)."""
-    return (ns(t_ns), 0, kind, row, 0)
+    """One hand-built log entry: (time_ps, kind, row, counter)."""
+    return (ns(t_ns), kind, row, 0)
 
 
 # (log, expected problems); tRC 48 ns, tRFC 295 ns, RFM 350 ns, and an
