@@ -27,10 +27,11 @@ class CounterCore:
     row order and clipped at the edges, so a victim ACT walks
     below, self, above with no per-call bounds arithmetic.  Interior
     places share one tuple; only the `br` places at each edge get their
-    own.  The full-bank scans run in C on `_view`, a numpy view that
-    aliases the buffer of `_c`; it is built, and numpy imported, on the
-    first scan, so a run that never scans never loads numpy.  `_c` must
-    never be resized.
+    own.  The full-bank scans `max_count` and `argmax` serve tests and
+    tools; the engine makes none.  They run in C on `_view`, a numpy view
+    that aliases the buffer of `_c`; it is built, and numpy imported, on
+    the first scan, so a run that never scans never loads numpy.  `_c`
+    must never be resized.
     """
 
     __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view",

@@ -231,6 +231,23 @@ def _run_csa_latency(cfg: Dict[str, Any], outdir: str, seed: int,
     return EXIT_OK
 
 
+def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
+    """Name the first line of the file at `path` that is not UTF-8.
+
+    The text reader decodes in chunks, so `exc` gives an offset into a
+    chunk; the file is read again as bytes, split into lines the way the
+    text reader splits them, and the first one that fails to decode is
+    reported by its 1-based number."""
+    with open(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines())
+        for number, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return f"line {number}: {line_exc}"
+    return str(exc)
+
+
 @_scenario_command("simulate", scheme=SCHEME, geometry=GEOMETRY,
                    refresh=REFRESH, simulate=(
     Key("kind", (str,), "idle"),
@@ -262,7 +279,11 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                 metrics = engine.run_trace(events, duration_ps)
                 for _event in events:  # lines past the run are checked too
                     pass
-        except (OSError, UnicodeDecodeError, TraceError) as exc:
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"simulate.trace: {_undecodable_line(opts['trace'], exc)}"
+            ) from exc
+        except (OSError, TraceError) as exc:
             raise ConfigError(f"simulate.trace: {exc}") from exc
     else:
         if kind == "idle":

@@ -21,7 +21,8 @@ engine collects it once the hold expires — deferral, never suppression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
@@ -132,7 +133,13 @@ def preset(scheme: str, n_bo: int, n_mit: int = 1, *,
 
 
 class SchemeState:
-    """One bank's worth of mitigation state for a single scheme."""
+    """One bank's worth of mitigation state for a single scheme.
+
+    The scheme's counters change only through its own hooks, which keep
+    the queue (and, for an adaptive scheme, `_hot`) in step with the
+    kernel.  `CounterBank.apply_activation` bypasses both, so it must
+    not be used on a bank a `SchemeState` owns.
+    """
 
     def __init__(self, config: SchemeConfig,
                  geometry: DeviceGeometry) -> None:
@@ -150,6 +157,11 @@ class SchemeState:
         rules = SCHEME_RULES[config.scheme]
         self._sem, self._ref_sem = rules.act_count, rules.ref_count
         self._adaptive = rules.adaptive
+        # Adaptive schemes only: every row whose count is >= n_bo, and
+        # maybe rows reset since, which `_prune_hot` drops.  A count
+        # reaches n_bo only through a counted activation, and both
+        # counting walks add every such row.
+        self._hot: Set[int] = set()
         self._refs_seen = 0
         self._neighbours = neighbour_offsets(geometry)
         # Bound once: each counted activation goes straight to the kernel.
@@ -177,6 +189,8 @@ class SchemeState:
                     update(r, count)
                     if count >= n_bo:
                         hot.append(r)
+        if hot and self._adaptive:
+            self._hot.update(hot)
         return hot
 
     def take_pending_alert(self) -> Optional[int]:
@@ -195,13 +209,24 @@ class SchemeState:
             return self._hottest_if_hot()
         return row
 
-    def _hottest_if_hot(self) -> Optional[int]:
-        """The bank's hottest row if it holds a count >= n_bo, else None.
+    def _prune_hot(self) -> Set[int]:
+        """Drop from `_hot` the rows now below n_bo; return what is left,
+        every row of the bank at or above n_bo."""
+        get, n_bo = self.bank.core.get, self._n_bo
+        hot = self._hot = {row for row in self._hot if get(row) >= n_bo}
+        return hot
 
-        Adaptive alert servicing scans the whole bank this way, so a hot
-        row the queue displaced cannot be missed."""
-        row = self.bank.core.argmax()
-        return row if self.bank.get(row) >= self._n_bo else None
+    def _hottest_if_hot(self) -> Optional[int]:
+        """The bank's hottest row (the lowest, among equals) if it holds
+        a count >= n_bo, else None.
+
+        Adaptive alert servicing asks this of the rows counted hot, not
+        of the queue, so a hot row the queue displaced cannot be missed."""
+        hot = self._prune_hot()
+        if not hot:
+            return None
+        get = self.bank.core.get
+        return min(hot, key=lambda row: (-get(row), row))
 
     def _mitigate_one_aggressor(self, row: int) -> None:
         """Reset `row`, then activate its victims (counted activations).
@@ -224,8 +249,8 @@ class SchemeState:
         else 1 aggressor; returns the rows refreshed or reset.
 
         With require_hot (adaptive alert servicing) the target must hold a
-        count >= n_bo; if the queue's top does not, the bank is scanned so
-        a displaced hot row cannot be missed.
+        count >= n_bo; if the queue's top does not, the hottest row
+        counted hot is taken, so a displaced hot row cannot be missed.
         """
         applied: List[int] = []
         if self._sem == VICTIM_COUNT:
@@ -277,6 +302,8 @@ class SchemeState:
                 if count >= self._n_bo:
                     hot.append(r)
         if hot:
+            if self._adaptive:
+                self._hot.update(hot)
             if alert_allowed:
                 return min(hot)
             self.pending_alert = True
@@ -320,7 +347,7 @@ class SchemeState:
     def rfm_pending_more(self) -> bool:
         """Whether the alert's RFM burst goes on: fixed-count schemes
         issue all their RFMs, adaptive ones stop once no counter is hot."""
-        return not self._adaptive or self.bank.core.max_count() >= self._n_bo
+        return not self._adaptive or bool(self._prune_hot())
 
     def alert_burst_length(self) -> int:
         """RFMs the controller should issue for one alert."""

@@ -509,7 +509,11 @@ def test_simulate_rejects_broken_traces(tmp_path):
                          (b"ASAP,x,ACT,5\n", "bank 'x'"),
                          (b"ASAP,0,ACT,5\nASAP,7,ACT,6\n", "line 2: bank '7'"),
                          (b"ASAP,0,ACT,5\n-5,0,ACT,3\n", "line 2: time -5 "),
-                         (b"ASAP,0,ACT,5\n\xff,0,ACT,3\n", "byte 0xff")):
+                         (b"ASAP,0,ACT,5\n\xff,0,ACT,3\n", "byte 0xff"),
+                         (b"ASAP,0,ACT,5\n" * 1000 + b"\xff,0,ACT,3\n",
+                          "line 1001: 'utf-8' codec can't decode byte 0xff"),
+                         (b"ASAP,0,ACT,5\rASAP,0,ACT,5\r\n\xff,0,ACT,3\n",
+                          "line 3: ")):
         trace = tmp_path / "attack.trace"
         trace.write_bytes(body)
         cfg = write_cfg(tmp_path, SIM_PREFIX

@@ -68,8 +68,6 @@ def loaded():
 import hammersim.cli
 report = {"import": loaded()}
 from click.testing import CliRunner
-from hammersim.kernel import KERNEL_BUILD
-report["build"] = KERNEL_BUILD
 for name, argv in json.loads(sys.argv[1]):
     code = CliRunner().invoke(hammersim.cli.main, argv).exit_code
     report[name] = [code, loaded()]
@@ -79,8 +77,8 @@ print(json.dumps(report))
 
 def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
         tmp_path):
-    # numpy serves only the Python kernel's bank scans (Chronus) and the
-    # security tables; the process pool only `sweep-stride --jobs >1`.
+    # numpy now serves only the security tables (not a Chronus run); the
+    # process pool only `sweep-stride --jobs >1`.
     domino = tmp_path / "domino.yaml"
     domino.write_text(CLI_CASES["domino"])
     chronus = tmp_path / "chronus.yaml"
@@ -104,8 +102,7 @@ def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["import"] == []
     assert report["domino"] == [0, []]
-    scans_in_numpy = report["build"] == "python"
-    assert report["chronus"] == [0, ["numpy"] if scans_in_numpy else []]
+    assert report["chronus"] == [0, []]
     golden = json.loads(GOLDEN.read_text())
     assert file_digests(tmp_path / "domino") == golden["cli/domino"]
     events = (tmp_path / "chronus" / "events.csv").read_text().splitlines()

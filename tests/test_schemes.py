@@ -1,15 +1,19 @@
 """Scheme state machines: counting, alerts, RFM service, proactive hooks."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hammersim import counters, schemes
 from hammersim.counters import AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry
 from hammersim.engine import BankEngine, EngineMetrics
 from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, SCHEME_RULES, SCHEMES,
                                SchemeConfig, SchemeState, preset)
 from hammersim.security import act_time_ns, discipline_for_scheme
+from test_kernel import kernels
 
 
 def small_geometry(rows: int = 256, bits: int = 16) -> DeviceGeometry:
@@ -381,6 +385,47 @@ def test_chronus_finds_hot_row_displaced_from_queue():
             break
     assert set(serviced) == {10, 40}
     assert state.bank.core.max_count() < 3
+
+
+# A random mix of hook calls.  An ACT step activates one row 1-6 times,
+# mostly rows 12-20 so that counts build up and neighbours run hot; a REF
+# names one of the bank's 8-row groups.
+CHRONUS_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("act"), st.integers(0, 63) | st.integers(12, 20),
+              st.booleans(), st.integers(1, 6)),
+    st.tuples(st.just("ref"), st.integers(0, 7)),
+    st.just(("rfm",)), st.just(("take",))), max_size=80)
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dsa=st.sampled_from([16, 32]), br=st.integers(1, 2),
+       n_bo=st.integers(2, 6), depth=st.integers(1, 4), steps=CHRONUS_STEPS)
+def test_chronus_hot_rows_answer_like_a_bank_scan(mod, dsa, br, n_bo, depth,
+                                                  steps):
+    # The adaptive checks read the rows counted hot; after every hook call
+    # they must answer exactly what a scan of the whole bank answers.
+    geometry = DeviceGeometry(rows_per_bank=64, banks=1, rows_per_dsa=dsa,
+                              counter_bits=4, blast_radius=br)
+    config = dataclasses.replace(preset("Chronus", n_bo), queue_depth=depth)
+    with mock.patch.object(counters, "CounterCore", mod.CounterCore), \
+            mock.patch.object(schemes, "TopQueue", mod.TopQueue):
+        state = SchemeState(config, geometry)
+    core = state.bank.core
+    for step in steps:
+        if step[0] == "act":
+            for _ in range(step[3]):
+                state.on_act(step[1], alert_allowed=step[2])
+        elif step[0] == "ref":
+            state.on_refresh(range(8 * step[1], 8 * step[1] + 8))
+        elif step[0] == "rfm":
+            state.on_rfm()
+        else:
+            state.take_pending_alert()
+        top = core.argmax()
+        assert state.rfm_pending_more() == (core.max_count() >= n_bo)
+        assert state._hottest_if_hot() == (top if core.get(top) >= n_bo
+                                           else None)
 
 
 # -- proactive mitigation ----------------------------------------------------
