@@ -51,6 +51,19 @@ def test_per_ref_ratios_match_calibration_within_one_percent():
     assert optimized == pytest.approx(CSA_PER_REF_OPTIMIZED, rel=0.01)
 
 
+def test_calibration_ratios_are_pinned():
+    geometry = default_geometry()
+    model = default_energy_model(geometry)
+    assert model.per_access_csa_ratio(NAIVE, geometry) == \
+        pytest.approx(0.201, rel=1e-12)
+    assert model.per_access_csa_ratio(OPTIMIZED, geometry) == \
+        pytest.approx(0.198, rel=1e-12)
+    assert model.per_ref_csa_ratio(NAIVE, geometry) == \
+        pytest.approx(1.608, rel=1e-12)
+    assert model.per_ref_csa_ratio(OPTIMIZED, geometry) == \
+        pytest.approx(0.19346564885496184, rel=1e-12)
+
+
 def test_default_model_coefficients():
     model = default_energy_model()
     assert model.csa_act_per_ns == pytest.approx(0.201 / 24.95, rel=1e-9)
@@ -193,3 +206,94 @@ def test_idle_run_has_no_rfm_windows():
     windows = engine.run_trace([], 2 * SHORT_REFRESH.window_ps).windows
     assert len(windows) == 2
     assert all(w.rfm_count == 0 and w.alert_count == 0 for w in windows)
+
+
+# -- pinned reports ---------------------------------------------------------------
+#
+# Every layout's CSV for two fixed runs: PVAC hammering row 127, whose
+# counter group straddles the first 128-row chunk boundary, through one
+# short window of SMALL (ACTs, REFs, RFMs and proactive refreshes), and
+# a refresh-only run on the default bank.
+
+HEADER = "class,occupancy_ns,energy,fraction_of_total"
+
+PINNED_HAMMER = {
+    "NaiveCsa": [
+        "dsa_act,1920.000,40.000000,0.020808",
+        "ref,75520.000,1573.333333,0.818444",
+        "rfm,1750.000,36.458333,0.018966",
+        "csa_act,33832.200,227.221034,0.118200",
+        "csa_update,0.000,45.334966,0.023583",
+        "total,,1922.347667,1.000000",
+        "normalized_vs_baseline,,1.191538,",
+    ],
+    "OptimizedDualCsa": [
+        "dsa_act,1920.000,40.000000,0.021294",
+        "ref,75520.000,1573.333333,0.837562",
+        "rfm,1750.000,36.458333,0.019409",
+        "csa_act,29490.900,189.158750,0.100698",
+        "csa_update,0.000,39.517647,0.021037",
+        "total,,1878.468064,1.000000",
+        "normalized_vs_baseline,,1.164340,",
+    ],
+    "InDsaRow": [
+        "dsa_act,1920.000,40.000000,0.024245",
+        "ref,75520.000,1573.333333,0.953656",
+        "rfm,1750.000,36.458333,0.022099",
+        "csa_act,0.000,0.000000,0.000000",
+        "csa_update,0.000,0.000000,0.000000",
+        "total,,1649.791667,1.000000",
+        "normalized_vs_baseline,,1.022598,",
+    ],
+}
+
+PINNED_REFRESH_ONLY = {
+    "NaiveCsa": [
+        "dsa_act,0.000,0.000000,0.000000",
+        "ref,30385.000,633.020833,0.792619",
+        "rfm,0.000,0.000000,0.000000",
+        "csa_act,20558.800,138.075319,0.172887",
+        "csa_update,0.000,27.548681,0.034494",
+        "total,,798.644833,1.000000",
+        "normalized_vs_baseline,,1.261641,",
+    ],
+    "OptimizedDualCsa": [
+        "dsa_act,0.000,0.000000,0.000000",
+        "ref,30385.000,633.020833,0.969482",
+        "rfm,0.000,0.000000,0.000000",
+        "csa_act,2569.850,16.483377,0.025245",
+        "csa_update,0.000,3.443585,0.005274",
+        "total,,652.947795,1.000000",
+        "normalized_vs_baseline,,1.031479,",
+    ],
+    "InDsaRow": [
+        "dsa_act,0.000,0.000000,0.000000",
+        "ref,30385.000,633.020833,1.000000",
+        "rfm,0.000,0.000000,0.000000",
+        "csa_act,0.000,0.000000,0.000000",
+        "csa_update,0.000,0.000000,0.000000",
+        "total,,633.020833,1.000000",
+        "normalized_vs_baseline,,1.000000,",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_HAMMER))
+def test_alerting_hammer_report_is_pinned(kind):
+    engine = BankEngine(preset("PVAC", 8), SMALL, SHORT_REFRESH)
+    engine.run_trace(hammer(127, 40), SHORT_REFRESH.window_ps)
+    kinds = {k for _t, k, _r, _c in engine.log}
+    assert kinds == {"ACT", "REF", "RFM", "ALERT", "PROACT"}
+    report = energy_report(engine.log, engine.scheme.config,
+                           CsaLayout(kind=kind), SMALL, engine.refresh)
+    assert report.to_csv_lines() == [HEADER] + PINNED_HAMMER[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_REFRESH_ONLY))
+def test_refresh_only_report_is_pinned(kind):
+    engine = BankEngine(preset("PVAC", 200), default_geometry())
+    engine.run_trace([], us(400))
+    report = energy_report(engine.log, engine.scheme.config,
+                           CsaLayout(kind=kind), default_geometry(),
+                           engine.refresh)
+    assert report.to_csv_lines() == [HEADER] + PINNED_REFRESH_ONLY[kind]
