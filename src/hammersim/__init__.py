@@ -13,8 +13,7 @@ from .attacks import (DamageObserver, FeintingResult, RoundRobinSpec,
                       gen_benign, gen_round_robin, lines_to_trace,
                       run_feinting, wave_layout)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
-                       CsaLayout, CsaTiming, counter_update_latency,
-                       csa_activations_for_event, csa_scaled_latency,
+                       CsaLayout, CsaTiming, csa_scaled_latency,
                        dual_activation_rows, victim_set)
 from .dram import (DeviceGeometry, RefreshConfig, TimingSet,
                    builtin_timing_set, idle_bandwidth, rows_per_refresh)
@@ -44,7 +43,6 @@ __all__ = [
     "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
     "TraceEvent", "VICTIM_COUNT", "WindowStats",
     "audit_log", "builtin_timing_set", "brute_force_oracle", "bw_bound",
-    "counter_update_latency", "csa_activations_for_event",
     "csa_scaled_latency", "default_energy_model", "dual_activation_rows",
     "energy_report", "gen_benign", "gen_round_robin", "hc_chronus",
     "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",

@@ -15,16 +15,18 @@ kernel's codes and the package's one name for a discipline.
 exists in two interchangeable builds (compiled and pure Python); see
 `kernel`.  `neighbour_offsets` is the victim rule for everything outside
 the kernel; `tests/test_kernel.py` ties the kernel's own copy to it.
-The rest of the module models the counter subarray (CSA): its layouts,
-its access timings, the latency of one counter update and how many CSA
-row cycles an ACT or a REF costs, which `energy` charges.
+The rest of the module models the counter subarray (CSA): its access
+timings, the latency of one counter update (`csa_scaled_latency`) and
+its layouts.  `CsaLayout` is the one home of the CSA cost rule: how many
+CSA row cycles an ACT or a REF batch costs, which `energy` charges at
+one cost per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .dram import DeviceGeometry
 from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, NONE as NO_COUNT,
@@ -54,14 +56,49 @@ def victim_set(row: int, geometry: DeviceGeometry) -> List[int]:
     return sorted(row + o for o in offsets)
 
 
+#: Rows per CSA chunk.  A counter group that straddles a chunk boundary
+#: costs the optimized dual layout two CSA activations, one per subarray.
+CSA_CHUNK_ROWS = 128
+
+
 @dataclass(frozen=True)
 class CsaLayout:
+    """Where the counters live, and the CSA row cycles each event costs.
+
+    InDsaRow keeps the counters in the data subarray: no CSA cycle.
+    NaiveCsa pays one cycle per counted activation and one per refreshed
+    row.  OptimizedDualCsa pays one half-size cycle per counted
+    activation (two, issued in parallel, when the counter group straddles
+    a chunk boundary) and packs a whole refresh batch into one cycle.
+    """
+
     kind: str = "OptimizedDualCsa"  # InDsaRow | NaiveCsa | OptimizedDualCsa
-    chunk_rows: int = 128
 
     def __post_init__(self) -> None:
         if self.kind not in ("InDsaRow", "NaiveCsa", "OptimizedDualCsa"):
             raise ValueError(f"unknown CSA layout kind {self.kind!r}")
+
+    def act_cycles(self, row: int, geometry: DeviceGeometry) -> int:
+        """CSA row cycles to count one activation of `row`.
+
+        The counter group is the row and its victims, clipped to the
+        row's subarray; it spans two chunks when its lowest and highest
+        rows fall in different ones.
+        """
+        if self.kind == "InDsaRow":
+            return 0
+        if self.kind == "NaiveCsa":
+            return 1
+        group = (0, *neighbour_offsets(geometry)[row % geometry.rows_per_dsa])
+        lo, hi = row + min(group), row + max(group)
+        return 2 if lo // CSA_CHUNK_ROWS != hi // CSA_CHUNK_ROWS else 1
+
+    def ref_cycles(self, n_rows: int) -> int:
+        """CSA row cycles to update the counters of a refresh batch of
+        `n_rows` rows."""
+        if self.kind == "InDsaRow":
+            return 0
+        return n_rows if self.kind == "NaiveCsa" else 1
 
 
 @dataclass(frozen=True)
@@ -105,20 +142,6 @@ class CounterBank:
         return self.core.act(row, semantics)
 
 
-def counter_update_latency(timing: CsaTiming, blast_radius: int) -> int:
-    """Latency (ps) of one in-CSA counter update for an activation.
-
-    One CSA activation covers the activated row's counter and the 2*BR
-    neighbor counters, updated serially after tRCD, then written back:
-    tRCD + (2*BR + 1) * tUP + tWR + tRP.
-    """
-    if blast_radius < 1:
-        raise ValueError("blast_radius must be >= 1")
-    updates = 2 * blast_radius + 1
-    return (timing.tRCD_csa + updates * timing.tUP
-            + timing.tWR_csa + timing.tRP_csa)
-
-
 # Scaling model for banks bigger than the 64K-row baseline.  The
 # short-CSA access component starts from the 32-row dual-CSA figure and
 # grows per doubling of bank rows; the update step shrinks slightly as the
@@ -147,7 +170,9 @@ class CsaLatency(NamedTuple):
 
     @property
     def total_ns(self) -> float:
-        """tRCD + update + tWR + tRP."""
+        """tRCD + update + tWR + tRP: one in-CSA counter update, whose
+        2*BR + 1 counters are updated serially after tRCD and then
+        written back."""
         return self.tRCD_ns + self.update_ns + self.tWR_ns + self.tRP_ns
 
 
@@ -175,48 +200,9 @@ def csa_scaled_latency(rows_per_bank: int, blast_radius: int) -> CsaLatency:
                       to_ns(timing.tRP_csa) * grow, total, csa / total)
 
 
-def _spans_chunk_boundary(row: int, geometry: DeviceGeometry,
-                          layout: CsaLayout) -> bool:
-    group = [row] + victim_set(row, geometry)
-    chunks = {r // layout.chunk_rows for r in group}
-    return len(chunks) > 1
-
-
-def csa_activations_for_event(layout: CsaLayout, event: str,
-                              geometry: DeviceGeometry,
-                              row: int | None = None,
-                              rows: Sequence[int] | None = None) -> int:
-    """CSA row activations needed to service one DSA event.
-
-    event == "NormalAct": single CSA activation, except in the optimized
-    dual layout when the activated row's counter group straddles a 128-row
-    chunk boundary (two activations, one per subarray, issued in parallel).
-
-    event == "Refresh": the naive layout updates each refreshed row's
-    counter with its own CSA row cycle; the optimized layout packs the
-    whole refresh group's counters into a single CSA row and pays one.
-    """
-    if layout.kind == "InDsaRow":
-        # Counters live in the data subarray itself; no CSA involved.
-        return 0
-    if event == "NormalAct":
-        if row is None:
-            raise ValueError("NormalAct needs a row")
-        if layout.kind == "NaiveCsa":
-            return 1
-        return 2 if _spans_chunk_boundary(row, geometry, layout) else 1
-    if event == "Refresh":
-        if rows is None:
-            raise ValueError("Refresh needs the refreshed rows")
-        if layout.kind == "NaiveCsa":
-            return len(rows)
-        return 1
-    raise ValueError(f"unknown CSA event {event!r}")
-
-
-def dual_activation_rows(geometry: DeviceGeometry,
-                         layout: CsaLayout) -> List[int]:
+def dual_activation_rows(geometry: DeviceGeometry) -> List[int]:
     """All rows of one DSA whose update needs both subarrays (optimized
     layout).  Exhaustive enumeration used by tests and docs."""
+    layout = CsaLayout("OptimizedDualCsa")
     return [r for r in range(geometry.rows_per_dsa)
-            if _spans_chunk_boundary(r, geometry, layout)]
+            if layout.act_cycles(r, geometry) == 2]

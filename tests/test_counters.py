@@ -3,14 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hammersim.counters import (CSA_COMPONENT_GROWTH, CSA_UPDATE_SHRINK,
-                                CounterBank, CsaLayout, CsaTiming,
-                                counter_update_latency,
-                                csa_activations_for_event,
+from hammersim.counters import (CSA_CHUNK_ROWS, CSA_COMPONENT_GROWTH,
+                                CSA_UPDATE_SHRINK, CounterBank, CsaLayout,
                                 csa_scaled_latency, dual_activation_rows,
                                 neighbour_offsets, victim_set)
 from hammersim.dram import DeviceGeometry
-from hammersim.units import to_ns
 
 G = DeviceGeometry()
 
@@ -76,11 +73,10 @@ def test_counters_saturate_at_cap():
 
 
 def test_counter_update_latency_matches_pipeline_sum():
-    t = CsaTiming()
-    # tRCD + (2*BR + 1) updates + tWR + tRP, picoseconds.
-    assert counter_update_latency(t, 2) == 35_050
-    assert to_ns(counter_update_latency(t, 2)) == pytest.approx(35.05)
-    assert counter_update_latency(t, 1) == 33_390
+    # At 64K rows: tRCD + (2*BR + 1) updates + tWR + tRP, the CsaTiming
+    # steps themselves.
+    assert csa_scaled_latency(65536, 2).total_ns == pytest.approx(35.05)
+    assert csa_scaled_latency(65536, 1).total_ns == pytest.approx(33.39)
 
 
 def test_scaled_latency_across_generations_stays_under_row_cycle():
@@ -98,13 +94,10 @@ def test_scaled_latency_64k_br1_share():
 
 
 def test_scaled_latency_components_grow_and_shrink():
-    # At 64K the components are the CsaTiming steps themselves, and their
-    # sum is the in-CSA update latency.
+    # At 64K the components are the CsaTiming steps themselves.
     base = csa_scaled_latency(65536, 2)
     assert (base.tRCD_ns, base.tWR_ns, base.tRP_ns) == (7.6, 19.2, 4.1)
     assert base.update_ns == pytest.approx(5 * 0.83)
-    assert base.total_ns == pytest.approx(
-        to_ns(counter_update_latency(CsaTiming(), 2)))
     # Each doubling grows the access steps and shrinks the update step.
     big = csa_scaled_latency(262144, 2)
     assert big.tRCD_ns == pytest.approx(7.6 * CSA_COMPONENT_GROWTH ** 2)
@@ -123,29 +116,35 @@ def test_scaled_latency_rejects_odd_row_counts():
 
 
 def test_dual_activation_rows_are_chunk_straddlers():
-    layout = CsaLayout(kind="OptimizedDualCsa")
-    rows = dual_activation_rows(G, layout)
+    rows = dual_activation_rows(G)
     # Two rows on each side of every interior 128-row chunk boundary.
     assert len(rows) == 12
     assert rows == [126, 127, 128, 129, 254, 255, 256, 257,
                     382, 383, 384, 385]
+    # On small banks the cycle count is the number of chunks the counter
+    # group touches.  200 is not a multiple of the chunk, so chunk and
+    # subarray edges fall apart; a group never crosses a subarray edge.
+    opt = CsaLayout(kind="OptimizedDualCsa")
+    for br in (1, 2, 3):
+        for rows_per_dsa in (64, 200, 256):
+            g = DeviceGeometry(rows_per_bank=2 * rows_per_dsa,
+                               rows_per_dsa=rows_per_dsa, blast_radius=br)
+            for row in range(g.rows_per_bank):
+                group = [row] + victim_set(row, g)
+                chunks = len({r // CSA_CHUNK_ROWS for r in group})
+                assert opt.act_cycles(row, g) == chunks, (g, row)
+            assert dual_activation_rows(g) == [
+                r for r in range(rows_per_dsa) if opt.act_cycles(r, g) == 2]
 
 
 def test_csa_activation_counts_per_event():
     naive = CsaLayout(kind="NaiveCsa")
     opt = CsaLayout(kind="OptimizedDualCsa")
     indsa = CsaLayout(kind="InDsaRow")
-    assert csa_activations_for_event(naive, "NormalAct", G, row=10) == 1
-    assert csa_activations_for_event(opt, "NormalAct", G, row=10) == 1
-    assert csa_activations_for_event(opt, "NormalAct", G, row=127) == 2
-    assert csa_activations_for_event(indsa, "NormalAct", G, row=127) == 0
-    batch = list(range(8))
-    assert csa_activations_for_event(naive, "Refresh", G, rows=batch) == 8
-    assert csa_activations_for_event(opt, "Refresh", G, rows=batch) == 1
-
-
-def test_csa_activations_reject_missing_arguments():
-    with pytest.raises(ValueError):
-        csa_activations_for_event(CsaLayout(kind="NaiveCsa"), "NormalAct", G)
-    with pytest.raises(ValueError):
-        csa_activations_for_event(CsaLayout(kind="NaiveCsa"), "Refresh", G)
+    assert naive.act_cycles(10, G) == 1
+    assert opt.act_cycles(10, G) == 1
+    assert opt.act_cycles(127, G) == 2
+    assert indsa.act_cycles(127, G) == 0
+    assert naive.ref_cycles(8) == 8
+    assert opt.ref_cycles(8) == 1
+    assert indsa.ref_cycles(8) == 0

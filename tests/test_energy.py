@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from hammersim.attacks import RoundRobinSpec, gen_round_robin
-from hammersim.counters import CsaLayout, CsaTiming
+from hammersim.counters import CsaLayout
 from hammersim.dram import DeviceGeometry, RefreshConfig, ms, ns, us
 from hammersim.energy import (CSA_PER_ACCESS_NAIVE, CSA_PER_ACCESS_OPTIMIZED,
                               CSA_PER_REF_NAIVE, CSA_PER_REF_OPTIMIZED,
@@ -66,21 +66,19 @@ def test_calibration_ratios_are_pinned():
 
 def test_default_model_coefficients():
     model = default_energy_model()
-    assert model.csa_act_per_ns == pytest.approx(0.201 / 24.95, rel=1e-9)
-    assert model.csa_update_per_ns == model.csa_act_per_ns
+    assert model.csa_per_ns == pytest.approx(0.201 / 24.95, rel=1e-9)
+    assert model.dsa_per_ns == 1.0 / 48.0
     assert model.half_csa_discount == pytest.approx(0.9550368, abs=1e-6)
     assert model.access_energy(48.0) == pytest.approx(1.0)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        EnergyModel(dsa_act_per_ns=-1, ref_row_per_ns=0, rfm_row_per_ns=0,
-                    csa_act_per_ns=0, csa_update_per_ns=0,
-                    half_csa_discount=0.5)
+        EnergyModel(dsa_per_ns=-1, csa_per_ns=0, half_csa_discount=0.5)
     with pytest.raises(ValueError):
-        EnergyModel(dsa_act_per_ns=0, ref_row_per_ns=0, rfm_row_per_ns=0,
-                    csa_act_per_ns=0, csa_update_per_ns=0,
-                    half_csa_discount=0.0)
+        EnergyModel(dsa_per_ns=0, csa_per_ns=-1, half_csa_discount=0.5)
+    with pytest.raises(ValueError):
+        EnergyModel(dsa_per_ns=0, csa_per_ns=0, half_csa_discount=0.0)
 
 
 # -- report mechanics -----------------------------------------------------------
