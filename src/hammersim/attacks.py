@@ -179,8 +179,11 @@ def run_feinting(engine: BankEngine, r1: int, *,
     the alert window and the post-mitigation hold still admit.  The setup,
     each round and the tail are each issued as one lazy stream of rows,
     one ACT at a time while the bank's clock (`engine.now`) is still
-    before `stop_at_ps`.
+    before `stop_at_ps`.  The engine must keep its log (`collect_log`).
     """
+    if not engine.collect_log:
+        raise ValueError("the wave attack reads mitigated rows from the "
+                         "event log; the engine keeps none")
     config = engine.scheme.config
     groups, floor = wave_layout(config, engine.geometry, r1)
     observer = DamageObserver(engine.geometry)
@@ -188,15 +191,16 @@ def run_feinting(engine: BankEngine, r1: int, *,
     if stop_at_ps is None:
         stop_at_ps = engine.refresh.window_ps
 
-    log_cursor = len(engine.log)
+    log = engine.log
+    log_cursor = len(log)
     mitigated: Set[int] = set()
 
     def harvest() -> None:
         nonlocal log_cursor
-        for entry in engine.log[log_cursor:]:
-            if entry[1] in ("RFM", "PROACT") and entry[2] >= 0:
-                mitigated.add(entry[2])
-        log_cursor = len(engine.log)
+        for kind, row in log.kinds_and_rows(log_cursor):
+            if (kind == "RFM" or kind == "PROACT") and row >= 0:
+                mitigated.add(row)
+        log_cursor = len(log)
 
     issue_act = engine.issue_act
 
@@ -246,7 +250,7 @@ def lines_to_trace(lines: Iterable[str], rows: int) -> Iterator[TraceEvent]:
     (ASAP is time 0), the bank field must be 0 (the engine models one
     bank) and the row must lie in [0, rows).  A broken line raises
     TraceError naming its 1-based line number."""
-    make = TraceEvent._make
+    new = tuple.__new__  # TraceEvent._make without its length check
     for number, ln in enumerate(lines, 1):
         ln = ln.strip()
         if not ln or ln[0] == "#":
@@ -266,4 +270,4 @@ def lines_to_trace(lines: Iterable[str], rows: int) -> Iterator[TraceEvent]:
                 raise ValueError(f"time {stamp} ns is negative")
         except ValueError as exc:
             raise TraceError(f"line {number}: {exc}") from None
-        yield make((row, t))
+        yield new(TraceEvent, (row, t))

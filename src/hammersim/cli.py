@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import asdict
+from itertools import islice
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
@@ -39,6 +40,10 @@ from .units import ns
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+
+# Lines per write call in `_write_text`: one join instead of a write per
+# line, with at most this many lines held at once.
+_WRITE_BATCH = 1024
 
 # Each command's config, one table per section it takes; see `Key`.
 # Config's builders read the `geometry`, `refresh` and `scheme` sections.
@@ -80,10 +85,14 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
 
 
 def _write_text(outdir: str, name: str, lines: Iterable[str]) -> None:
-    """Write `lines` as they come, each ended by a newline."""
+    """Write `lines` as they come, each ended by a newline, joining up
+    to `_WRITE_BATCH` of them per write call."""
+    it = iter(lines)
     with open(os.path.join(outdir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.writelines(f"{ln}\n" for ln in lines)
+        while batch := list(islice(it, _WRITE_BATCH)):
+            batch.append("")  # the last line's newline
+            fh.write("\n".join(batch))
 
 
 def _write_manifest(outdir: str, scenario: str, seed: int,

@@ -17,7 +17,7 @@ row cycle per refreshed row (naive) against a single packed cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .counters import CsaLayout, CsaTiming, dual_activation_rows
 from .dram import (RFM_NS, DeviceGeometry, RefreshConfig,
@@ -141,7 +141,7 @@ class EnergyReport:
         return lines
 
 
-def energy_report(log: Sequence[Tuple[int, str, int, int]],
+def energy_report(log: Iterable[Tuple[int, str, int, int]],
                   scheme: SchemeConfig,
                   layout: CsaLayout,
                   geometry: Optional[DeviceGeometry] = None,

@@ -23,9 +23,10 @@ accounting charges REF and RFM blocks only — admitted ACTs are useful work.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
                    RefreshConfig, TimingSet, rows_per_refresh)
@@ -47,6 +48,54 @@ class TraceEvent(NamedTuple):
 
     row: int
     time_ps: int = 0  # 0 = as soon as possible
+
+
+class EventLog:
+    """The engine's event log, one `(time_ps, kind, row, counter)` entry
+    per event, stored as four columns.
+
+    Times, rows and counters are `array("q")` columns and kinds a list of
+    the engine's interned kind strings: about 33 B per event, a quarter
+    of what a list of tuples holds.  It reads as that list: iteration
+    and int or slice indexing give the tuples, `index` finds one, and it
+    compares equal to a list of them.  The engine appends to the
+    columns."""
+
+    __slots__ = ("times", "kinds", "rows", "counters")
+
+    def __init__(self) -> None:
+        self.times = array("q")
+        self.kinds: List[str] = []
+        self.rows = array("q")
+        self.counters = array("q")
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[Tuple[int, str, int, int]]:
+        return zip(self.times, self.kinds, self.rows, self.counters)
+
+    def __getitem__(self, index: Union[int, slice]):
+        entry = (self.times[index], self.kinds[index], self.rows[index],
+                 self.counters[index])
+        if isinstance(index, slice):
+            return list(zip(*entry))
+        return entry
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (EventLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def index(self, entry: Tuple[int, str, int, int]) -> int:
+        for i, logged in enumerate(self):
+            if logged == entry:
+                return i
+        raise ValueError(f"{entry!r} is not in the log")
+
+    def kinds_and_rows(self, start: int) -> Iterator[Tuple[str, int]]:
+        """The kind and row of each event from index `start` on."""
+        return zip(self.kinds[start:], self.rows[start:])
 
 
 @dataclass
@@ -71,7 +120,12 @@ class EngineMetrics:
 
 
 class BankEngine:
-    """Deterministic closed-loop engine for one bank."""
+    """Deterministic closed-loop engine for one bank.
+
+    With `collect_log` on, every command lands in `log`, an `EventLog`
+    whose four columns the engine appends to through their bound
+    `append`s; with it off the log stays empty and no counter is read
+    for it."""
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
                  refresh: Optional[RefreshConfig] = None, *,
@@ -82,8 +136,10 @@ class BankEngine:
         self.scheme = SchemeState(scheme, geometry)
         self.timing: TimingSet = scheme.timing_set()
         self.collect_log = collect_log
-        # (time_ps, kind, row, counter)
-        self.log: List[Tuple[int, str, int, int]] = []
+        # (time_ps, kind, row, counter) per event, one column each
+        self.log = log = EventLog()
+        self._log_appends = (log.times.append, log.kinds.append,
+                             log.rows.append, log.counters.append)
 
         self._tRC = self.timing.tRC
         self._tRFC = self.refresh.tRFC
@@ -91,9 +147,11 @@ class BankEngine:
         self._tREFI = self.refresh.tREFI
         self._rows = geometry.rows_per_bank
         self._get = self.scheme.bank.core.get
+        self._on_act = self.scheme.on_act
 
         self.now = 0              # the instant the bank next becomes free
         self._ref_k = 0           # index of the next scheduled REF
+        self._ref_due = 0         # its due time, _ref_k * tREFI
         self._state = _IDLE
         self._win_deadline = 0
         self._win_acts_left = 0
@@ -122,8 +180,11 @@ class BankEngine:
 
         Callers skip it when `collect_log` is off, so a run without a log
         never reads counters for it."""
-        counter = self._get(row) if row >= 0 else 0
-        self.log.append((t, kind, row, counter))
+        add_time, add_kind, add_row, add_counter = self._log_appends
+        add_time(t)
+        add_kind(kind)
+        add_row(row)
+        add_counter(self._get(row) if row >= 0 else 0)
 
     def _charge_block(self, t: int, dur: int) -> None:
         w = t // self._win_len
@@ -133,8 +194,8 @@ class BankEngine:
     # -- primitive command issue --------------------------------------------
 
     def _issue_ref(self) -> None:
-        """Issue the next scheduled REF (due at `_ref_k * tREFI`)."""
-        t = max(self._ref_k * self._tREFI, self.now)
+        """Issue the next scheduled REF (due at `_ref_due`)."""
+        t = max(self._ref_due, self.now)
         n, rpr = self._rows, self._rpr
         start_row = (self._ref_k * rpr) % n
         if start_row + rpr <= n:
@@ -142,6 +203,7 @@ class BankEngine:
         else:  # the group wraps past the last row
             rows = [(start_row + i) % n for i in range(rpr)]
         self._ref_k += 1
+        self._ref_due += self._tREFI
         self.now = t + self._tRFC
         self._charge_block(t, self._tRFC)
         self.metrics.refs_issued += 1
@@ -188,7 +250,7 @@ class BankEngine:
         budget = self.scheme.alert_burst_length()
         issued = 0
         while issued < budget:
-            while self._ref_k * self._tREFI <= cur:
+            while self._ref_due <= cur:
                 self._issue_ref()
                 cur = max(cur, self.now)
             t = max(cur, self.now)
@@ -244,63 +306,55 @@ class BankEngine:
             t = self.now
             if not_before > t:
                 t = not_before
-            if self._ref_k * self._tREFI <= t:
+            if self._ref_due <= t:
                 self._issue_ref()
                 continue
-            if self._state == _WINDOW:
-                avail = self.now
-                if not_before > avail:
-                    # The controller sat idle with the window open.
-                    self._collapse_idle(not_before)
+            state = self._state
+            if state == _IDLE:
+                if self.scheme.pending_alert and self._surface_pending():
                     continue
-                if self._win_acts_left > 0 and t <= self._win_deadline:
-                    issue = t
-                    self._win_acts_left -= 1
-                    burst_after = self._win_acts_left == 0
-                    self._admit(issue, row)
-                    if burst_after:
-                        self._run_burst(self.now)
-                    return issue
-                self._run_burst(max(self.now, not_before))
+                break
+            if not_before > self.now:
+                # The controller sat idle with the window or hold open.
+                self._collapse_idle(not_before)
                 continue
-            if self._state == _HOLD:
-                if not_before > self.now:
-                    self._collapse_idle(not_before)
-                    continue
-                issue = t
-                self._admit(issue, row)
-                self._hold_left -= 1
-                if self._hold_left == 0:
-                    self._state = _IDLE
-                    if self.scheme.pending_alert:
-                        self._surface_pending()
-                return issue
-            # IDLE
-            if self.scheme.pending_alert and self._surface_pending():
-                continue
-            issue = t
-            alert = self._admit(issue, row)
-            if alert is not None:
-                self._assert_alert(issue, alert)
-            return issue
-
-    def _admit(self, t: int, row: int) -> Optional[int]:
+            if state == _HOLD or (self._win_acts_left > 0
+                                  and t <= self._win_deadline):
+                break
+            self._run_burst(t)  # the window is spent: mitigate first
+        # Admit at t in `state`.
         self.metrics.acts_issued += 1
         self.now = t + self._tRC
         if self._observer is not None:
             self._observer(row)
-        alert = self.scheme.on_act(row, alert_allowed=(self._state == _IDLE))
+        alert = self._on_act(row, state == _IDLE)
         if self.collect_log:
-            self.log.append((t, "ACT", row, self._get(row)))
-        return alert
+            add_time, add_kind, add_row, add_counter = self._log_appends
+            add_time(t)
+            add_kind("ACT")
+            add_row(row)
+            add_counter(self._get(row))
+        if state == _IDLE:
+            if alert is not None:
+                self._assert_alert(t, alert)
+        elif state == _WINDOW:
+            self._win_acts_left -= 1
+            if self._win_acts_left == 0:
+                self._run_burst(self.now)
+        else:
+            self._hold_left -= 1
+            if self._hold_left == 0:
+                self._state = _IDLE
+                if self.scheme.pending_alert:
+                    self._surface_pending()
+        return t
 
     def advance_to(self, t: int) -> None:
         """Run all scheduled work (REFs, deferred mitigation) up to t."""
-        tREFI = self._tREFI
         while True:
             if self._state != _IDLE or self.scheme.pending_alert:
                 self._collapse_idle(None)
-            if self._ref_k * tREFI < t:
+            if self._ref_due < t:
                 self._issue_ref()
                 continue
             return
@@ -347,13 +401,12 @@ def log_to_csv_lines(log: Iterable[Tuple[int, str, int, int]]
     yield "time_ns,bank,event,row,counter_after"
     for t, kind, row, counter in log:
         if t % 1000 == 0:
-            stamp = str(t // 1000)
+            yield f"{t // 1000},0,{kind},{row},{counter}"
         else:
-            stamp = f"{t / 1000:.3f}"
-        yield f"{stamp},0,{kind},{row},{counter}"
+            yield f"{t / 1000:.3f},0,{kind},{row},{counter}"
 
 
-def audit_log(log: Sequence[Tuple[int, str, int, int]],
+def audit_log(log: Iterable[Tuple[int, str, int, int]],
               scheme: SchemeConfig, refresh: RefreshConfig) -> List[str]:
     """Independent legality pass over an emitted event log.
 

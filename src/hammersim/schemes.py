@@ -287,8 +287,7 @@ class SchemeState:
 
     # -- engine-facing hooks ----------------------------------------------
 
-    def on_act(self, row: int, *, alert_allowed: bool = True
-               ) -> Optional[int]:
+    def on_act(self, row: int, alert_allowed: bool = True) -> Optional[int]:
         """Count one demand activation; returns the alert to raise now."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")

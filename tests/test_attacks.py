@@ -165,6 +165,16 @@ def test_wave_rejects_a_bad_point_before_any_act():
         assert engine.metrics.acts_issued == 0 and engine.log == []
 
 
+def test_wave_refuses_an_engine_without_a_log():
+    # The rounds drop the rows the log shows mitigated; with no log the
+    # pool would never shrink and the observed HC would be wrong.
+    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+                        small_geometry(), collect_log=False)
+    with pytest.raises(ValueError, match="log"):
+        run_feinting(engine, 8)
+    assert engine.metrics.acts_issued == 0
+
+
 def test_wave_against_victim_counting_shrinks_the_pool():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())

@@ -1,12 +1,14 @@
 """Closed-loop bank engine: timing legality, ABO protocol, determinism."""
 
+import tracemalloc
 from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hammersim.attacks import DamageObserver, RoundRobinSpec, gen_round_robin
 from hammersim.dram import DeviceGeometry, RefreshConfig, ns, us
-from hammersim.engine import (BankEngine, TraceEvent, audit_log,
+from hammersim.engine import (BankEngine, EventLog, TraceEvent, audit_log,
                               log_to_csv_lines)
 from hammersim.schemes import SchemeConfig, preset
 
@@ -316,6 +318,58 @@ def test_unlogged_run_does_no_log_work():
     unlogged, unlogged_metrics = run(False)
     assert unlogged.log == []
     assert unlogged_metrics == logged_metrics
+
+
+LOG_ENTRY = st.tuples(
+    st.integers(0, 2**62),
+    st.sampled_from(["ACT", "REF", "RFM", "ALERT", "PROACT"]),
+    st.integers(-1, 2**20), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(LOG_ENTRY, max_size=40), st.data())
+def test_event_log_reads_as_its_list_of_tuples(entries, data):
+    log, model = EventLog(), []
+    columns = (log.times, log.kinds, log.rows, log.counters)
+    for entry in entries:
+        for column, value in zip(columns, entry):
+            column.append(value)
+        model.append(entry)
+        assert len(log) == len(model)
+        assert log[-1] == model[-1] and log[len(model) - 1] == model[-1]
+    assert list(log) == model and list(log) == model  # iterates again
+    assert log == model and log != model + [(0, "ACT", 0, 0)]
+    for i in range(-len(model), len(model)):
+        assert log[i] == model[i]
+    with pytest.raises(IndexError):
+        log[len(model)]
+    bound = st.one_of(st.none(), st.integers(-len(model) - 2,
+                                             len(model) + 2))
+    piece = slice(data.draw(bound), data.draw(bound),
+                  data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+    assert log[piece] == model[piece]
+    if model:
+        entry = data.draw(st.sampled_from(model))
+        assert log.index(entry) == model.index(entry)
+    with pytest.raises(ValueError):
+        log.index((-1, "ACT", 0, 0))
+    cursor = data.draw(st.integers(0, len(model)))
+    assert list(log.kinds_and_rows(cursor)) == [
+        (kind, row) for _t, kind, row, _c in model[cursor:]]
+
+
+def test_event_log_holds_at_most_40_bytes_per_event():
+    engine = BankEngine(plain_pvac(64), small_geometry())
+    events = 100_000
+    tracemalloc.start()
+    try:
+        for k in range(events):
+            engine._log(k * ns(48), "RFM", k % 512)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(engine.log) == events
+    assert held / events <= 40
 
 
 def test_csv_lines_render_nanoseconds():
