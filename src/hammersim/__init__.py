@@ -13,10 +13,10 @@ from .attacks import (DamageObserver, FeintingResult, RoundRobinSpec,
                       gen_benign, gen_round_robin, lines_to_trace,
                       run_feinting, wave_layout)
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
-                       CsaLayout, CsaTiming, csa_scaled_latency,
+                       CsaLayout, csa_scaled_latency,
                        dual_activation_rows, victim_set)
-from .dram import (DeviceGeometry, RefreshConfig, TimingSet,
-                   builtin_timing_set, idle_bandwidth, rows_per_refresh)
+from .dram import (DeviceGeometry, RefreshConfig, idle_bandwidth,
+                   rows_per_refresh)
 from .energy import (EnergyModel, EnergyReport, default_energy_model,
                      energy_report)
 from .engine import (BankEngine, EngineMetrics, TraceEvent, WindowStats,
@@ -35,14 +35,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AGGRESSOR_COUNT", "AnalysisParams",
-    "BankEngine", "CounterBank", "CounterCore", "CsaLayout", "CsaTiming",
+    "BankEngine", "CounterBank", "CounterCore", "CsaLayout",
     "DamageObserver", "DeviceGeometry", "EngineMetrics", "EnergyModel",
     "EnergyReport", "FeintingResult", "KERNEL_BUILD",
     "NO_COUNT", "OracleCheck", "RecurrenceConfig",
     "RefreshConfig", "RoundRobinSpec", "SCHEMES", "SchemeConfig",
-    "SchemeState", "SecurityCurvePoint", "TimingSet", "TopQueue",
+    "SchemeState", "SecurityCurvePoint", "TopQueue",
     "TraceEvent", "VICTIM_COUNT", "WindowStats",
-    "audit_log", "builtin_timing_set", "brute_force_oracle", "bw_bound",
+    "audit_log", "brute_force_oracle", "bw_bound",
     "csa_scaled_latency", "default_energy_model", "dual_activation_rows",
     "energy_report", "gen_benign", "gen_round_robin", "hc_chronus",
     "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",

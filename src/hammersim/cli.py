@@ -28,7 +28,7 @@ from .config import (GEOMETRY, REFRESH, SCHEME, ConfigError, Key,
                      load_config, read_section, refresh_doc, refresh_from,
                      scheme_doc, scheme_from)
 from .counters import csa_scaled_latency
-from .dram import RefreshConfig
+from .dram import DEFAULT_TRC_NS, PRAC_TRC_NS
 from .engine import BankEngine, audit_log, log_to_csv_lines
 from .schemes import (DEFAULT_QUEUE_DEPTH, SchemeConfig, preset,
                       scheme_rules)
@@ -197,8 +197,8 @@ _BW_POINT = (Key("n_mit", (int,)), Key("n_bo", (int,)),
 @_scenario_command("bw-bound", bw_bound=(
     Key("points", [_BW_POINT], [
         {key.name: val for key, val in zip(_BW_POINT, point)}
-        for point in ((4, 237, 48.0), (4, 52, 52.0), (1, 15, 48.0),
-                      (4, 43, 48.0))]),
+        for point in ((4, 237, DEFAULT_TRC_NS), (4, 52, PRAC_TRC_NS),
+                      (1, 15, DEFAULT_TRC_NS), (4, 43, DEFAULT_TRC_NS))]),
 ))
 def _run_bw_bound(cfg: Dict[str, Any], outdir: str, seed: int,
                   jobs: int) -> int:
@@ -336,9 +336,8 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
     hc, stride, n, scheme, windows, geometry = args
     if scheme is None:
         return (hc, stride), (f"{hc},{stride},{n},inf,,,,")
-    refresh = RefreshConfig(tRFC=ns(scheme.tRFC_ns))
-    engine = BankEngine(scheme, geometry, refresh, collect_log=False)
-    duration = windows * refresh.window_ps
+    engine = BankEngine(scheme, geometry, collect_log=False)
+    duration = windows * engine.refresh.window_ps
     metrics = engine.run_trace(
         gen_round_robin(RoundRobinSpec(n=n, stride=stride)), duration)
     bw = sum(w.bandwidth for w in metrics.windows) / max(

@@ -16,10 +16,10 @@ exists in two interchangeable builds (compiled and pure Python); see
 `kernel`.  `neighbour_offsets` is the victim rule for everything outside
 the kernel; `tests/test_kernel.py` ties the kernel's own copy to it.
 The rest of the module models the counter subarray (CSA): its access
-timings, the latency of one counter update (`csa_scaled_latency`) and
-its layouts.  `CsaLayout` is the one home of the CSA cost rule: how many
-CSA row cycles an ACT or a REF batch costs, which `energy` charges at
-one cost per cycle.
+timings (the `CSA_T*` constants, integer ps), the latency of one
+counter update (`csa_scaled_latency`) and its layouts.  `CsaLayout` is
+the one home of the CSA cost rule: how many CSA row cycles an ACT or a
+REF batch costs, which `energy` charges at one cost per cycle.
 """
 
 from __future__ import annotations
@@ -55,6 +55,13 @@ def victim_set(row: int, geometry: DeviceGeometry) -> List[int]:
     offsets = neighbour_offsets(geometry)[row % geometry.rows_per_dsa]
     return sorted(row + o for o in offsets)
 
+
+# Counter-subarray access timings and the per-counter update step, ps.
+CSA_TRCD = ns(7.6)
+CSA_TRAS = ns(16.7)
+CSA_TRP = ns(4.1)
+CSA_TWR = ns(19.2)
+CSA_TUP = ns(0.83)
 
 #: Rows per CSA chunk.  A counter group that straddles a chunk boundary
 #: costs the optimized dual layout two CSA activations, one per subarray.
@@ -101,22 +108,6 @@ class CsaLayout:
         return n_rows if self.kind == "NaiveCsa" else 1
 
 
-@dataclass(frozen=True)
-class CsaTiming:
-    """Counter-subarray access timings plus the counter-update step, ps."""
-
-    tRCD_csa: int = ns(7.6)
-    tRAS_csa: int = ns(16.7)
-    tRP_csa: int = ns(4.1)
-    tWR_csa: int = ns(19.2)
-    tUP: int = ns(0.83)
-
-    def __post_init__(self) -> None:
-        for name in ("tRCD_csa", "tRAS_csa", "tRP_csa", "tWR_csa", "tUP"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 class CounterBank:
     """Counters for one bank: the kernel's `CounterCore` plus the reads
     the engine and the CLI make of it."""
@@ -155,10 +146,10 @@ CSA_UPDATE_SHRINK = 0.87880
 class CsaLatency(NamedTuple):
     """One counter update at a bank size and blast radius, in ns.
 
-    tRCD, tWR and tRP are the `CsaTiming` steps grown per doubling;
-    `update_ns` is the 2*BR + 1 shrunk update steps.  `scaled_total_ns`
-    adds the update steps to the calibrated short-CSA access component,
-    and `share` is that component's part of it.
+    tRCD, tWR and tRP are `CSA_TRCD`, `CSA_TWR` and `CSA_TRP` grown per
+    doubling; `update_ns` is the 2*BR + 1 shrunk `CSA_TUP` steps.
+    `scaled_total_ns` adds the update steps to the calibrated short-CSA
+    access component, and `share` is that component's part of it.
     """
 
     tRCD_ns: float
@@ -189,15 +180,13 @@ def csa_scaled_latency(rows_per_bank: int, blast_radius: int) -> CsaLatency:
     doublings = (rows_per_bank // 65536).bit_length() - 1
     if 65536 << doublings != rows_per_bank:
         raise ValueError("rows_per_bank must be a power-of-two multiple")
-    timing = CsaTiming()
     grow = CSA_COMPONENT_GROWTH ** doublings
-    upd = ((2 * blast_radius + 1) * to_ns(timing.tUP)
+    upd = ((2 * blast_radius + 1) * to_ns(CSA_TUP)
            * CSA_UPDATE_SHRINK ** doublings)
     csa = CSA_COMPONENT_64K_NS * grow
     total = csa + upd
-    return CsaLatency(to_ns(timing.tRCD_csa) * grow, upd,
-                      to_ns(timing.tWR_csa) * grow,
-                      to_ns(timing.tRP_csa) * grow, total, csa / total)
+    return CsaLatency(to_ns(CSA_TRCD) * grow, upd, to_ns(CSA_TWR) * grow,
+                      to_ns(CSA_TRP) * grow, total, csa / total)
 
 
 def dual_activation_rows(geometry: DeviceGeometry) -> List[int]:

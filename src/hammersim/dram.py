@@ -1,4 +1,4 @@
-"""Device geometry, timing sets, and refresh parameters.
+"""Device geometry, row-cycle times, and refresh parameters.
 
 Everything here is a plain value type plus a few derived quantities
 (rows refreshed per REF command, idle-bank bandwidth).  Durations are
@@ -22,6 +22,18 @@ RFM_NS = 350.0
 # alert (Canpolat et al., DRAMSec 2024).
 ABO_ACT = 3
 TABO_ACT_NS = 180.0
+
+# Row-cycle time (tRC) in ns: the spacing the engine admits demand ACTs
+# at and the time an attacker pays per activation.  PRAC lengthens the
+# row cycle to update the row's counter (tRAS 16 + tRP 36 ns, against
+# the default's tRAS 32 + tRP 16 ns); `schemes.SCHEME_RULES` gives each
+# scheme one of the two.
+DEFAULT_TRC_NS = 48.0
+PRAC_TRC_NS = 52.0
+
+# How long one standard REF blocks the bank, in ns; MOAT's longer REF is
+# its own entry in the scheme table.
+STANDARD_TRFC_NS = 295.0
 
 
 @dataclass(frozen=True)
@@ -52,59 +64,10 @@ class DeviceGeometry:
 
 
 @dataclass(frozen=True)
-class TimingSet:
-    """Named DRAM timing parameters, picoseconds."""
-
-    label: str
-    tRAS: int
-    tRP: int
-    tRC: int
-    tRTP: int
-    tWR: int
-    tRCD: int
-
-    def __post_init__(self) -> None:
-        for name in ("tRAS", "tRP", "tRC", "tRTP", "tWR", "tRCD"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # The accelerated-precharge sets break tRC >= tRAS + tRP on purpose,
-        # but tRC below either component would be nonsense.
-        if self.tRC < max(self.tRAS, self.tRP):
-            raise ValueError("tRC must be >= max(tRAS, tRP)")
-
-
-_BUILTIN_TIMINGS = {
-    "Default": TimingSet(
-        label="Default",
-        tRAS=ns(32), tRP=ns(16), tRC=ns(48),
-        tRTP=ns(7.5), tWR=ns(30), tRCD=ns(16),
-    ),
-    "PRAC": TimingSet(
-        label="PRAC",
-        tRAS=ns(16), tRP=ns(36), tRC=ns(52),
-        tRTP=ns(5), tWR=ns(10), tRCD=ns(16),
-    ),
-}
-
-
-def builtin_timing_set(label: str) -> TimingSet:
-    """Return one of the named built-in timing sets (Default, PRAC).
-
-    The counter subarray's own timings are `counters.CsaTiming`."""
-    try:
-        return _BUILTIN_TIMINGS[label]
-    except KeyError:
-        raise KeyError(
-            f"unknown timing set {label!r}; expected one of "
-            f"{sorted(_BUILTIN_TIMINGS)}"
-        ) from None
-
-
-@dataclass(frozen=True)
 class RefreshConfig:
     tREFW: int = ms(32)
     tREFI: int = us(3.9)
-    tRFC: int = ns(295)
+    tRFC: int = ns(STANDARD_TRFC_NS)
 
     def __post_init__(self) -> None:
         if self.tRFC <= 0:

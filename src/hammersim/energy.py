@@ -1,6 +1,6 @@
 """Latency-proportional energy accounting over engine event logs.
 
-Absolute units are arbitrary; one Default-timing row access (ACT+PRE,
+Absolute units are arbitrary; one row access at the default tRC (ACT+PRE,
 48 ns) defines 1.0 energy unit, and every command charges its occupancy
 x one per-ns coefficient: `dsa_per_ns` for the data subarray's ACTs,
 REFs and RFMs, `csa_per_ns` for a counter-subarray (CSA) row cycle.
@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .counters import CsaLayout, CsaTiming, dual_activation_rows
-from .dram import (RFM_NS, DeviceGeometry, RefreshConfig,
-                   builtin_timing_set, rows_per_refresh)
+from .counters import (CSA_TRAS, CSA_TRP, CSA_TUP, CsaLayout,
+                       dual_activation_rows)
+from .dram import (DEFAULT_TRC_NS, RFM_NS, STANDARD_TRFC_NS, DeviceGeometry,
+                   RefreshConfig, rows_per_refresh)
 from .schemes import SchemeConfig
 from .units import ns, to_ns
 
@@ -32,6 +33,11 @@ CSA_PER_REF_NAIVE = 1.61
 CSA_PER_REF_OPTIMIZED = 0.193
 
 CLASSES = ("dsa_act", "ref", "rfm", "csa_act", "csa_update")
+
+
+def _csa_cycle_ns(br: int) -> Tuple[float, float]:
+    """(activation ns, update ns) of one full-size CSA row cycle."""
+    return to_ns(CSA_TRAS + CSA_TRP), (2 * br + 1) * to_ns(CSA_TUP)
 
 
 @dataclass(frozen=True)
@@ -63,9 +69,7 @@ class EnergyModel:
     def csa_cycle(self, layout: CsaLayout) -> Tuple[float, float, float]:
         """(activation energy, update energy, occupancy ns) of one CSA
         row cycle under `layout`."""
-        timing = CsaTiming()
-        act_ns = to_ns(timing.tRAS_csa + timing.tRP_csa)
-        upd_ns = (2 * self.br + 1) * to_ns(timing.tUP)
+        act_ns, upd_ns = _csa_cycle_ns(self.br)
         act = act_ns * self.csa_per_ns
         if layout.kind == "OptimizedDualCsa":
             act *= self.half_csa_discount
@@ -76,8 +80,8 @@ class EnergyModel:
     def per_access_csa_ratio(self, layout: CsaLayout,
                              geometry: DeviceGeometry) -> float:
         """Average CSA energy per counted activation, over one DSA's
-        rows, as a fraction of a Default-timing access."""
-        base = self.access_energy(to_ns(builtin_timing_set("Default").tRC))
+        rows, as a fraction of a default-tRC access."""
+        base = self.access_energy(DEFAULT_TRC_NS)
         act, upd, _occ = self.csa_cycle(layout)
         rows = geometry.rows_per_dsa
         cycles = sum(layout.act_cycles(r, geometry) for r in range(rows))
@@ -87,7 +91,7 @@ class EnergyModel:
                           geometry: DeviceGeometry) -> float:
         """CSA energy per default refresh batch as a fraction of one
         access."""
-        base = self.access_energy(to_ns(builtin_timing_set("Default").tRC))
+        base = self.access_energy(DEFAULT_TRC_NS)
         act, upd, _occ = self.csa_cycle(layout)
         cycles = layout.ref_cycles(rows_per_refresh(geometry,
                                                     RefreshConfig()))
@@ -105,11 +109,9 @@ def default_energy_model(geometry: Optional[DeviceGeometry] = None
     """
     geometry = geometry or DeviceGeometry()
     br = geometry.blast_radius
-    # One Default access defines the unit.
-    per_ns = 1.0 / to_ns(builtin_timing_set("Default").tRC)
-    # At one unit per ns, a full-size cycle's energies are its occupancies.
-    act_ns, upd_ns, _occ = EnergyModel(per_ns, 1.0, 1.0, br).csa_cycle(
-        CsaLayout("NaiveCsa"))
+    # One default-tRC access defines the unit.
+    per_ns = 1.0 / DEFAULT_TRC_NS
+    act_ns, upd_ns = _csa_cycle_ns(br)
     csa_power = CSA_PER_ACCESS_NAIVE / (act_ns + upd_ns)
     dual = len(dual_activation_rows(geometry))
     rows = geometry.rows_per_dsa
@@ -145,21 +147,20 @@ def energy_report(log: Iterable[Tuple[int, str, int, int]],
                   scheme: SchemeConfig,
                   layout: CsaLayout,
                   geometry: Optional[DeviceGeometry] = None,
-                  refresh: Optional[RefreshConfig] = None,
-                  model: Optional[EnergyModel] = None) -> EnergyReport:
+                  refresh: Optional[RefreshConfig] = None) -> EnergyReport:
     """Per-class energy of an engine log, normalized against the same
-    demand stream with mitigation disabled and Default timing.
+    demand stream with mitigation disabled and the default tRC.
 
-    The baseline charges each logged ACT at Default tRC and each REF at
-    the standard tRFC, with no CSA or RFM work; the report's own classes
-    use the run's actual timing.  An RFM command (one log line per
-    mitigated row, all at its issue time) is charged once; counter
-    maintenance inside it is charged per logged mitigated row.
+    The baseline charges each logged ACT at the default tRC and each REF
+    at the standard tRFC, with no CSA or RFM work; the report's own
+    classes use the scheme's tRC and the run's tRFC.  An RFM command (one
+    log line per mitigated row, all at its issue time) is charged once;
+    counter maintenance inside it is charged per logged mitigated row.
     """
     geometry = geometry or DeviceGeometry()
     refresh = refresh or RefreshConfig(tRFC=ns(scheme.tRFC_ns))
-    model = model or default_energy_model(geometry)
-    trc_ns = to_ns(scheme.timing_set().tRC)
+    model = default_energy_model(geometry)
+    trc_ns = scheme.tRC_ns
     trfc_ns = to_ns(refresh.tRFC)
     ref_cycles = layout.ref_cycles(rows_per_refresh(geometry, refresh))
     cycle_act, cycle_upd, cycle_ns = model.csa_cycle(layout)
@@ -197,9 +198,8 @@ def energy_report(log: Iterable[Tuple[int, str, int, int]],
         nrg["csa_update"] += cycles * cycle_upd
         occ["csa_act"] += cycles * cycle_ns
     total = sum(nrg.values())
-    base_trc = to_ns(builtin_timing_set("Default").tRC)
-    baseline = (n_acts * model.access_energy(base_trc)
-                + n_refs * to_ns(RefreshConfig().tRFC) * model.dsa_per_ns)
+    baseline = (n_acts * model.access_energy(DEFAULT_TRC_NS)
+                + n_refs * STANDARD_TRFC_NS * model.dsa_per_ns)
     normalized = total / baseline if baseline else (1.0 if not total else
                                                     float("inf"))
     return EnergyReport(occupancy_ns=occ, energy=nrg, total=total,

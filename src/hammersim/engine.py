@@ -2,7 +2,7 @@
 
 The engine owns the memory-controller half of the alert protocol:
 
-* demand ACTs are admitted no closer than tRC (per the scheme's timing set);
+* demand ACTs are admitted no closer than the scheme's tRC;
 * a REF is scheduled every tREFI on an absolute grid, blocks the bank for
   tRFC, refreshes a sequential group of rows, and runs the scheme hook;
 * an alert opens a window in which up to ``dram.ABO_ACT`` more ACTs may
@@ -29,7 +29,7 @@ from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
-                   RefreshConfig, TimingSet, rows_per_refresh)
+                   RefreshConfig, rows_per_refresh)
 from .schemes import SchemeConfig, SchemeState
 from .units import ns
 
@@ -134,14 +134,13 @@ class BankEngine:
         self.refresh = refresh or RefreshConfig(
             tRFC=ns(scheme.tRFC_ns))
         self.scheme = SchemeState(scheme, geometry)
-        self.timing: TimingSet = scheme.timing_set()
         self.collect_log = collect_log
         # (time_ps, kind, row, counter) per event, one column each
         self.log = log = EventLog()
         self._log_appends = (log.times.append, log.kinds.append,
                              log.rows.append, log.counters.append)
 
-        self._tRC = self.timing.tRC
+        self._tRC = ns(scheme.tRC_ns)
         self._tRFC = self.refresh.tRFC
         self._rpr = rows_per_refresh(geometry, self.refresh)
         self._tREFI = self.refresh.tREFI
@@ -416,8 +415,7 @@ def audit_log(log: Iterable[Tuple[int, str, int, int]],
     RFM before the next alert.
     """
     problems: List[str] = []
-    timing = scheme.timing_set()
-    tRC = timing.tRC
+    tRC = ns(scheme.tRC_ns)
     tRFC = refresh.tRFC
 
     last_act: Optional[int] = None

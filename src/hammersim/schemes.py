@@ -1,7 +1,7 @@
 """The five mitigation schemes as event-driven state machines.
 
 A scheme is its name: `SCHEME_RULES` holds what each name fixes (what an
-ACT and a refreshed row count, timing set, tRFC, proactive hook, RFM
+ACT and a refreshed row count, tRC, tRFC, proactive hook, RFM
 service), after the PRAC/Chronus analyses (Canpolat et al., DRAMSec 2024
 / HPCA 2025) and MOAT (Qureshi et al., 2024).  `SchemeConfig` adds the
 knobs a run may set; `preset` is each name's stock configuration.
@@ -26,7 +26,8 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
-from .dram import DeviceGeometry, TimingSet, builtin_timing_set
+from .dram import (DEFAULT_TRC_NS, PRAC_TRC_NS, STANDARD_TRFC_NS,
+                   DeviceGeometry)
 from .kernel import TopQueue
 
 RFM_ROWS_PER_PVAC_BURST = 4
@@ -39,7 +40,7 @@ class SchemeRules(NamedTuple):
 
     act_count: int                   # what a demand ACT counts
     ref_count: int                   # what a refreshed row counts
-    timing: str                      # `dram` timing set
+    tRC_ns: float                    # row cycle, a `dram` tRC
     tRFC_ns: float
     proactive_period: Optional[int]  # REFs per proactive hook; None: no hook
     proactive_at_half: bool          # hook threshold max(1, n_bo // 2)
@@ -48,16 +49,16 @@ class SchemeRules(NamedTuple):
 
 
 SCHEME_RULES: Dict[str, SchemeRules] = {
-    "PRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 295.0,
-                        None, False),
-    "PVAC": SchemeRules(VICTIM_COUNT, VICTIM_COUNT, "Default", 295.0,
-                        1, True),
-    "Chronus": SchemeRules(AGGRESSOR_COUNT, NO_COUNT, "Default", 295.0,
-                           2, False, adaptive=True),
-    "QPRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 295.0,
-                         1, True),
-    "MOAT": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, "PRAC", 410.0,
-                        4, True, single_mitigation=True),
+    "PRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, PRAC_TRC_NS,
+                        STANDARD_TRFC_NS, None, False),
+    "PVAC": SchemeRules(VICTIM_COUNT, VICTIM_COUNT, DEFAULT_TRC_NS,
+                        STANDARD_TRFC_NS, 1, True),
+    "Chronus": SchemeRules(AGGRESSOR_COUNT, NO_COUNT, DEFAULT_TRC_NS,
+                           STANDARD_TRFC_NS, 2, False, adaptive=True),
+    "QPRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, PRAC_TRC_NS,
+                         STANDARD_TRFC_NS, 1, True),
+    "MOAT": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, PRAC_TRC_NS,
+                        410.0, 4, True, single_mitigation=True),
 }
 SCHEMES = tuple(SCHEME_RULES)
 
@@ -96,8 +97,8 @@ class SchemeConfig:
                              "per alert")
 
     @property
-    def timing(self) -> str:
-        return SCHEME_RULES[self.scheme].timing
+    def tRC_ns(self) -> float:
+        return SCHEME_RULES[self.scheme].tRC_ns
 
     @property
     def tRFC_ns(self) -> float:
@@ -107,9 +108,6 @@ class SchemeConfig:
     def counter_semantics(self) -> int:
         """What a demand ACT counts: a `counters` code."""
         return SCHEME_RULES[self.scheme].act_count
-
-    def timing_set(self) -> TimingSet:
-        return builtin_timing_set(self.timing)
 
     def check_fits(self, geometry: DeviceGeometry) -> None:
         """Raise ValueError unless n_bo fits the geometry's counters."""
@@ -268,18 +266,13 @@ class SchemeState:
                     self.pending_alert = True  # mitigation work never raises
                 applied.append(row)
         else:
-            target: Optional[int] = None
-            top = self.queue.pop_max()
-            if top is not None and not (require_hot
-                                        and top[1] < self.config.n_bo):
-                target = top[0]
+            if require_hot and self.queue.peek_max_count() < self._n_bo:
+                target = self._hottest_if_hot()
+                if target is not None:
+                    self.queue.remove(target)
             else:
-                if top is not None:
-                    self.queue.update(top[0], top[1])
-                if require_hot:
-                    target = self._hottest_if_hot()
-                    if target is not None:
-                        self.queue.remove(target)
+                top = self.queue.pop_max()
+                target = None if top is None else top[0]
             if target is not None:
                 self._mitigate_one_aggressor(target)
                 applied.append(target)

@@ -28,10 +28,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
-from .dram import ABO_ACT, RFM_NS, DeviceGeometry, builtin_timing_set
+from .dram import ABO_ACT, RFM_NS, DeviceGeometry
 from .engine import BankEngine
 from .schemes import SchemeConfig, preset, scheme_rules
-from .units import to_ns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +45,7 @@ def discipline_for_scheme(scheme: str) -> Optional[int]:
 
 def act_time_ns(scheme: str) -> float:
     """Row-cycle time the attacker pays per activation of `scheme`."""
-    return to_ns(builtin_timing_set(scheme_rules(scheme).timing).tRC)
+    return scheme_rules(scheme).tRC_ns
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from click.testing import CliRunner
 
 from hammersim.cli import main as cli_main
 from hammersim.config import geometry_from, refresh_from
-from hammersim.counters import (CSA_COMPONENT_GROWTH, CSA_UPDATE_SHRINK,
-                                CsaLayout, CsaTiming, csa_scaled_latency)
+from hammersim.counters import (CSA_COMPONENT_GROWTH, CSA_TRCD, CSA_TRP,
+                                CSA_TUP, CSA_TWR, CSA_UPDATE_SHRINK,
+                                CsaLayout, csa_scaled_latency)
 from hammersim.energy import default_energy_model
 from hammersim.engine import BankEngine, audit_log
 from hammersim.attacks import RoundRobinSpec, gen_round_robin
@@ -168,7 +169,6 @@ def test_criterion_4_mitigation_bandwidth_bound():
 
 
 def test_criterion_5_counter_subarray_latency():
-    timing = CsaTiming()
     base_total = csa_scaled_latency(65536, 2).total_ns
     share = csa_scaled_latency(65536, 1).share
     print(f"criterion 5: 64K/BR2 update cycle {base_total:.2f} ns "
@@ -176,14 +176,14 @@ def test_criterion_5_counter_subarray_latency():
           f"(target 91.6 +- 0.5)")
     assert base_total == pytest.approx(35.1, abs=0.1)
     assert share * 100 == pytest.approx(91.6, abs=0.5)
-    fixed = to_ns(timing.tRCD_csa + timing.tWR_csa + timing.tRP_csa)
+    fixed = to_ns(CSA_TRCD + CSA_TWR + CSA_TRP)
     for rows in (65536, 131072, 262144):
         doublings = (rows // 65536).bit_length() - 1
         grow = CSA_COMPONENT_GROWTH ** doublings
         shrink = CSA_UPDATE_SHRINK ** doublings
         for br in (1, 2, 4):
             total = (fixed * grow
-                     + (2 * br + 1) * to_ns(timing.tUP) * shrink)
+                     + (2 * br + 1) * to_ns(CSA_TUP) * shrink)
             print(f"criterion 5: {rows} rows, BR={br}: {total:.2f} ns")
             assert total < 48.0
             assert csa_scaled_latency(rows, br).scaled_total_ns < 48.0

@@ -73,7 +73,7 @@ def test_counters_saturate_at_cap():
 
 
 def test_counter_update_latency_matches_pipeline_sum():
-    # At 64K rows: tRCD + (2*BR + 1) updates + tWR + tRP, the CsaTiming
+    # At 64K rows: tRCD + (2*BR + 1) updates + tWR + tRP, the CSA_T*
     # steps themselves.
     assert csa_scaled_latency(65536, 2).total_ns == pytest.approx(35.05)
     assert csa_scaled_latency(65536, 1).total_ns == pytest.approx(33.39)
@@ -94,7 +94,7 @@ def test_scaled_latency_64k_br1_share():
 
 
 def test_scaled_latency_components_grow_and_shrink():
-    # At 64K the components are the CsaTiming steps themselves.
+    # At 64K the components are the CSA_T* steps themselves.
     base = csa_scaled_latency(65536, 2)
     assert (base.tRCD_ns, base.tWR_ns, base.tRP_ns) == (7.6, 19.2, 4.1)
     assert base.update_ns == pytest.approx(5 * 0.83)

@@ -1,9 +1,8 @@
-"""Geometry, timing-set, and refresh-cadence value types."""
+"""Geometry and refresh-cadence value types."""
 
 import pytest
 
-from hammersim.dram import (DeviceGeometry, RefreshConfig, TimingSet,
-                            builtin_timing_set, idle_bandwidth,
+from hammersim.dram import (DeviceGeometry, RefreshConfig, idle_bandwidth,
                             rows_per_refresh)
 from hammersim.units import ns, us
 
@@ -25,24 +24,6 @@ def test_geometry_rejects_counter_widths_the_kernels_cannot_hold(bits):
 def test_geometry_rejects_nondividing_dsa():
     with pytest.raises(ValueError):
         DeviceGeometry(rows_per_bank=1000, rows_per_dsa=512)
-
-
-def test_builtin_timing_sets():
-    default = builtin_timing_set("Default")
-    prac = builtin_timing_set("PRAC")
-    assert default.tRC == ns(48)
-    assert prac.tRC == ns(52)
-    # The accelerated set trades a shorter tRAS for a longer tRP.
-    assert prac.tRAS < default.tRAS
-    assert prac.tRP > default.tRP
-    with pytest.raises(KeyError):
-        builtin_timing_set("DDR3")
-
-
-def test_timing_set_validation():
-    with pytest.raises(ValueError):
-        TimingSet(label="x", tRAS=ns(30), tRP=ns(10), tRC=ns(20),
-                  tRTP=ns(5), tWR=ns(10), tRCD=ns(10))
 
 
 def test_refresh_window_is_a_power_of_two_ref_sweep():

@@ -450,6 +450,20 @@ def test_audit_flags_hand_built_violations(log, expected):
     assert audit_log(log, plain_pvac(64), RefreshConfig()) == expected
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("PRAC", ["ACT at 50000 ps violates tRC after 0"]),
+    ("QPRAC", ["ACT at 50000 ps violates tRC after 0"]),
+    ("MOAT", ["ACT at 50000 ps violates tRC after 0"]),
+    ("PVAC", []),
+    ("Chronus", []),
+])
+def test_audit_spaces_acts_by_the_schemes_row_cycle(name, expected):
+    # 50 ns clears the Default 48 ns row cycle but not PRAC's 52 ns.
+    log = [ev(0, "ACT"), ev(50, "ACT", row=1)]
+    scheme = SchemeConfig(scheme=name, n_bo=64)
+    assert audit_log(log, scheme, RefreshConfig()) == expected
+
+
 def test_refresh_only_victim_counts_stay_bounded():
     engine = BankEngine(plain_pvac(64), small_geometry())
     peak = 0

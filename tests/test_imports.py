@@ -1,5 +1,6 @@
-"""Every import in the package is used, every exported name exists, and
-the CLI loads numpy and the process pool only when a command needs them.
+"""Every import in the package is used, every module constant is read,
+every exported name exists, and the CLI loads numpy and the process pool
+only when a command needs them.
 
 No linter ships with the package, so the stdlib `ast` stands in for one.
 `__init__.py` and `kernel.py` exist to re-export names, and so does an
@@ -10,6 +11,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +51,54 @@ def test_every_import_is_used(path):
 def test_the_check_flags_an_unused_import():
     assert unused_imports("from typing import List, Tuple\nx: List\n") == \
         [(1, "Tuple")]
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+# Every source a constant may be read from: the package and its tests.
+READERS = sorted([*SRC.rglob("*.py"), *Path(__file__).parent.glob("*.py")])
+
+
+def module_constants(source: str):
+    """The UPPER_CASE names a module assigns at its top level."""
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from (t.id for t in targets
+                    if isinstance(t, ast.Name) and CONSTANT.match(t.id))
+
+
+def names_read(source: str):
+    """Every name a source loads, reads as an attribute, or renames with
+    `import X as Y` (as `counters` renames the kernel's codes)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias) and node.asname is not None:
+            read.add(node.name)
+    return read
+
+
+def dead_constants(defining, reading):
+    """The constants of the sources `defining` that no source of
+    `reading` reads, sorted."""
+    read = set().union(*map(names_read, reading))
+    return sorted(name for source in defining
+                  for name in module_constants(source) if name not in read)
+
+
+def test_every_module_constant_is_read():
+    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_constants(defining, [p.read_text() for p in READERS]) == []
+
+
+def test_the_check_flags_a_dead_constant():
+    source = ("from k import CODE as KIND\nLIVE = 1\nDEAD = 2\n"
+              "_HIDDEN: int = 3\nlower = 4\nx = LIVE + _HIDDEN + m.ATTR\n")
+    assert dead_constants([source, "ATTR = 5\nCODE = 6\n"], [source]) == \
+        ["DEAD"]
 
 
 def test_every_exported_name_resolves():

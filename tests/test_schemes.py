@@ -47,35 +47,34 @@ def engine_fed(scheme: str, n_bo: int, rows, refs: int = 0) -> EngineMetrics:
 A, V = AGGRESSOR_COUNT, VICTIM_COUNT
 
 
-# name, timing, tRFC (ns), what an ACT / a refreshed row counts, the
-# analyzed discipline and its act time (ns), and the preset at n_bo=64
-# asked for n_mit=4: its n_mit, proactive threshold and period.
+# name, tRC (ns, also the analyzed act time), tRFC (ns), what an ACT /
+# a refreshed row counts, the analyzed discipline, and the preset at
+# n_bo=64 asked for n_mit=4: its n_mit, proactive threshold and period.
 RULE_CASES = [
-    ("PRAC", "PRAC", 295.0, A, A, A, 52.0, 4, None, None),
-    ("PVAC", "Default", 295.0, V, V, V, 48.0, 4, 32, 1),
-    ("Chronus", "Default", 295.0, A, NO_COUNT, None, 48.0, 4, None, 2),
-    ("QPRAC", "PRAC", 295.0, A, A, A, 52.0, 4, 32, 1),
-    ("MOAT", "PRAC", 410.0, A, A, A, 52.0, 1, 32, 4),
+    ("PRAC", 52.0, 295.0, A, A, A, 4, None, None),
+    ("PVAC", 48.0, 295.0, V, V, V, 4, 32, 1),
+    ("Chronus", 48.0, 295.0, A, NO_COUNT, None, 4, None, 2),
+    ("QPRAC", 52.0, 295.0, A, A, A, 4, 32, 1),
+    ("MOAT", 52.0, 410.0, A, A, A, 1, 32, 4),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, timing, trfc, act, ref, discipline, act_ns, n_mit, pthr, pper",
+    "name, trc, trfc, act, ref, discipline, n_mit, pthr, pper",
     RULE_CASES, ids=[case[0] for case in RULE_CASES])
-def test_scheme_name_fixes_its_rules(name, timing, trfc, act, ref,
-                                     discipline, act_ns, n_mit, pthr, pper):
+def test_scheme_name_fixes_its_rules(name, trc, trfc, act, ref,
+                                     discipline, n_mit, pthr, pper):
     config = SchemeConfig(scheme=name, n_bo=8)  # the name alone is valid
-    assert config.timing == timing
-    assert config.timing_set().label == timing
+    assert config.tRC_ns == trc
     assert config.tRFC_ns == trfc
     assert config.counter_semantics == act
     assert SCHEME_RULES[name].ref_count == ref
     assert discipline_for_scheme(name) == discipline
-    assert act_time_ns(name) == act_ns
+    assert act_time_ns(name) == trc
     stock = preset(name, 64, n_mit=4)
     assert (stock.n_mit, stock.proactive_threshold,
             stock.proactive_period) == (n_mit, pthr, pper)
-    assert stock.timing == timing and stock.tRFC_ns == trfc
+    assert stock.tRC_ns == trc and stock.tRFC_ns == trfc
 
 
 def test_five_names_and_six_settable_fields():
