@@ -28,14 +28,11 @@ class CounterCore:
     below, self, above with no per-call bounds arithmetic.  Interior
     places share one tuple; only the `br` places at each edge get their
     own.  The full-bank scans `max_count` and `argmax` serve tests and
-    tools; the engine makes none.  They run in C on `_view`, a numpy view
-    that aliases the buffer of `_c`; it is built, and numpy imported, on
-    the first scan, so a run that never scans never loads numpy.  `_c`
-    must never be resized.
+    tools; the engine makes none.
     """
 
-    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_view",
-                 "_below", "_above")
+    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_below",
+                 "_above")
 
     def __init__(self, n_rows: int, dsa_rows: int, br: int, cap: int) -> None:
         if n_rows <= 0 or dsa_rows <= 0 or n_rows % dsa_rows != 0:
@@ -47,7 +44,6 @@ class CounterCore:
         self.br = br
         self.cap = cap
         self._c = array("L", [0]) * n_rows
-        self._view = None
         below = [tuple(range(-br, 0))] * dsa_rows
         above = [tuple(range(1, br + 1))] * dsa_rows
         for p in range(min(br, dsa_rows)):
@@ -114,20 +110,13 @@ class CounterCore:
     def snapshot(self) -> List[int]:
         return list(self._c)
 
-    def _scan_view(self):
-        view = self._view
-        if view is None:
-            import numpy
-            view = self._view = numpy.frombuffer(
-                self._c, dtype=f"u{self._c.itemsize}")
-        return view
-
     def max_count(self) -> int:
-        return int(self._scan_view().max())
+        return max(self._c)
 
     def argmax(self) -> int:
         """Lowest row index holding the maximum count."""
-        return int(self._scan_view().argmax())
+        c = self._c
+        return c.index(max(c))
 
     def count_at_least(self, threshold: int) -> int:
         return sum(1 for v in self._c if v >= threshold)

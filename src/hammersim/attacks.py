@@ -26,8 +26,7 @@ from .dram import ABO_ACT, DeviceGeometry
 from .engine import BankEngine, TraceEvent
 from .schemes import SchemeConfig
 
-VICTIM_LAYOUT_STRIDE = 5  # leaves one untouched row between victim groups
-WAVE_BASE_ROW = 8         # the wave's first aggressor
+WAVE_BASE_ROW = 8  # the wave's first aggressor
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ def wave_layout(config: SchemeConfig, geometry: DeviceGeometry, r1: int
     and the pool size at which its rounds stop.
 
     Against victim counting each aggressor serves its victims, aggressors
-    `VICTIM_LAYOUT_STRIDE` apart, and rounds run down to one victim.
+    2*br+1 apart so that adjacent victim groups share no row, and rounds
+    run down to one victim.
     Against aggressor counting each pool row serves itself, and rounds
     stop at the 2*br aggressors around the last victim.
     """
@@ -157,7 +157,7 @@ def wave_layout(config: SchemeConfig, geometry: DeviceGeometry, r1: int
             victims = victim_set(a, geometry)[:left]
             groups.append((a, victims))
             left -= len(victims)
-            a += VICTIM_LAYOUT_STRIDE
+            a += 2 * geometry.blast_radius + 1
         return groups, 1
     if r1 < 1:
         raise ValueError("aggressor-based waves need a pool of >= 1")

@@ -11,7 +11,9 @@ HC = (n_bo - 1) + NR + n_mit + ABO_ACT + br.  Aggressor-based
 counting multiplies the per-aggressor terms by the 2*br surrounding
 aggressors: HC = 2*br*(n_bo - 1) + 2*br*NR + n_mit + ABO_ACT + br - 1.
 NR — the number of attack rounds the pool survives — comes from the pool
-recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)).
+recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)).  The
+solvers read NR for every initial pool from plain-list tables built in
+one pass up the pool; `_pool_recurrence` is their scalar reference.
 
 The literal recurrence stalls once the floor term is zero, and its
 alert count has two defensible readings; both are kept behind
@@ -23,17 +25,16 @@ points they do and do not reproduce.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import ABO_ACT, RFM_NS, DeviceGeometry
 from .engine import BankEngine
 from .schemes import SchemeConfig, preset, scheme_rules
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def discipline_for_scheme(scheme: str) -> Optional[int]:
@@ -102,15 +103,15 @@ class SecurityCurvePoint:
         return str(self.n_bo) if self.feasible else "inf"
 
 
-def max_initial_pool(discipline: int, rows_per_bank: int) -> int:
+def max_initial_pool(discipline: int, rows_per_bank: int, br: int) -> int:
     """Largest initial pool the bank geometry admits.
 
     Victim-based preparation packs aggressors at stride 2*br+1, each
-    serving 2*br victims: floor(rows * 4/5) at br=2.  Aggressor-based
-    pools are contiguous rows.
+    serving 2*br victims: floor(rows * 2br/(2br+1)), rows * 4/5 at
+    br=2.  Aggressor-based pools are contiguous rows.
     """
     if discipline == VICTIM_COUNT:
-        return (rows_per_bank * 4) // 5
+        return rows_per_bank * 2 * br // (2 * br + 1)
     if discipline == AGGRESSOR_COUNT:
         return rows_per_bank - 1
     raise ValueError(f"unknown discipline {discipline!r}")
@@ -130,15 +131,15 @@ def _recurrence_knobs(discipline: int, params: AnalysisParams
     return params.br, 2 * params.br, den, remu
 
 
-_TABLE_CACHE: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
+_TABLE_CACHE: Dict[Tuple, Tuple[List[int], List[int]]] = {}
 
 
 def _nr_tables(discipline: int, params: AnalysisParams
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """(prefix-max NR, raw NR) over r1 = 0..cap, vectorized.  numpy is
-    imported here, the one place that builds arrays, so commands that
-    build no table never load it."""
-    cap = max_initial_pool(discipline, params.rows_per_bank)
+               ) -> Tuple[List[int], List[int]]:
+    """(prefix-max NR, raw NR) over r1 = 0..cap, built in one pass up
+    the pool: a round leaves a smaller pool, so each entry reads entries
+    already built."""
+    cap = max_initial_pool(discipline, params.rows_per_bank, params.br)
     sub, term, den, remu = _recurrence_knobs(discipline, params)
     rec = params.recurrence
     key = (discipline, params.n_mit, params.br, rec.variant,
@@ -146,40 +147,45 @@ def _nr_tables(discipline: int, params: AnalysisParams
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-
-    import numpy as np
-
-    R = np.arange(cap + 1, dtype=np.int64)
-    NR = np.ones(cap + 1, dtype=np.int64)
-    NR[0] = 0
-    carry = np.zeros(cap + 1, dtype=np.int64)
-    alive = R > term
-    for _ in range(10000):
-        if not alive.any():
-            break
-        num = np.maximum(R - sub, 0)
-        if rec.variant == "carry":
-            carry = np.where(alive, carry + num, carry)
-            alerts = np.where(alive, carry // den, 0)
-            carry = np.where(alive, carry - alerts * den, carry)
-        else:
-            alerts = np.where(alive, num // den, 0)
-        removed = remu * alerts
-        if rec.variant == "literal":
-            stalled = alive & (alerts == 0)
-            NR += alive & ~stalled
-            alive = alive & ~stalled
-            R = np.where(alive, R - removed, R)
-            alive = alive & (R > term)
-        else:
-            R = np.where(alive, R - removed, R)
-            NR += alive
-            alive = alive & (R > term)
+    if rec.variant == "carry":
+        raw = _carry_nr(cap, sub, term, den, remu)
     else:
-        raise RuntimeError("pool recurrence failed to terminate")
-    tables = (np.maximum.accumulate(NR), NR)
+        # A pool at or below `term`, or one that stalls, is the last round.
+        raw = [0] + [1] * cap
+        for r in range(term + 1, cap + 1):
+            alerts = (r - sub) // den
+            if alerts:
+                raw[r] += raw[r - remu * alerts]
+    tables = (list(accumulate(raw, max)), raw)
     _TABLE_CACHE[key] = tables
     return tables
+
+
+def _carry_nr(cap: int, sub: int, term: int, den: int, remu: int
+              ) -> List[int]:
+    """Raw NR over r1 = 0..cap under the carry variant.
+
+    `cols[r][c]` is the NR of a wave that reaches pool r holding carry
+    c in [0, den).  Pool r adds r - sub = q*den + k to the carry: from
+    carry c it alerts q times and keeps c + k, or, once c + k reaches
+    den, alerts q + 1 times and keeps c + k - den.  With q == 0 the pool
+    stays at r with a larger carry, so the column fills from the top
+    carry down.  A pool at or below `term` is the last round.
+    """
+    ones = (1,) * den
+    cols = [ones] * (term + 1)
+    for r in range(term + 1, cap + 1):
+        q, k = divmod(r - sub, den)
+        col = [0] * den
+        stay = cols[r - remu * q] if q else col
+        drop = cols[max(0, r - remu * (q + 1))]
+        for c in range(den - 1, -1, -1):
+            kept = c + k
+            col[c] = 1 + (drop[kept - den] if kept >= den else stay[kept])
+        cols.append(tuple(col))
+    raw = [col[0] for col in cols[:cap + 1]]
+    raw[0] = 0
+    return raw
 
 
 def pool_recurrence_pvac(r1: int, params: AnalysisParams) -> int:
@@ -254,7 +260,7 @@ def _setup_units(discipline: int, r1: int, br: int) -> int:
 def _budget_r1_cap(scheme: str, discipline: int, q: int,
                    params: AnalysisParams) -> int:
     """Largest r1 whose setup (q acts per aggressor) fits the budget."""
-    cap = max_initial_pool(discipline, params.rows_per_bank)
+    cap = max_initial_pool(discipline, params.rows_per_bank, params.br)
     budget = params.recurrence.setup_budget_ns
     if budget is None or q == 0:
         return cap
@@ -284,8 +290,8 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
     if r1_cap < 1:
         nr, worst = 0, 0
     else:
-        nr = int(M[r1_cap])
-        worst = int(M.searchsorted(nr, side="left"))
+        nr = M[r1_cap]
+        worst = bisect_left(M, nr)
     return _hc(discipline, n_bo, nr, params), worst, nr
 
 
@@ -387,7 +393,8 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
         raise ValueError(f"{scheme} performs a single mitigation per "
                          f"alert, so n_mit={n_mit} is not a point it runs")
     config.check_fits(geometry)
-    cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank)
+    cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank,
+                           geometry.blast_radius)
     if discipline_for_scheme(scheme) is None:
         bound, r1 = hc_chronus(n_bo, params), min(32, cap)
     else:

@@ -149,6 +149,21 @@ def test_wave_layout_stride_by_discipline():
     assert floor == 4  # the 2*br aggressors around the last victim
 
 
+@pytest.mark.parametrize("br", [1, 2, 3])
+def test_victim_wave_groups_tile_the_pool(br):
+    # Aggressors 2*br+1 apart serve disjoint victim groups, so a pool of
+    # r1 is r1 distinct rows at every radius.
+    geometry = DeviceGeometry(rows_per_bank=256, banks=1, rows_per_dsa=256,
+                              counter_bits=16, blast_radius=br)
+    groups, _floor = wave_layout(preset("PVAC", 8, 4), geometry, 12)
+    aggressors = [a for a, _victims in groups]
+    assert aggressors == list(range(8, 8 + len(groups) * (2 * br + 1),
+                                    2 * br + 1))
+    pool = [row for _a, victims in groups for row in victims]
+    assert len(pool) == len(set(pool)) == 12
+    assert not set(pool) & set(aggressors)
+
+
 def test_wave_rejects_a_bad_point_before_any_act():
     for scheme, n_bo, r1 in [
             ("PVAC", 8, 3),      # victim counting needs four victims

@@ -1,6 +1,8 @@
 """Every import in the package is used, every module constant is read,
-every exported name exists, and the CLI loads numpy and the process pool
-only when a command needs them.
+every exported name exists, the package imports nothing outside the
+stdlib, click and PyYAML, no CLI command loads a package beyond those
+its import loaded, and the CLI loads the process pool only when a
+command needs it.
 
 No linter ships with the package, so the stdlib `ast` stands in for one.
 `__init__.py` and `kernel.py` exist to re-export names, and so does an
@@ -51,6 +53,44 @@ def test_every_import_is_used(path):
 def test_the_check_flags_an_unused_import():
     assert unused_imports("from typing import List, Tuple\nx: List\n") == \
         [(1, "Tuple")]
+
+
+# What the package may import besides the stdlib: itself and the two
+# dependencies pyproject.toml declares.
+ALLOWED = {"hammersim", "click", "yaml"}
+
+
+def outside_imports(source: str):
+    """The top-level names of the absolute imports anywhere in `source`,
+    function-local ones included, that are neither stdlib nor ALLOWED."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - ALLOWED - sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_stdlib_or_a_declared_dependency(path):
+    assert outside_imports(path.read_text()) == []
+
+
+def test_the_check_flags_a_third_party_import():
+    source = ("import os.path\nimport pandas as pd\nfrom . import engine\n"
+              "from yaml import safe_load\ndef f():\n"
+              "    from scipy.linalg import eig\n")
+    assert outside_imports(source) == ["pandas", "scipy"]
+
+
+def test_pyproject_declares_exactly_click_and_pyyaml():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps]
+    assert sorted(names) == ["PyYAML", "click"]
 
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
@@ -108,16 +148,20 @@ def test_every_exported_name_resolves():
 
 
 # Runs in a fresh interpreter: imports the CLI, then runs each
-# (name, argv) of argv[1] and reports the exit code and which of HEAVY
-# each left loaded.
+# (name, argv) of argv[1] and reports the exit code, which POOL modules
+# are loaded, and the top-level names of the non-stdlib modules loaded
+# since the import.
 PROBE = """
 import json, sys
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
-def loaded():
-    return [m for m in HEAVY if m in sys.modules]
+POOL = ("multiprocessing", "concurrent.futures.process")
 import hammersim.cli
-report = {"import": loaded()}
 from click.testing import CliRunner
+base = set(sys.modules)
+def loaded():
+    new = {m.split(".")[0] for m in set(sys.modules) - base}
+    return ([m for m in POOL if m in sys.modules] +
+            sorted(new - sys.stdlib_module_names))
+report = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):
     code = CliRunner().invoke(hammersim.cli.main, argv).exit_code
     report[name] = [code, loaded()]
@@ -125,10 +169,9 @@ print(json.dumps(report))
 """
 
 
-def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
-        tmp_path):
-    # numpy now serves only the security tables (not a Chronus run); the
-    # process pool only `sweep-stride --jobs >1`.
+def test_cli_loads_no_new_package_and_the_pool_only_where_needed(tmp_path):
+    # No command loads a package the CLI import did not, the security
+    # tables included; the process pool only `sweep-stride --jobs >1`.
     domino = tmp_path / "domino.yaml"
     domino.write_text(CLI_CASES["domino"])
     chronus = tmp_path / "chronus.yaml"
@@ -140,10 +183,23 @@ def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
         "simulate": {"kind": "round_robin", "n": 128, "stride": 3,
                      "base_row": 64, "duration_windows": 2,
                      "write_events": True}}))
+    table = tmp_path / "table.yaml"
+    table.write_text("security_table: {max_hc: [64], n_mits: [1]}\n")
+    oracle = tmp_path / "oracle.yaml"
+    oracle.write_text(CLI_CASES["oracle-check"])
+    sweep = tmp_path / "sweep.yaml"
+    # PRAC cannot meet hc 32 at n_mit 1, so the sweep solves the
+    # threshold from the tables and runs no cell.
+    sweep.write_text("sweep_stride: {hc: [32], strides: [1], n: 8, "
+                     "scheme: PRAC, n_mit: 1}\n")
     runs = [(name, [command, "--config", str(cfg), "--out",
                     str(tmp_path / name)])
-            for name, command, cfg in (("domino", "domino", domino),
-                                       ("chronus", "simulate", chronus))]
+            for name, command, cfg in (
+                ("domino", "domino", domino),
+                ("chronus", "simulate", chronus),
+                ("security-table", "security-table", table),
+                ("oracle-check", "oracle-check", oracle),
+                ("sweep-stride", "sweep-stride", sweep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
@@ -153,6 +209,10 @@ def test_cli_loads_numpy_and_the_pool_only_where_a_command_needs_them(
     assert report["import"] == []
     assert report["domino"] == [0, []]
     assert report["chronus"] == [0, []]
+    for name in ("security-table", "oracle-check", "sweep-stride"):
+        assert report[name] == [0, []], name
+    assert "inf" in (tmp_path / "sweep-stride" /
+                     "sweep_stride.csv").read_text()
     golden = json.loads(GOLDEN.read_text())
     assert file_digests(tmp_path / "domino") == golden["cli/domino"]
     events = (tmp_path / "chronus" / "events.csv").read_text().splitlines()

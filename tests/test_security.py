@@ -1,9 +1,8 @@
 """Worst-case analysis: recurrences, closed forms, solver, oracle."""
 
-import numpy as np
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hammersim.security import (AnalysisParams, OracleCheck, RecurrenceConfig,
                                 act_time_ns, brute_force_oracle, bw_bound,
@@ -52,11 +51,23 @@ def test_disciplines_and_act_times():
 
 
 def test_initial_pool_extremes():
-    assert max_initial_pool(VICTIM_COUNT, 65536) == 52428
-    assert max_initial_pool(AGGRESSOR_COUNT, 65536) == 65535
-    assert max_initial_pool(VICTIM_COUNT, 256) == 204
+    assert max_initial_pool(VICTIM_COUNT, 65536, 2) == 52428
+    assert max_initial_pool(AGGRESSOR_COUNT, 65536, 2) == 65535
+    assert max_initial_pool(VICTIM_COUNT, 256, 2) == 204
     with pytest.raises(ValueError):
-        max_initial_pool("bulk", 65536)
+        max_initial_pool("bulk", 65536, 2)
+
+
+@pytest.mark.parametrize("br, cap, nr", [(1, 43690, 36), (2, 52428, 37),
+                                         (3, 56173, 37)])
+def test_victim_pool_follows_the_blast_radius(br, cap, nr):
+    # Aggressors 2*br+1 apart, each serving 2*br victims.  At br 1 the
+    # radius-2 cap of 52,428 rows would admit pools that last 37 rounds.
+    assert max_initial_pool(VICTIM_COUNT, 65536, br) == cap
+    assert max_initial_pool(AGGRESSOR_COUNT, 65536, br) == 65535
+    M, raw = _nr_tables(VICTIM_COUNT, params(1, br=br))
+    assert len(M) == len(raw) == cap + 1
+    assert M[-1] == nr
 
 
 # -- the pool recurrence ------------------------------------------------------
@@ -79,28 +90,27 @@ def test_aggressor_pool_recurrence_hand_trace():
         pool_recurrence_prac(-1, p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(r1=st.integers(min_value=0, max_value=2500),
-       n_mit=st.sampled_from([1, 2, 4]),
-       variant=st.sampled_from(["literal", "carry"]),
-       victim=st.booleans())
-def test_vector_table_matches_scalar_reference(r1, n_mit, variant, victim):
-    p = AnalysisParams(n_mit=n_mit, rows_per_bank=4096,
-                       recurrence=RecurrenceConfig(variant=variant))
-    if victim:
-        scalar = pool_recurrence_pvac(r1, p)
-        _, raw = _nr_tables(VICTIM_COUNT, p)
-    else:
-        scalar = pool_recurrence_prac(r1, p)
-        _, raw = _nr_tables(AGGRESSOR_COUNT, p)
-    assert scalar == int(raw[r1])
+def test_vector_table_matches_scalar_reference():
+    # Every r1 of a 4096-row bank, in each variant and granularity, at
+    # each n_mit and discipline.
+    for variant, granularity, n_mit in product(
+            ["literal", "carry"], ["body", "text"], [1, 2, 4]):
+        rec = RecurrenceConfig(variant=variant, granularity=granularity)
+        p = AnalysisParams(n_mit=n_mit, rows_per_bank=4096, recurrence=rec)
+        for discipline, scalar in ((VICTIM_COUNT, pool_recurrence_pvac),
+                                   (AGGRESSOR_COUNT, pool_recurrence_prac)):
+            _M, raw = _nr_tables(discipline, p)
+            assert len(raw) == max_initial_pool(discipline, 4096, 2) + 1
+            assert raw == [scalar(r1, p) for r1 in range(len(raw))]
 
 
 def test_prefix_max_table_is_running_maximum():
-    p = params(2, rows_per_bank=4096)
-    M, raw = _nr_tables(AGGRESSOR_COUNT, p)
-    assert np.array_equal(M, np.maximum.accumulate(raw))
-    assert np.all(np.diff(M) >= 0)
+    M, raw = _nr_tables(AGGRESSOR_COUNT, params(2, rows_per_bank=4096))
+    assert len(M) == len(raw)
+    peak = 0
+    for r1, (m, nr) in enumerate(zip(M, raw)):
+        peak = max(peak, nr)
+        assert m == peak, r1
 
 
 # -- hammered-count closed forms ----------------------------------------------
