@@ -52,15 +52,19 @@ WORKLOADS = ("idle", "rr128_s1", "rr128_s3", "benign0", "feinting",
 STOP_POOL = 64
 STOP_AT_PS = us(20)
 
-# CLI runs: three closed-form commands on their defaults, a domino on a
-# 512-row bank whose 8 ms window laps it four times (PRAC alerts in the
-# second window, PVAC stays silent), an alerting stride-3 simulate
-# that writes its event log, and a two-scheme oracle grid on a 64-row
-# bank.
+# CLI runs: three closed-form commands on their defaults, the security
+# table under each non-default recurrence setting, a domino on a 512-row
+# bank whose 8 ms window laps it four times (PRAC alerts in the second
+# window, PVAC stays silent), an alerting stride-3 simulate that writes
+# its event log, and a two-scheme oracle grid on a 64-row bank.  A key
+# names its command, then after a slash the variant of that command.
 CLI_CASES = {
     "bw-bound": None,
     "csa-latency": None,
     "security-table": None,
+    "security-table/carry": "security_table: {variant: carry}\n",
+    "security-table/text": "security_table: {granularity: text}\n",
+    "security-table/no-budget": "security_table: {setup_budget_ns: null}\n",
     "domino": """\
 domino: {windows: 2, schemes: [PRAC, PVAC], n_bo: 8, n_mit: 1}
 geometry: {rows_per_bank: 512, rows_per_dsa: 512}
@@ -123,10 +127,11 @@ def all_cases() -> dict:
 
 def run_cli_case(name: str, workdir: Path) -> dict:
     """SHA-256 of each CSV and manifest.yaml one CLI run writes."""
-    outdir = workdir / name
-    argv = [name, "--out", str(outdir)]
+    stem = name.replace("/", "-")
+    outdir = workdir / stem
+    argv = [name.split("/")[0], "--out", str(outdir)]
     if CLI_CASES[name] is not None:
-        cfg = workdir / f"{name}.yaml"
+        cfg = workdir / f"{stem}.yaml"
         cfg.write_text(CLI_CASES[name])
         argv += ["--config", str(cfg)]
     result = CliRunner().invoke(main, argv, catch_exceptions=False)
