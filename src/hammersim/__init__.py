@@ -25,8 +25,7 @@ from .kernel import KERNEL_BUILD, CounterCore, TopQueue
 from .schemes import SCHEMES, SchemeConfig, SchemeState, preset
 from .security import (AnalysisParams, OracleCheck, RecurrenceConfig,
                        SecurityCurvePoint, brute_force_oracle, bw_bound,
-                       hc_chronus, hc_prac, hc_pvac, max_initial_pool,
-                       pool_recurrence_prac, pool_recurrence_pvac,
+                       hammered_count, max_initial_pool, pool_recurrence,
                        security_table, small_oracle_geometry, solve_nbo,
                        worst_case_hc)
 from .units import ms, ns, to_ns, us
@@ -44,10 +43,9 @@ __all__ = [
     "TraceEvent", "VICTIM_COUNT", "WindowStats",
     "audit_log", "brute_force_oracle", "bw_bound",
     "csa_scaled_latency", "default_energy_model", "dual_activation_rows",
-    "energy_report", "gen_benign", "gen_round_robin", "hc_chronus",
-    "hc_prac", "hc_pvac", "idle_bandwidth", "lines_to_trace",
-    "log_to_csv_lines", "max_initial_pool", "ms", "ns",
-    "pool_recurrence_prac", "pool_recurrence_pvac", "preset",
+    "energy_report", "gen_benign", "gen_round_robin", "hammered_count",
+    "idle_bandwidth", "lines_to_trace", "log_to_csv_lines",
+    "max_initial_pool", "ms", "ns", "pool_recurrence", "preset",
     "rows_per_refresh", "run_feinting", "security_table",
     "small_oracle_geometry", "solve_nbo", "to_ns", "us", "victim_set",
     "wave_layout", "worst_case_hc",

@@ -28,7 +28,7 @@ from .config import (GEOMETRY, REFRESH, SCHEME, ConfigError, Key,
                      load_config, read_section, refresh_doc, refresh_from,
                      scheme_doc, scheme_from)
 from .counters import csa_scaled_latency
-from .dram import DEFAULT_TRC_NS, PRAC_TRC_NS
+from .dram import DEFAULT_TRC_NS, N_MITS, PRAC_TRC_NS
 from .engine import BankEngine, audit_log, log_to_csv_lines
 from .schemes import (DEFAULT_QUEUE_DEPTH, SchemeConfig, preset,
                       scheme_rules)
@@ -146,12 +146,11 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
                         f"{stats.bandwidth:.6f},{stats.rfm_count},"
                         f"{stats.alert_count}")
     _write_text(outdir, "domino.csv", rows)
+    series = [f"'domino.csv' using 2:(strcol(1) eq '{name}' ? $4 : 1/0) "
+              f"with lines title '{name}'" for name in names]
     _write_plot(outdir, "set xlabel 'refresh window'",
                 "set ylabel 'bandwidth'",
-                "plot 'domino.csv' using 2:(strcol(1) eq 'PRAC' ? $4 : 1/0) "
-                "with lines title 'PRAC', \\",
-                "     'domino.csv' using 2:(strcol(1) eq 'PVAC' ? $4 : 1/0) "
-                "with lines title 'PVAC'")
+                "plot " + ", \\\n     ".join(series))
     # The refresh section is not echoed.
     _write_manifest(outdir, "domino", seed,
                     {"domino": opts, "geometry": asdict(geometry)})
@@ -161,7 +160,7 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
 @_scenario_command("security-table", security_table=(
     Key("max_hc", [int], [32, 64, 128, 2048]),
     Key("schemes", [str], ["PVAC", "PRAC", "Chronus"]),
-    Key("n_mits", [int], [1, 2, 4]),
+    Key("n_mits", [int], list(N_MITS)),
     Key("variant", (str,), RecurrenceConfig.variant),
     Key("granularity", (str,), RecurrenceConfig.granularity),
     # An int budget is echoed as an int.

@@ -22,6 +22,9 @@ RFM_NS = 350.0
 # alert (Canpolat et al., DRAMSec 2024).
 ABO_ACT = 3
 TABO_ACT_NS = 180.0
+# The RFMs one alert may ask for (n_mit): a scheme runs, and the analysis
+# bounds, only these counts.
+N_MITS = (1, 2, 4)
 
 # Row-cycle time (tRC) in ns: the spacing the engine admits demand ACTs
 # at and the time an attacker pays per activation.  PRAC lengthens the

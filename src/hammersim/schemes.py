@@ -26,7 +26,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
-from .dram import (DEFAULT_TRC_NS, PRAC_TRC_NS, STANDARD_TRFC_NS,
+from .dram import (DEFAULT_TRC_NS, N_MITS, PRAC_TRC_NS, STANDARD_TRFC_NS,
                    DeviceGeometry)
 from .kernel import TopQueue
 
@@ -84,7 +84,7 @@ class SchemeConfig:
         rules = scheme_rules(self.scheme)
         if self.n_bo < 1:
             raise ValueError("n_bo must be >= 1")
-        if self.n_mit not in (1, 2, 4):
+        if self.n_mit not in N_MITS:
             raise ValueError("n_mit must be 1, 2, or 4")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")

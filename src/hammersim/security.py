@@ -1,19 +1,25 @@
-"""Closed-form worst-case analysis: hammered-count formulas, row-pool
-recurrences, threshold solvers, the bandwidth bound, and a brute-force
-oracle that replays the wave attack on a small bank.
+"""Closed-form worst-case analysis: the hammered-count formula, the
+row-pool recurrence, the threshold solver, the bandwidth bound, and a
+brute-force oracle that replays the wave attack on a small bank.
 
-Two counting disciplines, named by their `counters` codes, analyze
-differently; `discipline_for_scheme` reads a scheme's from the scheme
-table.  Both read the alert back-off protocol from `dram`: ABO_ACT
-ACTs after an alert, then n_mit RFMs, then a hold of n_mit ACTs.
-Victim-based counting pays per victim:
-HC = (n_bo - 1) + NR + n_mit + ABO_ACT + br.  Aggressor-based
-counting multiplies the per-aggressor terms by the 2*br surrounding
-aggressors: HC = 2*br*(n_bo - 1) + 2*br*NR + n_mit + ABO_ACT + br - 1.
-NR — the number of attack rounds the pool survives — comes from the pool
-recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)).  The
-solvers read NR for every initial pool from plain-list tables built in
-one pass up the pool; `_pool_recurrence` is their scalar reference.
+A scheme's counting discipline is a `counters` code, or None for an
+adaptive scheme; `discipline_for_scheme` reads it from the scheme table.
+After NR wave rounds at threshold n_bo the worst-case hammered count
+is, in `hammered_count`:
+
+  victim-based     HC = (n_bo - 1) + NR + n_mit + ABO_ACT + br
+  aggressor-based  HC = 2*br*(n_bo - 1 + NR) + n_mit + ABO_ACT + br - 1
+  adaptive         HC = 2*br*(n_bo - 1) + ABO_ACT + br
+
+All three read the alert back-off protocol from `dram`: ABO_ACT ACTs
+after an alert, then n_mit RFMs, then a hold of n_mit ACTs.  Victim
+counting pays per victim; aggressor counting pays each term on the 2*br
+aggressors around a victim; an adaptive scheme mitigates within one
+round.  NR — the rounds the pool survives — comes from the pool
+recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)) in
+`pool_recurrence`, the scalar reference for the plain-list tables the
+solvers read, built in one pass up the pool.  HC is affine in n_bo, so
+`solve_nbo` walks down from one ceiling for every discipline.
 
 The literal recurrence stalls once the floor term is zero, and its
 alert count has two defensible readings; both are kept behind
@@ -32,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
-from .dram import ABO_ACT, RFM_NS, DeviceGeometry
+from .dram import ABO_ACT, N_MITS, RFM_NS, DeviceGeometry
 from .engine import BankEngine
 from .schemes import SchemeConfig, preset, scheme_rules
 
@@ -44,11 +50,6 @@ def discipline_for_scheme(scheme: str) -> Optional[int]:
     return None if rules.adaptive else rules.act_count
 
 
-def act_time_ns(scheme: str) -> float:
-    """Row-cycle time the attacker pays per activation of `scheme`."""
-    return scheme_rules(scheme).tRC_ns
-
-
 @dataclass(frozen=True)
 class RecurrenceConfig:
     """Calibration switches for the pool recurrence and the r1 bound.
@@ -58,7 +59,7 @@ class RecurrenceConfig:
     alert credit across rounds.  granularity: 'body' divides activations
     by (ABO_ACT + n_mit); 'text' by 2*br*(ABO_ACT + n_mit).  The setup
     budget (ns) caps the initial pool via n_bo-1 activations per prepared
-    aggressor at the discipline's row-cycle time; None lifts the cap.
+    aggressor at the scheme's row-cycle time; None lifts the cap.
     """
 
     variant: str = "literal"
@@ -82,7 +83,7 @@ class AnalysisParams:
     recurrence: RecurrenceConfig = RecurrenceConfig()
 
     def __post_init__(self) -> None:
-        if self.n_mit not in (1, 2, 4):
+        if self.n_mit not in N_MITS:
             raise ValueError("n_mit must be 1, 2, or 4")
         if self.br < 1 or self.rows_per_bank < 8:
             raise ValueError("implausible analysis parameters")
@@ -188,17 +189,9 @@ def _carry_nr(cap: int, sub: int, term: int, den: int, remu: int
     return raw
 
 
-def pool_recurrence_pvac(r1: int, params: AnalysisParams) -> int:
-    """Rounds a victim pool of r1 survives; scalar reference form."""
-    return _pool_recurrence(VICTIM_COUNT, r1, params)
-
-
-def pool_recurrence_prac(r1: int, params: AnalysisParams) -> int:
-    """Rounds an aggressor pool of r1 survives (terminates at 2*br)."""
-    return _pool_recurrence(AGGRESSOR_COUNT, r1, params)
-
-
-def _pool_recurrence(discipline: int, r1: int, params: AnalysisParams) -> int:
+def pool_recurrence(discipline: int, r1: int, params: AnalysisParams) -> int:
+    """Rounds a pool of r1 survives under `discipline`, one round at a
+    time; the reference the NR tables are checked against."""
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
     sub, term, den, remu = _recurrence_knobs(discipline, params)
@@ -223,56 +216,37 @@ def _pool_recurrence(discipline: int, r1: int, params: AnalysisParams) -> int:
     raise RuntimeError("pool recurrence failed to terminate")
 
 
-def _hc(discipline: int, n_bo: int, nr: int, params: AnalysisParams
-        ) -> int:
-    """Worst-case hammered count of `discipline` after `nr` wave rounds;
-    the one closed form behind hc_pvac, hc_prac and worst_case_hc."""
-    base = params.n_mit + ABO_ACT + params.br
+def hammered_count(discipline: Optional[int], n_bo: int, nr: int,
+                   params: AnalysisParams) -> int:
+    """Worst-case hammered count of `discipline` (None: adaptive, which
+    has no rounds to count) after `nr` wave rounds at threshold n_bo."""
+    br = params.br
+    if discipline is None:
+        return 2 * br * (n_bo - 1) + ABO_ACT + br
+    base = params.n_mit + ABO_ACT + br
     if discipline == VICTIM_COUNT:
         return (n_bo - 1) + nr + base
-    return 2 * params.br * (n_bo - 1) + 2 * params.br * nr + base - 1
-
-
-def hc_pvac(n_bo: int, params: AnalysisParams, r1: int) -> int:
-    """Worst-case hammered count for victim-based counting at pool r1."""
-    return _hc(VICTIM_COUNT, n_bo, pool_recurrence_pvac(r1, params), params)
-
-
-def hc_prac(n_bo: int, params: AnalysisParams, r1: int) -> int:
-    """Worst-case hammered count for aggressor-based counting at pool r1."""
-    return _hc(AGGRESSOR_COUNT, n_bo, pool_recurrence_prac(r1, params),
-               params)
-
-
-def hc_chronus(n_bo: int, params: AnalysisParams) -> int:
-    """Adaptive-RFM scheme: one round, every aggressor to n_bo - 1 plus one."""
-    return 2 * params.br * (n_bo - 1) + ABO_ACT + params.br
-
-
-def _setup_units(discipline: int, r1: int, br: int) -> int:
-    """Activations per setup pass: one per aggressor."""
-    if discipline == VICTIM_COUNT:
-        group = 2 * br
-        return (r1 + group - 1) // group
-    return r1
+    return 2 * br * (n_bo - 1 + nr) + base - 1
 
 
 def _budget_r1_cap(scheme: str, discipline: int, q: int,
                    params: AnalysisParams) -> int:
-    """Largest r1 whose setup (q acts per aggressor) fits the budget."""
+    """Largest r1 whose setup (q acts per aggressor, at the scheme's
+    row-cycle time) fits the budget; a victim-based aggressor prepares
+    2*br victims."""
     cap = max_initial_pool(discipline, params.rows_per_bank, params.br)
     budget = params.recurrence.setup_budget_ns
     if budget is None or q == 0:
         return cap
-    per_act = q * act_time_ns(scheme)
-    lo, hi = 0, cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if per_act * _setup_units(discipline, mid, params.br) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    per_act = q * scheme_rules(scheme).tRC_ns
+    # Most aggressors with per_act * units <= budget, tested as written.
+    # The float quotient floors the exact one, which fits; the rounded
+    # product may still admit one more.
+    units = int(budget // per_act)
+    if per_act * (units + 1) <= budget:
+        units += 1
+    return min(cap, units * (2 * params.br
+                             if discipline == VICTIM_COUNT else 1))
 
 
 def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
@@ -283,16 +257,12 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
     this n_bo (deeper setup leaves room for fewer prepared rows).
     """
     discipline = discipline_for_scheme(scheme)
-    if discipline is None:
-        return hc_chronus(n_bo, params), 0, 0
-    M, _raw = _nr_tables(discipline, params)
-    r1_cap = _budget_r1_cap(scheme, discipline, n_bo - 1, params)
-    if r1_cap < 1:
-        nr, worst = 0, 0
-    else:
-        nr = M[r1_cap]
+    nr = worst = 0
+    if discipline is not None:
+        M = _nr_tables(discipline, params)[0]
+        nr = M[_budget_r1_cap(scheme, discipline, n_bo - 1, params)]
         worst = bisect_left(M, nr)
-    return _hc(discipline, n_bo, nr, params), worst, nr
+    return hammered_count(discipline, n_bo, nr, params), worst, nr
 
 
 def solve_nbo(scheme: str, max_hc: int, params: AnalysisParams
@@ -301,19 +271,11 @@ def solve_nbo(scheme: str, max_hc: int, params: AnalysisParams
     if max_hc < 1:
         raise ValueError("max_hc must be >= 1")
     discipline = discipline_for_scheme(scheme)
-    if discipline is None:
-        q = (max_hc - ABO_ACT - params.br) // (2 * params.br)
-        if q < 0:
-            return SecurityCurvePoint(scheme, params.n_mit, max_hc,
-                                      0, 0, 0, False)
-        return SecurityCurvePoint(scheme, params.n_mit, max_hc,
-                                  q + 1, 0, 0, True)
-    base = params.n_mit + ABO_ACT + params.br
-    if discipline == VICTIM_COUNT:
-        qmax = max_hc - base
-    else:
-        qmax = (max_hc - (base - 1)) // (2 * params.br)
-    for q in range(int(qmax), -1, -1):
+    # HC is affine in n_bo at nr 0, and nr only adds: no n_bo - 1 past
+    # this ceiling fits.
+    low = hammered_count(discipline, 1, 0, params)
+    step = hammered_count(discipline, 2, 0, params) - low
+    for q in range((max_hc - low) // step, -1, -1):
         hc, worst, nr = worst_case_hc(scheme, q + 1, params)
         if hc <= max_hc:
             return SecurityCurvePoint(scheme, params.n_mit, max_hc,
@@ -332,7 +294,7 @@ def bw_bound(n_mit: int, n_bo: int, tRC_ns: float) -> float:
 
 def security_table(max_hcs: List[int],
                    schemes: Tuple[str, ...] = ("PVAC", "PRAC", "Chronus"),
-                   n_mits: Tuple[int, ...] = (1, 2, 4),
+                   n_mits: Tuple[int, ...] = N_MITS,
                    recurrence: Optional[RecurrenceConfig] = None
                    ) -> List[SecurityCurvePoint]:
     """The threshold-vs-HC table across schemes and mitigation counts."""
@@ -395,11 +357,10 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank,
                            geometry.blast_radius)
-    if discipline_for_scheme(scheme) is None:
-        bound, r1 = hc_chronus(n_bo, params), min(32, cap)
-    else:
-        bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
-        r1 = max(4, min(worst, cap))
+    bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
+    # An adaptive scheme has no worst pool (worst_r1 0): its wave runs
+    # 32 rows.
+    r1 = max(4, min(worst or 32, cap))
     wave_layout(config, geometry, r1)  # raises if the wave cannot run
     return config, r1, bound
 

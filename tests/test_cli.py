@@ -346,6 +346,14 @@ def test_security_table_rejects_bad_variant(tmp_path):
 # domino
 
 
+DOMINO_PLOT_HEAD = """\
+set datafile separator ","
+set key autotitle columnhead
+set xlabel 'refresh window'
+set ylabel 'bandwidth'
+"""
+
+
 def test_domino_small_bank_separates_the_schemes(tmp_path):
     # On a 512-row bank the refresh sweep laps every 512 tREFI, so an
     # accumulating counter crosses n_bo=8 well inside the first window;
@@ -374,8 +382,28 @@ geometry:
     assert all(int(r[4]) == 0 for r in pvac.values())
     for r in rows:
         assert 0.0 <= float(r[3]) <= 1.0
-    assert (outdir / "plot.gnuplot").exists()
+    assert (outdir / "plot.gnuplot").read_text() == DOMINO_PLOT_HEAD + (
+        "plot 'domino.csv' using 2:(strcol(1) eq 'PRAC' ? $4 : 1/0) "
+        "with lines title 'PRAC', \\\n"
+        "     'domino.csv' using 2:(strcol(1) eq 'PVAC' ? $4 : 1/0) "
+        "with lines title 'PVAC'\n")
     assert "scenario: domino" in (outdir / "manifest.yaml").read_text()
+
+
+def test_domino_plots_each_scheme_it_runs(tmp_path):
+    cfg = write_cfg(tmp_path, """\
+domino: {windows: 1, schemes: [QPRAC, MOAT], n_bo: 8}
+geometry: {rows_per_bank: 512, rows_per_dsa: 512}
+refresh: {tREFW_ns: 8000000}
+""")
+    outdir = tmp_path / "out"
+    result = run_cli("domino", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_OK
+    assert (outdir / "plot.gnuplot").read_text() == DOMINO_PLOT_HEAD + (
+        "plot 'domino.csv' using 2:(strcol(1) eq 'QPRAC' ? $4 : 1/0) "
+        "with lines title 'QPRAC', \\\n"
+        "     'domino.csv' using 2:(strcol(1) eq 'MOAT' ? $4 : 1/0) "
+        "with lines title 'MOAT'\n")
 
 
 def test_domino_unknown_scheme_exits_2(tmp_path):

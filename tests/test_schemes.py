@@ -11,8 +11,9 @@ from hammersim.counters import AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT
 from hammersim.dram import DeviceGeometry
 from hammersim.engine import BankEngine, EngineMetrics
 from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, SCHEME_RULES, SCHEMES,
-                               SchemeConfig, SchemeState, preset)
-from hammersim.security import act_time_ns, discipline_for_scheme
+                               SchemeConfig, SchemeState, preset,
+                               scheme_rules)
+from hammersim.security import discipline_for_scheme
 from test_kernel import kernels
 
 
@@ -70,7 +71,7 @@ def test_scheme_name_fixes_its_rules(name, trc, trfc, act, ref,
     assert config.counter_semantics == act
     assert SCHEME_RULES[name].ref_count == ref
     assert discipline_for_scheme(name) == discipline
-    assert act_time_ns(name) == trc
+    assert scheme_rules(name).tRC_ns == trc
     stock = preset(name, 64, n_mit=4)
     assert (stock.n_mit, stock.proactive_threshold,
             stock.proactive_period) == (n_mit, pthr, pper)

@@ -5,15 +5,17 @@ from itertools import product
 import pytest
 
 from hammersim.security import (AnalysisParams, OracleCheck, RecurrenceConfig,
-                                act_time_ns, brute_force_oracle, bw_bound,
-                                discipline_for_scheme, hc_chronus, hc_prac,
-                                hc_pvac, max_initial_pool, oracle_point,
-                                pool_recurrence_prac, pool_recurrence_pvac,
+                                SecurityCurvePoint, brute_force_oracle,
+                                bw_bound, discipline_for_scheme,
+                                hammered_count, max_initial_pool,
+                                oracle_point, pool_recurrence,
                                 security_table, small_oracle_geometry,
                                 solve_nbo, worst_case_hc)
 from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from hammersim.dram import ABO_ACT
-from hammersim.security import _nr_tables
+from hammersim.schemes import SCHEMES, scheme_rules
+from hammersim import security
+from hammersim.security import _budget_r1_cap, _nr_tables
 
 
 def params(n_mit: int, **kw) -> AnalysisParams:
@@ -35,7 +37,9 @@ def test_recurrence_config_validation():
 def test_analysis_params_delay_follows_n_mit():
     # The hold after each burst is n_mit ACTs, on top of ABO_ACT.
     for n_mit in (1, 2, 4):
-        assert hc_pvac(64, params(n_mit), r1=1) == \
+        p = params(n_mit)
+        nr = pool_recurrence(VICTIM_COUNT, 1, p)
+        assert hammered_count(VICTIM_COUNT, 64, nr, p) == \
             63 + 1 + n_mit + ABO_ACT + 2
     with pytest.raises(ValueError):
         params(3)
@@ -47,7 +51,7 @@ def test_disciplines_and_act_times():
     with pytest.raises(ValueError):
         discipline_for_scheme("TRR")
     with pytest.raises(ValueError):
-        act_time_ns("TRR")
+        scheme_rules("TRR")
 
 
 def test_initial_pool_extremes():
@@ -74,20 +78,21 @@ def test_victim_pool_follows_the_blast_radius(br, cap, nr):
 
 def test_victim_pool_recurrence_hand_trace():
     p = params(4)  # den = ABO_ACT + n_mit = 7, removes 4 per alert
-    assert pool_recurrence_pvac(0, p) == 0
-    assert pool_recurrence_pvac(1, p) == 1
+    assert pool_recurrence(VICTIM_COUNT, 0, p) == 0
+    assert pool_recurrence(VICTIM_COUNT, 1, p) == 1
     # 22 -> 3 alerts (22//7), 10 -> 1 alert, 6 -> stall: three rounds.
-    assert pool_recurrence_pvac(22, p) == 3
+    assert pool_recurrence(VICTIM_COUNT, 22, p) == 3
 
 
 def test_aggressor_pool_recurrence_hand_trace():
     p = params(1)  # den = 4, subtract br = 2, terminate at 4
     # 10 -> 8//4 = 2 removed? no: alerts=2, removes 2 -> 8; then 6//4 = 1
     # per round: 8 -> 7 -> 6 -> 5, where 5 - 2 = 3 < 4 stalls.
-    assert pool_recurrence_prac(10, p) == 5
-    assert pool_recurrence_prac(4, p) == 1  # already at the terminal size
+    assert pool_recurrence(AGGRESSOR_COUNT, 10, p) == 5
+    # Already at the terminal size.
+    assert pool_recurrence(AGGRESSOR_COUNT, 4, p) == 1
     with pytest.raises(ValueError):
-        pool_recurrence_prac(-1, p)
+        pool_recurrence(AGGRESSOR_COUNT, -1, p)
 
 
 def test_vector_table_matches_scalar_reference():
@@ -97,11 +102,11 @@ def test_vector_table_matches_scalar_reference():
             ["literal", "carry"], ["body", "text"], [1, 2, 4]):
         rec = RecurrenceConfig(variant=variant, granularity=granularity)
         p = AnalysisParams(n_mit=n_mit, rows_per_bank=4096, recurrence=rec)
-        for discipline, scalar in ((VICTIM_COUNT, pool_recurrence_pvac),
-                                   (AGGRESSOR_COUNT, pool_recurrence_prac)):
+        for discipline in (VICTIM_COUNT, AGGRESSOR_COUNT):
             _M, raw = _nr_tables(discipline, p)
             assert len(raw) == max_initial_pool(discipline, 4096, 2) + 1
-            assert raw == [scalar(r1, p) for r1 in range(len(raw))]
+            assert raw == [pool_recurrence(discipline, r1, p)
+                           for r1 in range(len(raw))]
 
 
 def test_prefix_max_table_is_running_maximum():
@@ -117,15 +122,17 @@ def test_prefix_max_table_is_running_maximum():
 
 def test_hc_formulas_at_tiny_pools():
     p = params(4)
-    assert hc_pvac(64, p, r1=1) == 63 + 1 + 4 + 3 + 2
-    assert hc_prac(64, p, r1=1) == 4 * 63 + 4 * 1 + 4 + 3 + 2 - 1
+    for discipline, hc in ((VICTIM_COUNT, 63 + 1 + 4 + 3 + 2),
+                           (AGGRESSOR_COUNT, 4 * 63 + 4 * 1 + 4 + 3 + 2 - 1)):
+        nr = pool_recurrence(discipline, 1, p)
+        assert hammered_count(discipline, 64, nr, p) == hc
 
 
-def test_hc_chronus_closed_form():
+def test_adaptive_hc_closed_form():
     p = params(1)
-    assert hc_chronus(1, p) == 5
-    assert hc_chronus(31, p) == 125
-    assert hc_chronus(511, p) == 2045
+    assert hammered_count(None, 1, 0, p) == 5
+    assert hammered_count(None, 31, 0, p) == 125
+    assert hammered_count(None, 511, 0, p) == 2045
 
 
 def test_worst_case_hc_frozen_point():
@@ -137,6 +144,44 @@ def test_worst_case_hc_monotone_in_n_bo():
     p = params(2)
     hcs = [worst_case_hc("PRAC", n_bo, p)[0] for n_bo in range(2, 40)]
     assert hcs == sorted(hcs)
+
+
+def _bisect_r1_cap(trc, discipline, q, p):
+    """The budget cap as a binary search over r1: the largest r1 whose
+    ceil(r1 / aggressor group) setup aggressors, q ACTs each at a row
+    cycle of `trc` ns, fit the budget."""
+    cap = max_initial_pool(discipline, p.rows_per_bank, p.br)
+    budget = p.recurrence.setup_budget_ns
+    if budget is None or q == 0:
+        return cap
+    group = 2 * p.br if discipline == VICTIM_COUNT else 1
+    per_act = q * trc
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if per_act * -(-mid // group) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("budget", [24.0e6, 1.0e5, 333333.3, 1.0, None])
+@pytest.mark.parametrize("scheme, trc", [("PVAC", 48.0), ("PRAC", 52.0),
+                                         ("PVAC", 0.3)])
+def test_budget_cap_closed_form_matches_the_search(scheme, trc, budget,
+                                                   monkeypatch):
+    # 24e6 is a multiple of q * 48 at many q, so the fit is tested at
+    # equality; 1 ns admits no aggressor at all.  A row cycle of 0.3 ns
+    # is no scheme's: it makes the float quotient round.
+    rules = scheme_rules(scheme)._replace(tRC_ns=trc)
+    monkeypatch.setattr(security, "scheme_rules", lambda name: rules)
+    for discipline, br in product((VICTIM_COUNT, AGGRESSOR_COUNT), (1, 2)):
+        p = params(1, br=br, recurrence=RecurrenceConfig(
+            setup_budget_ns=budget))
+        for q in range(3001):
+            assert _budget_r1_cap(scheme, discipline, q, p) == \
+                _bisect_r1_cap(trc, discipline, q, p), (discipline, q)
 
 
 def test_setup_budget_only_tightens_the_bound():
@@ -189,6 +234,22 @@ def test_solver_chronus_closed_form():
     assert not solve_nbo("Chronus", 4, params(1)).feasible
     with pytest.raises(ValueError):
         solve_nbo("Chronus", 0, params(1))
+
+
+@pytest.mark.parametrize("budget", [24.0e6, None, 1.0e5])
+def test_solver_returns_the_largest_fitting_n_bo(budget):
+    # Against every n_bo the bound admits: HC >= n_bo - 1 + ABO_ACT, so
+    # none past max_hc fits.
+    rec = RecurrenceConfig(setup_budget_ns=budget)
+    for scheme, n_mit, br in product(SCHEMES, (1, 2, 4), (1, 2, 3)):
+        p = params(n_mit, br=br, rows_per_bank=4096, recurrence=rec)
+        worst = [worst_case_hc(scheme, n_bo, p) for n_bo in range(1, 151)]
+        for max_hc in range(1, 151):
+            fits = [(n_bo, r1, nr) for n_bo, (hc, r1, nr)
+                    in enumerate(worst, 1) if hc <= max_hc]
+            n_bo, r1, nr = fits[-1] if fits else (0, 0, 0)
+            assert solve_nbo(scheme, max_hc, p) == SecurityCurvePoint(
+                scheme, n_mit, max_hc, n_bo, r1, nr, bool(fits))
 
 
 def test_solver_monotone_in_max_hc():
