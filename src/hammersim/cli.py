@@ -30,8 +30,8 @@ from .config import (GEOMETRY, REFRESH, SCHEME, ConfigError, Key,
 from .counters import csa_scaled_latency
 from .dram import DEFAULT_TRC_NS, N_MITS, PRAC_TRC_NS
 from .engine import BankEngine, audit_log, log_to_csv_lines
-from .schemes import (DEFAULT_QUEUE_DEPTH, SchemeConfig, preset,
-                      scheme_rules)
+from .schemes import (DEFAULT_QUEUE_DEPTH, SchemeConfig, check_n_mit,
+                      preset)
 from .security import (AnalysisParams, RecurrenceConfig, brute_force_oracle,
                        bw_bound, oracle_point, security_table,
                        small_oracle_geometry, solve_nbo)
@@ -370,11 +370,8 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     # config error before any job starts.
     schemes: Dict[int, SchemeConfig] = {}  # feasible hcs only
     with config_errors("sweep_stride"):
-        if scheme_rules(name).single_mitigation and n_mit != 1:
-            # `preset` would pin n_mit 1 and run a point not solved for.
-            raise ValueError(f"{name} performs a single mitigation per "
-                             f"alert, so n_mit={n_mit} is not a point it "
-                             "runs")
+        # `preset` would pin n_mit 1 and run a point not solved for.
+        check_n_mit(name, n_mit)
         params = AnalysisParams(n_mit=n_mit, br=geometry.blast_radius,
                                 rows_per_bank=geometry.rows_per_bank)
         for hc in hcs:

@@ -11,7 +11,8 @@ The engine owns the memory-controller half of the alert protocol:
   runs back-to-back, then the next alert is deferred until ``n_mit``
   further ACT opportunities pass.
 
-The scheme answers each hook in rows (see `schemes`): an alert is the
+The engine keeps time; the scheme performs, and reports, each row
+activation.  It answers each hook in rows (see `schemes`): an alert is the
 lowest hot row, logged on the ``ALERT`` line; the rows an RFM or a
 proactive hook serviced are logged one ``RFM`` or ``PROACT`` line each.
 
@@ -161,16 +162,14 @@ class BankEngine:
         self._blocked: dict[int, int] = {}
         self._win_rfms: dict[int, int] = {}
         self._win_alerts: dict[int, int] = {}
-        self._observer = None
 
     def attach_observer(self, observer) -> None:
-        """Register a ground-truth disturbance observer.
+        """Register a ground-truth disturbance observer with the scheme.
 
-        `observer.on_activation(row)` fires for every physical row
-        activation — demand ACTs, per-row refreshes within REF, and the
-        activations mitigation work performs."""
-        self._observer = observer.on_activation
-        self.scheme.activation_observer = self._observer
+        `observer.on_activation(row)` fires for every row the scheme
+        activates — demand ACTs, each row of a REF group, and the rows
+        mitigation work activates."""
+        self.scheme.activation_observer = observer.on_activation
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -208,9 +207,6 @@ class BankEngine:
         self.metrics.refs_issued += 1
         if self.collect_log:
             self._log(t, "REF", rows[0])
-        if self._observer is not None:
-            for r in rows:
-                self._observer(r)
         refreshed, alert = self.scheme.on_refresh(
             rows, alert_allowed=(self._state == _IDLE))
         if refreshed:
@@ -277,18 +273,14 @@ class BankEngine:
         hold, and any deferred alert chain, interleaving scheduled REFs.
         """
         while True:
-            if self._state == _WINDOW:
-                idle_from = self.now
-                if until is not None and until <= idle_from:
-                    return  # demand is already waiting; window stays open
-                self._run_burst(idle_from)
-                continue
-            if self._state == _HOLD:
-                idle_from = self.now
-                if until is not None and until <= idle_from:
-                    return  # demand will consume the hold with real ACTs
-                self._hold_left = 0
-                self._state = _IDLE
+            if self._state != _IDLE:
+                if until is not None and until <= self.now:
+                    return  # demand is waiting: its ACTs use the opportunities
+                if self._state == _WINDOW:
+                    self._run_burst(self.now)
+                else:
+                    self._hold_left = 0
+                    self._state = _IDLE
                 continue
             # IDLE: surface any alert deferred during the mitigation.
             if self.scheme.pending_alert and self._surface_pending():
@@ -324,8 +316,6 @@ class BankEngine:
         # Admit at t in `state`.
         self.metrics.acts_issued += 1
         self.now = t + self._tRC
-        if self._observer is not None:
-            self._observer(row)
         alert = self._on_act(row, state == _IDLE)
         if self.collect_log:
             add_time, add_kind, add_row, add_counter = self._log_appends

@@ -8,9 +8,12 @@ knobs a run may set; `preset` is each name's stock configuration.
 
 Each scheme owns a per-bank counter store and a fixed-depth priority queue
 of the hottest rows.  The engine feeds it activations, refreshes, and RFM
-grants; the scheme answers in rows.  An alert is the lowest row at or
-above ``n_bo`` (``None``: no alert); `on_refresh` also returns the rows its
-proactive hook refreshed, and `on_rfm` the rows one RFM serviced.
+grants.  The scheme performs each row activation they cause (the demand
+ACT, every row of a REF group, every mitigation row), reports it to
+`activation_observer`, then counts it; it answers in rows.  An alert is
+the lowest row at or above ``n_bo`` (``None``: no alert); `on_refresh`
+also returns the rows its proactive hook refreshed, and `on_rfm` the rows
+one RFM serviced.
 
 Alert deferral: while the controller is inside the post-mitigation hold
 window it calls these hooks with ``alert_allowed=False``.  A threshold
@@ -21,8 +24,7 @@ engine collects it once the hold expires — deferral, never suppression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
@@ -71,6 +73,14 @@ def scheme_rules(scheme: str) -> SchemeRules:
         raise ValueError(f"unknown scheme {scheme!r}") from None
 
 
+def check_n_mit(scheme: str, n_mit: int) -> None:
+    """ValueError unless `scheme` runs `n_mit` mitigations per alert: a
+    single-mitigation scheme runs only 1, whatever a run asks for."""
+    if scheme_rules(scheme).single_mitigation and n_mit != 1:
+        raise ValueError(f"{scheme} performs a single mitigation per "
+                         f"alert, so n_mit={n_mit} is not a point it runs")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     scheme: str
@@ -81,7 +91,7 @@ class SchemeConfig:
     queue_depth: int = DEFAULT_QUEUE_DEPTH
 
     def __post_init__(self) -> None:
-        rules = scheme_rules(self.scheme)
+        check_n_mit(self.scheme, self.n_mit)
         if self.n_bo < 1:
             raise ValueError("n_bo must be >= 1")
         if self.n_mit not in N_MITS:
@@ -92,9 +102,6 @@ class SchemeConfig:
             raise ValueError("proactive_period must be >= 1 when set")
         if self.proactive_threshold is not None and self.proactive_threshold < 1:
             raise ValueError("proactive_threshold must be >= 1 when set")
-        if rules.single_mitigation and self.n_mit != 1:
-            raise ValueError(f"{self.scheme} performs a single mitigation "
-                             "per alert")
 
     @property
     def tRC_ns(self) -> float:
@@ -144,8 +151,8 @@ class SchemeState:
         config.check_fits(geometry)
         self.config = config
         self.geometry = geometry
-        # Called with each physically activated row during mitigation work
-        # (victim refreshes, RFM-induced activations); the engine wires a
+        # Called with every row the scheme activates (demand ACTs, REF
+        # rows, mitigation work) before it is counted; the engine wires a
         # damage observer here for ground-truth disturbance accounting.
         self.activation_observer = None
         self.bank = CounterBank(geometry)
@@ -158,7 +165,7 @@ class SchemeState:
         # Adaptive schemes only: every row whose count is >= n_bo, and
         # maybe rows reset since, which `_prune_hot` drops.  A count
         # reaches n_bo only through a counted activation, and both
-        # counting walks add every such row.
+        # counting walks (`_activate`, `on_act`) add every such row.
         self._hot: Set[int] = set()
         self._refs_seen = 0
         self._neighbours = neighbour_offsets(geometry)
@@ -170,12 +177,19 @@ class SchemeState:
 
     # -- internal plumbing ------------------------------------------------
 
-    def _count(self, rows: Iterable[int], sem: int) -> List[int]:
-        """Count one activation of each of `rows` as `sem` and feed the
-        counter changes to the queue; return the rows now >= n_bo.
+    def _activate(self, rows: Sequence[int], sem: int) -> List[int]:
+        """Activate each of `rows`: report it to `activation_observer`,
+        count it as `sem` and feed the counter changes to the queue;
+        return the rows now >= n_bo.
 
-        The one walk from the kernel into the queue for REF groups and
-        mitigation work; `on_act` keeps its own inline copy for one row."""
+        The one walk for REF groups and mitigation work; `on_act` keeps
+        its own inline copy for one row."""
+        observer = self.activation_observer
+        if observer is not None:
+            for row in rows:
+                observer(row)
+        if sem == NO_COUNT:
+            return []  # Chronus's REF: no kernel call per row
         act, update, remove, n_bo = (self._act, self._q_update,
                                      self._q_remove, self._n_bo)
         hot: List[int] = []
@@ -226,65 +240,52 @@ class SchemeState:
         get = self.bank.core.get
         return min(hot, key=lambda row: (-get(row), row))
 
-    def _mitigate_one_aggressor(self, row: int) -> None:
-        """Reset `row`, then activate its victims (counted activations).
-
-        `row` must already be out of the queue: the caller popped or
-        removed it."""
-        self.bank.core.reset(row)
-        # Nearest victims first on each side, the order the refresh burst
-        # walks the blast radius in.
-        victims = [row + offset for offset
-                   in self._neighbours[row % self.geometry.rows_per_dsa]]
-        if self.activation_observer is not None:
-            for victim in victims:
-                self.activation_observer(victim)
-        if self._count(victims, self._sem):
-            self.pending_alert = True  # mitigation work never raises
-
     def _one_mitigation_unit(self, require_hot: bool = False) -> List[int]:
-        """One RFM's worth of work: 4 victims under victim counting,
-        else 1 aggressor; returns the rows refreshed or reset.
+        """One RFM's worth of work; returns the rows refreshed or reset.
+
+        A victim scheme takes up to RFM_ROWS_PER_PVAC_BURST targets and
+        activates each; an aggressor scheme takes 1, resets it and
+        activates its victims, nearest first on each side (the order the
+        refresh burst walks the blast radius in).  Each target is worked
+        before the next pop sees the queue.
 
         With require_hot (adaptive alert servicing) the target must hold a
         count >= n_bo; if the queue's top does not, the hottest row
         counted hot is taken, so a displaced hot row cannot be missed.
         """
+        victim = self._sem == VICTIM_COUNT
         applied: List[int] = []
-        if self._sem == VICTIM_COUNT:
-            # Each popped row is refreshed as a victim-counted activation
-            # (reset + bumps) before the next pop sees the queue.
-            observer = self.activation_observer
-            for _ in range(RFM_ROWS_PER_PVAC_BURST):
+        for _ in range(RFM_ROWS_PER_PVAC_BURST if victim else 1):
+            if require_hot and self.queue.peek_max_count() < self._n_bo:
+                target = self._hottest_if_hot()
+                if target is None:
+                    break
+                self.queue.remove(target)
+            else:
                 top = self.queue.pop_max()
                 if top is None:
                     break
-                row = top[0]
-                if observer is not None:
-                    observer(row)
-                if self._count((row,), VICTIM_COUNT):
-                    self.pending_alert = True  # mitigation work never raises
-                applied.append(row)
-        else:
-            if require_hot and self.queue.peek_max_count() < self._n_bo:
-                target = self._hottest_if_hot()
-                if target is not None:
-                    self.queue.remove(target)
+                target = top[0]
+            if victim:
+                rows: Sequence[int] = (target,)
             else:
-                top = self.queue.pop_max()
-                target = None if top is None else top[0]
-            if target is not None:
-                self._mitigate_one_aggressor(target)
-                applied.append(target)
+                self.bank.core.reset(target)
+                rows = [target + offset for offset in
+                        self._neighbours[target % self.geometry.rows_per_dsa]]
+            if self._activate(rows, self._sem):
+                self.pending_alert = True  # mitigation work never raises
+            applied.append(target)
         return applied
 
     # -- engine-facing hooks ----------------------------------------------
 
     def on_act(self, row: int, alert_allowed: bool = True) -> Optional[int]:
-        """Count one demand activation; returns the alert to raise now."""
+        """Activate one demand row; returns the alert to raise now."""
         if not 0 <= row < self.geometry.rows_per_bank:
             raise ValueError(f"row {row} outside bank")
-        # The _count walk, inlined: it runs for every demand ACT.
+        if self.activation_observer is not None:
+            self.activation_observer(row)
+        # The _activate walk, inlined: it runs for every demand ACT.
         hot = []
         for r, count in self._act(row, self._sem):
             if count == 0:
@@ -309,9 +310,7 @@ class SchemeState:
         the alert to raise now.  A crossing in a REF whose hook ran is
         parked, then re-checked after the hook's refreshes."""
         self._refs_seen += 1
-        # Chronus counts nothing on REF: no kernel call per refreshed row.
-        hot = (self._count(rows, self._ref_sem)
-               if self._ref_sem != NO_COUNT else [])
+        hot = self._activate(rows, self._ref_sem)
         refreshed = self._proactive_if_due()
         if hot:
             if alert_allowed and not refreshed:
@@ -327,8 +326,6 @@ class SchemeState:
             return []
         threshold = self.config.proactive_threshold
         if threshold is not None and self.queue.peek_max_count() < threshold:
-            return []
-        if len(self.queue) == 0:
             return []
         return self._one_mitigation_unit()
 

@@ -40,7 +40,7 @@ from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import ABO_ACT, N_MITS, RFM_NS, DeviceGeometry
 from .engine import BankEngine
-from .schemes import SchemeConfig, preset, scheme_rules
+from .schemes import SchemeConfig, check_n_mit, preset, scheme_rules
 
 
 def discipline_for_scheme(scheme: str) -> Optional[int]:
@@ -304,6 +304,7 @@ def security_table(max_hcs: List[int],
         closed_form = discipline_for_scheme(scheme) is None
         mits = (1,) if closed_form else n_mits
         for m in mits:
+            check_n_mit(scheme, m)
             params = AnalysisParams(n_mit=m, recurrence=rec)
             for hc in max_hcs:
                 out.append(solve_nbo(scheme, hc, params))
@@ -348,12 +349,10 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
         n_mit=n_mit, br=geometry.blast_radius,
         rows_per_bank=geometry.rows_per_bank,
         recurrence=RecurrenceConfig(setup_budget_ns=None))
+    # The preset pins a scheme's one mitigation; the bound must not be
+    # taken for a count the run cannot have.
+    check_n_mit(scheme, n_mit)
     config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
-    if config.n_mit != n_mit:
-        # The preset pins the scheme's one mitigation; the bound must not
-        # be taken for a count the run cannot have.
-        raise ValueError(f"{scheme} performs a single mitigation per "
-                         f"alert, so n_mit={n_mit} is not a point it runs")
     config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank,
                            geometry.blast_radius)

@@ -76,6 +76,8 @@ def test_missing_out_is_a_usage_error():
     ("sweep-stride", "sweep_stride: {hc: [2048]}\n", "sweep_stride"),
     ("sweep-stride", "sweep_stride: {scheme: MOAT, n_mit: 4, hc: [64]}\n",
      "sweep_stride"),
+    ("security-table", "security_table: {schemes: [MOAT], n_mits: [1, 4]}\n",
+     "security_table"),
     ("oracle-check", "oracle_check: {n_bos: [1]}\n", "oracle_check"),
     ("oracle-check", "oracle_check: {n_mits: [3]}\n", "oracle_check"),
     ("bw-bound", "bw_bound: {points: [{n_mit: 0, n_bo: 4, tRC_ns: 48}]}\n",
@@ -88,6 +90,7 @@ def test_missing_out_is_a_usage_error():
 ], ids=["domino_n_mit", "domino_n_bo_past_counter_cap", "domino_windows",
         "simulate_n_bo_past_counter_cap", "sweep_n_mit", "sweep_windows",
         "sweep_solved_n_bo_past_counter_cap", "sweep_single_mitigation_n_mit",
+        "security_table_single_mitigation_n_mit",
         "oracle_n_bo", "oracle_n_mit", "bw_bound_n_mit",
         "simulate_negative_tRFC", "simulate_negative_tREFI_and_tRFC",
         "domino_counter_bits_past_kernel"])

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from itertools import cycle, islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim.attacks import DamageObserver, RoundRobinSpec, gen_round_robin
-from hammersim.dram import DeviceGeometry, RefreshConfig, ns, us
+from hammersim.dram import (DeviceGeometry, RefreshConfig, ns,
+                            rows_per_refresh, us)
 from hammersim.engine import (BankEngine, EventLog, TraceEvent, audit_log,
                               log_to_csv_lines)
 from hammersim.schemes import SchemeConfig, preset
@@ -115,6 +117,20 @@ def test_stale_four_field_event_is_rejected_before_any_act():
         engine.run_trace([("act", 10, None, 0)], us(10))
     assert engine.metrics.acts_issued == 0
     assert engine.log == []
+
+
+def test_idle_chronus_engine_reports_each_refreshed_row():
+    # Chronus counts nothing on REF, but each REF still activates its
+    # group: 8 rows here, a 512-row bank refreshed in 64 REFs.
+    refresh = RefreshConfig(tREFW=64 * TREFI, tREFI=TREFI, tRFC=TRFC)
+    engine = BankEngine(preset("Chronus", 64), small_geometry(), refresh)
+    activated = []
+    engine.attach_observer(SimpleNamespace(on_activation=activated.append))
+    engine.advance_to(3 * TREFI)
+    rpr = rows_per_refresh(engine.geometry, refresh)
+    assert rpr == 8 and engine.metrics.refs_issued == 3
+    assert activated == list(range(3 * rpr))
+    assert engine.scheme.bank.snapshot() == [0] * 512
 
 
 @pytest.mark.parametrize("scheme", [plain_pvac(10_000), preset("PRAC", 64)],

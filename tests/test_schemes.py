@@ -298,6 +298,26 @@ def test_aggressor_rfm_resets_and_disturbs_victims():
     assert all(state.bank.get(r) == 1 for r in (8, 9, 11, 12))
 
 
+@pytest.mark.parametrize("scheme,mitigated", [
+    # The REF's proactive hook (threshold 1) refreshes four rows, then
+    # the RFM four more; a victim scheme activates each row it services.
+    ("PVAC", [8, 9, 11, 10, 12, 7, 8, 9]),
+    # The RFM resets row 10 and activates its victims.
+    ("PRAC", [9, 11, 8, 12]),
+    # Chronus's REF counts nothing, yet its rows are still activated.
+    ("Chronus", [9, 11, 8, 12]),
+])
+def test_observer_sees_every_row_the_scheme_activates(scheme, mitigated):
+    state = make_state(scheme, 2)
+    activated = []
+    state.activation_observer = activated.append
+    state.on_act(10)
+    state.on_act(10)
+    state.on_refresh([20, 21])
+    state.on_rfm()
+    assert activated == [10, 10, 20, 21] + mitigated
+
+
 @pytest.mark.parametrize("row,victims", [(10, [9, 11, 8, 12]),
                                          (64, [65, 66]), (63, [62, 61])])
 def test_aggressor_rfm_walks_victims_nearest_first_inside_subarray(
