@@ -6,10 +6,9 @@ The engine owns the memory-controller half of the alert protocol:
 * a REF is scheduled every tREFI on an absolute grid, blocks the bank for
   tRFC, refreshes a sequential group of rows, and runs the scheme hook;
 * an alert opens a window in which up to ``dram.ABO_ACT`` more ACTs may
-  issue within ``dram.TABO_ACT_NS`` (only while demand is actually waiting
-  — an idle controller proceeds straight to mitigation), then the RFM burst
-  runs back-to-back, then the next alert is deferred until ``n_mit``
-  further ACT opportunities pass.
+  issue within ``dram.TABO_ACT_NS``, then the RFM burst runs back-to-back,
+  then the next alert is deferred until ``n_mit`` further ACT
+  opportunities pass.
 
 The engine keeps time; the scheme performs, and reports, each row
 activation.  It answers each hook in rows (see `schemes`): an alert is the
@@ -17,15 +16,19 @@ lowest hot row, logged on the ``ALERT`` line; the rows an RFM or a
 proactive hook serviced are logged one ``RFM`` or ``PROACT`` line each.
 
 "Opportunity" is the operative word for both the window and the hold: when
-the controller has nothing queued, the opportunities lapse instantly; when
-demand is waiting, they are consumed by real activations.  Bandwidth
-accounting charges REF and RFM blocks only — admitted ACTs are useful work.
+demand is waiting, they are consumed by real activations; when the
+controller has nothing queued, they lapse at once (`BankEngine._lapse`).
+That is the one idle-time rule: with no demand waiting, mitigation goes
+before refresh — an open window runs its burst, a hold ends and a parked
+alert surfaces before any REF due later in the gap.  Bandwidth accounting
+charges REF and RFM blocks only — admitted ACTs are useful work.  Each
+refresh window keeps one `WindowStats` record of them.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -159,9 +162,7 @@ class BankEngine:
 
         self.metrics = EngineMetrics()
         self._win_len = self.refresh.window_ps
-        self._blocked: dict[int, int] = {}
-        self._win_rfms: dict[int, int] = {}
-        self._win_alerts: dict[int, int] = {}
+        self._windows: List[WindowStats] = []  # one record per window
 
     def attach_observer(self, observer) -> None:
         """Register a ground-truth disturbance observer with the scheme.
@@ -184,9 +185,16 @@ class BankEngine:
         add_row(row)
         add_counter(self._get(row) if row >= 0 else 0)
 
-    def _charge_block(self, t: int, dur: int) -> None:
+    def _window(self, t: int) -> WindowStats:
+        """The record of the refresh window holding `t`."""
         w = t // self._win_len
-        self._blocked[w] = self._blocked.get(w, 0) + dur
+        windows = self._windows
+        while len(windows) <= w:
+            windows.append(WindowStats(len(windows)))
+        return windows[w]
+
+    def _charge_block(self, t: int, dur: int) -> None:
+        self._window(t).blocked_ps += dur
         self.metrics.act_blocked_ps += dur
 
     # -- primitive command issue --------------------------------------------
@@ -220,8 +228,7 @@ class BankEngine:
 
     def _assert_alert(self, t: int, row: int) -> None:
         self.metrics.alerts_raised += 1
-        w = t // self._win_len
-        self._win_alerts[w] = self._win_alerts.get(w, 0) + 1
+        self._window(t).alert_count += 1
         if self.collect_log:
             self._log(t, "ALERT", row)
         self._state = _WINDOW
@@ -239,80 +246,62 @@ class BankEngine:
         self._assert_alert(self.now, row)
         return True
 
-    def _run_burst(self, start: int) -> None:
-        """Execute the RFM burst for the current alert, REFs interleaved."""
-        cur = max(start, self.now)
-        budget = self.scheme.alert_burst_length()
+    def _run_burst(self) -> None:
+        """Run the current alert's RFM burst from `now`, REFs interleaved."""
         issued = 0
-        while issued < budget:
-            while self._ref_due <= cur:
+        while True:
+            while self._ref_due <= self.now:
                 self._issue_ref()
-                cur = max(cur, self.now)
-            t = max(cur, self.now)
+            t = self.now
             serviced = self.scheme.on_rfm()
             self.now = t + _TRFM
             self._charge_block(t, _TRFM)
             self.metrics.rfms_issued += 1
-            w = t // self._win_len
-            self._win_rfms[w] = self._win_rfms.get(w, 0) + 1
+            self._window(t).rfm_count += 1
             if self.collect_log:
                 for row in serviced or (-1,):
                     self._log(t, "RFM", row)
             issued += 1
-            cur = self.now
-            if not self.scheme.rfm_pending_more():
+            if not self.scheme.burst_goes_on(issued):
                 break
         self._state = _HOLD
         self._hold_left = self.scheme.config.n_mit
 
-    def _collapse_idle(self, until: Optional[int]) -> None:
-        """Let opportunity states lapse across a demand-free gap.
-
-        `until` is the next instant demand exists (None = never).  While the
-        gap is open the controller moves straight through window, burst,
-        hold, and any deferred alert chain, interleaving scheduled REFs.
-        """
-        while True:
-            if self._state != _IDLE:
-                if until is not None and until <= self.now:
-                    return  # demand is waiting: its ACTs use the opportunities
-                if self._state == _WINDOW:
-                    self._run_burst(self.now)
-                else:
-                    self._hold_left = 0
-                    self._state = _IDLE
-                continue
-            # IDLE: surface any alert deferred during the mitigation.
-            if self.scheme.pending_alert and self._surface_pending():
-                continue
-            return
+    def _lapse(self) -> None:
+        """Let the open opportunity state lapse with no demand waiting: a
+        window runs its burst now, a hold ends."""
+        if self._state == _WINDOW:
+            self._run_burst()
+        else:
+            self._state = _IDLE
 
     # -- public API ----------------------------------------------------------
 
     def issue_act(self, row: int, not_before: int = 0) -> int:
-        """Admit one demand ACT; returns its issue time (ps)."""
+        """Admit one demand ACT at `not_before` or later; returns its issue
+        time (ps).
+
+        Until the ACT is due the controller is idle: an open window or
+        hold lapses, and a parked alert surfaces, before the REFs due by
+        then.  A window the ACT finds spent runs its burst first."""
         if not 0 <= row < self._rows:
             raise ValueError(f"row {row} outside bank")
         while True:
+            state = self._state
+            if state == _IDLE:
+                if self.scheme.pending_alert and self._surface_pending():
+                    continue
+            elif not_before > self.now or (
+                    state == _WINDOW and self.now > self._win_deadline):
+                self._lapse()
+                continue
             t = self.now
             if not_before > t:
                 t = not_before
             if self._ref_due <= t:
                 self._issue_ref()
                 continue
-            state = self._state
-            if state == _IDLE:
-                if self.scheme.pending_alert and self._surface_pending():
-                    continue
-                break
-            if not_before > self.now:
-                # The controller sat idle with the window or hold open.
-                self._collapse_idle(not_before)
-                continue
-            if state == _HOLD or (self._win_acts_left > 0
-                                  and t <= self._win_deadline):
-                break
-            self._run_burst(t)  # the window is spent: mitigate first
+            break
         # Admit at t in `state`.
         self.metrics.acts_issued += 1
         self.now = t + self._tRC
@@ -329,7 +318,7 @@ class BankEngine:
         elif state == _WINDOW:
             self._win_acts_left -= 1
             if self._win_acts_left == 0:
-                self._run_burst(self.now)
+                self._run_burst()
         else:
             self._hold_left -= 1
             if self._hold_left == 0:
@@ -339,14 +328,18 @@ class BankEngine:
         return t
 
     def advance_to(self, t: int) -> None:
-        """Run all scheduled work (REFs, deferred mitigation) up to t."""
+        """Run all scheduled work up to `t` with no demand waiting: each
+        open window or hold lapses and each parked alert surfaces before
+        the next REF due before `t`."""
         while True:
-            if self._state != _IDLE or self.scheme.pending_alert:
-                self._collapse_idle(None)
-            if self._ref_due < t:
-                self._issue_ref()
+            if self._state != _IDLE:
+                self._lapse()
+            elif self.scheme.pending_alert and self._surface_pending():
                 continue
-            return
+            elif self._ref_due < t:
+                self._issue_ref()
+            else:
+                return
 
     def run_trace(self, events: Iterable[TraceEvent],
                   duration_ps: int) -> EngineMetrics:
@@ -366,20 +359,16 @@ class BankEngine:
         """Close the run at `duration_ps` and sum its windows.
 
         A trailing partial window is reported too, its bandwidth taken
-        over its own length."""
+        over its own length.  The windows are copies of the engine's
+        records, so a later run leaves them as they are."""
         m = self.metrics
         m.end_time_ps = duration_ps
         m.windows = []
-        for w, start in enumerate(range(0, duration_ps, self._win_len)):
-            blocked = self._blocked.get(w, 0)
+        for start in range(0, duration_ps, self._win_len):
+            record = self._window(start)
             length = min(self._win_len, duration_ps - start)
-            m.windows.append(WindowStats(
-                index=w,
-                bandwidth=1.0 - blocked / length,
-                rfm_count=self._win_rfms.get(w, 0),
-                alert_count=self._win_alerts.get(w, 0),
-                blocked_ps=blocked,
-            ))
+            m.windows.append(replace(
+                record, bandwidth=1.0 - record.blocked_ps / length))
         return m
 
 

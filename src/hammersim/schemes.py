@@ -333,14 +333,11 @@ class SchemeState:
         """Service one RFM command; returns the rows it serviced."""
         return self._one_mitigation_unit(require_hot=self._adaptive)
 
-    def rfm_pending_more(self) -> bool:
-        """Whether the alert's RFM burst goes on: fixed-count schemes
-        issue all their RFMs, adaptive ones stop once no counter is hot."""
-        return not self._adaptive or bool(self._prune_hot())
-
-    def alert_burst_length(self) -> int:
-        """RFMs the controller should issue for one alert."""
+    def burst_goes_on(self, issued: int) -> bool:
+        """Whether an alert's RFM burst goes on after `issued` RFMs: a
+        fixed-count scheme issues n_mit; an adaptive one goes on while a
+        counter is hot, up to CHRONUS_RFM_SAFETY_FACTOR * queue_depth."""
         if self._adaptive:
-            # Variable; the engine loops on rfm_pending_more with this cap.
-            return CHRONUS_RFM_SAFETY_FACTOR * self.config.queue_depth
-        return self.config.n_mit
+            return (issued < CHRONUS_RFM_SAFETY_FACTOR * self.config.queue_depth
+                    and bool(self._prune_hot()))
+        return issued < self.config.n_mit

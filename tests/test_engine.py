@@ -1,5 +1,6 @@
 """Closed-loop bank engine: timing legality, ABO protocol, determinism."""
 
+import dataclasses
 import tracemalloc
 from itertools import cycle, islice
 from types import SimpleNamespace
@@ -201,6 +202,26 @@ def test_idle_time_consumes_window_hold_and_burst():
                      engine.refresh) == []
 
 
+def test_idle_gap_mitigates_before_it_refreshes():
+    # The alert at 631 ns is followed by a 30 us gap with no demand: the
+    # burst runs at once, ahead of the REF due at 3.9 us, whether the
+    # gap is crossed by the late ACT itself or by an advance_to first.
+    def run(advance_first):
+        engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
+        for event in hammer(10, 8):
+            engine.issue_act(event.row)
+        if advance_first:
+            engine.advance_to(us(30))
+        assert engine.issue_act(300, us(30)) == us(30)
+        return engine.log
+    log = run(False)
+    assert log == run(True)
+    commands = [(t, kind) for t, kind, _, _ in log if kind != "ACT"]
+    assert list(dict.fromkeys(commands))[1:7] == [
+        (ns(631), "ALERT"), (ns(679), "RFM"), (ns(1029), "RFM"),
+        (ns(1379), "RFM"), (ns(1729), "RFM"), (TREFI, "REF")]
+
+
 def test_every_alert_is_separated_by_rfm_service():
     engine = BankEngine(preset("PRAC", 4, 2), small_geometry())
     engine.run_trace(hammer(10, 120), us(2000))
@@ -298,6 +319,19 @@ def test_partial_last_window_is_reported_over_its_own_length():
     assert w.blocked_ps == metrics.refs_issued * TRFC
     assert w.bandwidth == pytest.approx(1 - 103 * TRFC / us(400), abs=1e-12)
     assert w.rfm_count == 0 and w.alert_count == 0
+
+
+def test_finalized_windows_are_snapshots():
+    # d ends halfway through the second window, which the engine's
+    # record of that window goes on filling after the first finalize.
+    engine = BankEngine(plain_pvac(8, n_mit=4), small_geometry())
+    d = engine.refresh.window_ps * 3 // 2
+    first = engine.run_trace(hammer(10, 200), d).windows
+    snapshot = [dataclasses.astuple(w) for w in first]
+    assert engine.finalize(d).windows == first
+    engine.advance_to(2 * d)
+    assert len(engine.finalize(2 * d).windows) == len(first) + 1
+    assert [dataclasses.astuple(w) for w in first] == snapshot
 
 
 def test_window_bandwidth_stays_in_unit_range():

@@ -378,7 +378,7 @@ def test_chronus_alert_services_until_no_counter_is_hot():
     while True:
         assert state.on_rfm(), "adaptive service must find every hot row"
         bursts += 1
-        if not state.rfm_pending_more():
+        if not state.burst_goes_on(1):
             break
     assert bursts == len(hot)
     assert state.bank.core.max_count() < 3
@@ -401,7 +401,7 @@ def test_chronus_finds_hot_row_displaced_from_queue():
         if not applied:
             break
         serviced.append(applied[0])
-        if not state.rfm_pending_more():
+        if not state.burst_goes_on(1):
             break
     assert set(serviced) == {10, 40}
     assert state.bank.core.max_count() < 3
@@ -443,7 +443,7 @@ def test_chronus_hot_rows_answer_like_a_bank_scan(mod, dsa, br, n_bo, depth,
         else:
             state.take_pending_alert()
         top = core.argmax()
-        assert state.rfm_pending_more() == (core.max_count() >= n_bo)
+        assert state.burst_goes_on(1) == (core.max_count() >= n_bo)
         assert state._hottest_if_hot() == (top if core.get(top) >= n_bo
                                            else None)
 
@@ -487,14 +487,19 @@ def test_pvac_proactive_refreshes_victims():
     assert state.bank.get(12) == 0
 
 
-def test_alert_burst_length_by_scheme():
-    assert make_state("PRAC", 64, n_mit=4).alert_burst_length() == 4
-    assert make_state("PVAC", 64, n_mit=2).alert_burst_length() == 2
-    assert make_state("Chronus", 64).alert_burst_length() > 20
+def test_fixed_count_bursts_issue_n_mit_rfms():
+    for scheme, n_mit in (("PRAC", 4), ("PVAC", 2), ("QPRAC", 4),
+                          ("MOAT", 1)):
+        state = make_state(scheme, 64, n_mit=n_mit)
+        assert [state.burst_goes_on(k) for k in range(1, n_mit + 1)] == \
+            [True] * (n_mit - 1) + [False]
 
 
-def test_fixed_count_bursts_always_go_on():
-    # Only an adaptive burst stops early; the rest issue all n_mit RFMs.
-    for scheme in ("PRAC", "PVAC", "QPRAC", "MOAT"):
-        assert make_state(scheme, 64).rfm_pending_more()
-    assert not make_state("Chronus", 64).rfm_pending_more()
+def test_adaptive_burst_goes_on_while_a_row_is_hot_up_to_its_cap():
+    state = make_state("Chronus", 3)
+    assert not state.burst_goes_on(1)  # nothing hot
+    for _ in range(3):
+        state.on_act(10)
+    cap = 16 * state.config.queue_depth
+    assert state.burst_goes_on(1) and state.burst_goes_on(cap - 1)
+    assert not state.burst_goes_on(cap)
