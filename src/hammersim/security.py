@@ -17,9 +17,10 @@ counting pays per victim; aggressor counting pays each term on the 2*br
 aggressors around a victim; an adaptive scheme mitigates within one
 round.  NR — the rounds the pool survives — comes from the pool
 recurrence R' = R - n_mit * floor((R - sub)/(ABO_ACT + n_mit)) in
-`pool_recurrence`, the scalar reference for the plain-list tables the
-solvers read, built in one pass up the pool.  HC is affine in n_bo, so
-`solve_nbo` walks down from one ceiling for every discipline.
+`pool_recurrence`.  The solvers read it as a short step list per key:
+the smallest pool that survives at least k rounds, for each k.  HC is
+affine in n_bo, so `solve_nbo` walks down from one ceiling for every
+discipline.
 
 The literal recurrence stalls once the floor term is zero, and its
 alert count has two defensible readings; both are kept behind
@@ -31,7 +32,7 @@ points they do and do not reproduce.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
@@ -132,14 +133,15 @@ def _recurrence_knobs(discipline: int, params: AnalysisParams
     return params.br, 2 * params.br, den, remu
 
 
-_TABLE_CACHE: Dict[Tuple, Tuple[List[int], List[int]]] = {}
+_TABLE_CACHE: Dict[Tuple, List[int]] = {}
 
 
-def _nr_tables(discipline: int, params: AnalysisParams
-               ) -> Tuple[List[int], List[int]]:
-    """(prefix-max NR, raw NR) over r1 = 0..cap, built in one pass up
-    the pool: a round leaves a smaller pool, so each entry reads entries
-    already built."""
+def _nr_steps(discipline: int, params: AnalysisParams) -> List[int]:
+    """NR as a step function of r1: entry k is the smallest pool whose
+    running-max NR reaches k, so the worst NR of pools up to r1 is
+    `bisect_right(steps, r1) - 1`.  The raw NR over r1 = 0..cap is built
+    in one pass up the pool (a round leaves a smaller pool, so each entry
+    reads entries already built) and dropped once its steps are read."""
     cap = max_initial_pool(discipline, params.rows_per_bank, params.br)
     sub, term, den, remu = _recurrence_knobs(discipline, params)
     rec = params.recurrence
@@ -157,9 +159,10 @@ def _nr_tables(discipline: int, params: AnalysisParams
             alerts = (r - sub) // den
             if alerts:
                 raw[r] += raw[r - remu * alerts]
-    tables = (list(accumulate(raw, max)), raw)
-    _TABLE_CACHE[key] = tables
-    return tables
+    peak = list(accumulate(raw, max))
+    steps = [bisect_left(peak, k) for k in range(peak[-1] + 1)]
+    _TABLE_CACHE[key] = steps
+    return steps
 
 
 def _carry_nr(cap: int, sub: int, term: int, den: int, remu: int
@@ -191,7 +194,7 @@ def _carry_nr(cap: int, sub: int, term: int, den: int, remu: int
 
 def pool_recurrence(discipline: int, r1: int, params: AnalysisParams) -> int:
     """Rounds a pool of r1 survives under `discipline`, one round at a
-    time; the reference the NR tables are checked against."""
+    time; the reference the NR steps are checked against."""
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
     sub, term, den, remu = _recurrence_knobs(discipline, params)
@@ -259,9 +262,10 @@ def worst_case_hc(scheme: str, n_bo: int, params: AnalysisParams
     discipline = discipline_for_scheme(scheme)
     nr = worst = 0
     if discipline is not None:
-        M = _nr_tables(discipline, params)[0]
-        nr = M[_budget_r1_cap(scheme, discipline, n_bo - 1, params)]
-        worst = bisect_left(M, nr)
+        steps = _nr_steps(discipline, params)
+        nr = bisect_right(
+            steps, _budget_r1_cap(scheme, discipline, n_bo - 1, params)) - 1
+        worst = steps[nr]
     return hammered_count(discipline, n_bo, nr, params), worst, nr
 
 

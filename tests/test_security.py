@@ -1,6 +1,7 @@
 """Worst-case analysis: recurrences, closed forms, solver, oracle."""
 
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 
 import pytest
 
@@ -15,7 +16,7 @@ from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from hammersim.dram import ABO_ACT
 from hammersim.schemes import SCHEMES, scheme_rules
 from hammersim import security
-from hammersim.security import _budget_r1_cap, _nr_tables
+from hammersim.security import _budget_r1_cap, _nr_steps
 
 
 def params(n_mit: int, **kw) -> AnalysisParams:
@@ -69,9 +70,9 @@ def test_victim_pool_follows_the_blast_radius(br, cap, nr):
     # radius-2 cap of 52,428 rows would admit pools that last 37 rounds.
     assert max_initial_pool(VICTIM_COUNT, 65536, br) == cap
     assert max_initial_pool(AGGRESSOR_COUNT, 65536, br) == 65535
-    M, raw = _nr_tables(VICTIM_COUNT, params(1, br=br))
-    assert len(M) == len(raw) == cap + 1
-    assert M[-1] == nr
+    steps = _nr_steps(VICTIM_COUNT, params(1, br=br))
+    assert len(steps) - 1 == nr
+    assert steps[-1] <= cap
 
 
 # -- the pool recurrence ------------------------------------------------------
@@ -95,7 +96,15 @@ def test_aggressor_pool_recurrence_hand_trace():
         pool_recurrence(AGGRESSOR_COUNT, -1, p)
 
 
-def test_vector_table_matches_scalar_reference():
+def _running_max_nr(discipline, p):
+    """The worst NR of any pool up to r1, for every r1 the bank admits,
+    from the scalar recurrence."""
+    cap = max_initial_pool(discipline, p.rows_per_bank, p.br)
+    return list(accumulate((pool_recurrence(discipline, r1, p)
+                            for r1 in range(cap + 1)), max))
+
+
+def test_nr_steps_match_scalar_reference():
     # Every r1 of a 4096-row bank, in each variant and granularity, at
     # each n_mit and discipline.
     for variant, granularity, n_mit in product(
@@ -103,19 +112,36 @@ def test_vector_table_matches_scalar_reference():
         rec = RecurrenceConfig(variant=variant, granularity=granularity)
         p = AnalysisParams(n_mit=n_mit, rows_per_bank=4096, recurrence=rec)
         for discipline in (VICTIM_COUNT, AGGRESSOR_COUNT):
-            _M, raw = _nr_tables(discipline, p)
-            assert len(raw) == max_initial_pool(discipline, 4096, 2) + 1
-            assert raw == [pool_recurrence(discipline, r1, p)
-                           for r1 in range(len(raw))]
+            steps = _nr_steps(discipline, p)
+            peak = _running_max_nr(discipline, p)
+            assert [bisect_right(steps, r1) - 1
+                    for r1 in range(len(peak))] == peak
 
 
-def test_prefix_max_table_is_running_maximum():
-    M, raw = _nr_tables(AGGRESSOR_COUNT, params(2, rows_per_bank=4096))
-    assert len(M) == len(raw)
-    peak = 0
-    for r1, (m, nr) in enumerate(zip(M, raw)):
-        peak = max(peak, nr)
-        assert m == peak, r1
+def test_worst_pool_is_the_smallest_that_reaches_the_worst_nr():
+    # A budget that caps the pool at many points of the step function.
+    p = params(2, rows_per_bank=4096,
+               recurrence=RecurrenceConfig(setup_budget_ns=2.0e5))
+    peak = _running_max_nr(AGGRESSOR_COUNT, p)
+    for n_bo in range(2, 80):
+        r1_cap = _budget_r1_cap("PRAC", AGGRESSOR_COUNT, n_bo - 1, p)
+        _hc, worst, nr = worst_case_hc("PRAC", n_bo, p)
+        assert nr == peak[r1_cap], n_bo
+        assert worst == peak.index(nr), n_bo
+
+
+def test_table_cache_holds_only_short_step_lists(monkeypatch):
+    # The cache lives as long as the process, so it keeps only steps: a
+    # table per pool size of a default bank holds 65,537 entries.
+    cache = {}
+    monkeypatch.setattr(security, "_TABLE_CACHE", cache)
+    security_table([32, 64, 128, 2048])
+    oracle_point("PVAC", 16, 4, small_oracle_geometry(rows=2048))
+    # PVAC and PRAC at each n_mit, and the oracle's 2048-row bank.
+    assert len(cache) == 7
+    for key, steps in cache.items():
+        assert isinstance(steps, list) and len(steps) <= 64, key
+        assert steps == sorted(steps), key
 
 
 # -- hammered-count closed forms ----------------------------------------------
