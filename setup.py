@@ -1,21 +1,14 @@
-"""Build hook: compile the counter/queue kernel when Cython and a C
-toolchain are available; otherwise install pure-Python only (the package
-selects the fallback implementation at import time)."""
+"""Build hook: compile the committed `src/hammersim/_kernel.c` into the
+`hammersim._kernel` extension.
 
-import sys
+The C is the build input; no Cython is needed to install.  It was
+generated from `_kernel.pyx`, and after an edit there it is regenerated
+with `cython -3 src/hammersim/_kernel.pyx`.  The extension is optional:
+without a C compiler the install goes on, and `hammersim.kernel` falls
+back to the pure-Python build at import time.
+"""
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/hammersim/_kernel.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - environment-dependent
-    print(f"hammersim: compiled kernel skipped ({exc}); "
-          "using the pure-Python fallback", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("hammersim._kernel",
+                             ["src/hammersim/_kernel.c"], optional=True)])

@@ -1,6 +1,6 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled build of the hot kernels (see `_kernel_py` for the reference)."""
-
+# Build input is _kernel.c; regenerate it: cython -3 src/hammersim/_kernel.pyx
 from libc.stdlib cimport calloc, malloc, free
 
 KERNEL_BUILD = "compiled"

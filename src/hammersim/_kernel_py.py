@@ -1,8 +1,9 @@
 """Pure-Python build of the hot kernels.
 
-Same classes and behavior as the compiled build in `_kernel.pyx`; the
-selector in `kernel` picks whichever is importable.  Kept free of any
-package-internal imports so it can be exercised standalone in tests.
+Same classes and behavior as the compiled build, `_kernel.c` (generated
+from `_kernel.pyx`); `kernel` uses this one when the compiled build does
+not import.  Kept free of any package-internal imports so it can be
+exercised standalone in tests.
 """
 
 from __future__ import annotations

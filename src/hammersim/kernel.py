@@ -1,25 +1,20 @@
-"""Kernel selection: compiled extension if built, pure Python otherwise.
+"""Kernel selection: the compiled extension if it imports, pure Python
+otherwise.
 
-Both builds export the same names with identical behavior; parity is
-enforced by property tests.  `KERNEL_BUILD` says which one is live, and
-HAMMERSIM_FORCE_PY=1 in the environment pins the Python build (useful for
-benchmarking and for debugging a suspected extension issue).
+The compiled build is the committed `_kernel.c`, which `setup.py`
+compiles at install time.  Both builds export the same names with
+identical behavior; the tests check parity on both.
+`KERNEL_BUILD` says which one is live.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("HAMMERSIM_FORCE_PY") == "1":
+try:
+    from ._kernel import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
+                          KERNEL_BUILD, CounterCore, TopQueue)
+except ImportError:
     from ._kernel_py import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
                              KERNEL_BUILD, CounterCore, TopQueue)
-else:
-    try:
-        from ._kernel import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
-                              KERNEL_BUILD, CounterCore, TopQueue)
-    except ImportError:
-        from ._kernel_py import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
-                                 KERNEL_BUILD, CounterCore, TopQueue)
 
 __all__ = ["CounterCore", "TopQueue", "KERNEL_BUILD",
            "AGGRESSOR", "VICTIM", "NONE"]

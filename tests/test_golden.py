@@ -8,8 +8,9 @@ the `FeintingResult`.  The `cli/*` entries pin the bytes of each CSV and
 must leave every digest unchanged; a change that moves one on purpose
 says why in CHANGES.md.
 
-Both matrices run once per importable kernel build, so they also check
-that the compiled and pure-Python builds give the same behaviour.
+Both matrices run once per kernel build, the pure-Python one and the
+compiled one `test_kernel.kernels()` builds, so they also check that the
+two builds give the same behaviour.
 
 Rewrite the JSON with:  python tests/test_golden.py --update
 """

@@ -1,5 +1,19 @@
 """Compiled and pure-Python kernels must be indistinguishable, and the
-top-K queue must match a brute-force model."""
+top-K queue must match a brute-force model.
+
+The compiled build is the committed `_kernel.c`, built once per session
+by `setup.py build_ext` into a temporary directory and loaded from
+there, never in place.  A failed build is an error, not a skip.
+"""
+
+import atexit
+import functools
+import importlib.util
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,25 +21,52 @@ from hypothesis import given, settings, strategies as st
 from hammersim import _kernel_py
 from hammersim.counters import victim_set
 from hammersim.dram import DeviceGeometry
-from hammersim.kernel import KERNEL_BUILD
-
-try:
-    from hammersim import _kernel as _compiled
-except ImportError:  # pragma: no cover - no toolchain at install time
-    _compiled = None
 
 AGG, VIC, NONE = 0, 1, 2
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def compiled_kernel():
+    """`hammersim._kernel` as `setup.py build_ext` builds it."""
+    out = Path(tempfile.mkdtemp(prefix="hammersim-kernel-"))
+    atexit.register(shutil.rmtree, out, ignore_errors=True)
+    run = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib",
+         str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True)
+    # The extension is optional, so setup.py exits 0 without it.
+    built = sorted((out / "lib" / "hammersim").glob("_kernel*"))
+    if not built:
+        raise RuntimeError("setup.py build_ext built no kernel:\n"
+                           + run.stdout + run.stderr)
+    spec = importlib.util.spec_from_file_location("hammersim._kernel",
+                                                  built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def kernels():
-    builds = [_kernel_py]
-    if _compiled is not None:
-        builds.append(_compiled)
-    return builds
+    return [_kernel_py, compiled_kernel()]
 
 
 def test_selected_build_is_reported():
-    assert KERNEL_BUILD in ("compiled", "python")
+    assert {mod.KERNEL_BUILD for mod in kernels()} == {"python", "compiled"}
+
+
+def public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_builds_expose_one_surface():
+    # A method added to one build only fails here.
+    py, compiled = kernels()
+    for cls in ("CounterCore", "TopQueue"):
+        assert public(getattr(compiled, cls)) == public(getattr(py, cls))
+    for mod in kernels():
+        assert (mod.AGGRESSOR, mod.VICTIM, mod.NONE) == (AGG, VIC, NONE)
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -87,13 +128,29 @@ def test_argmax_prefers_lowest_row(mod):
     assert core.max_count() == 1
 
 
+@pytest.mark.parametrize("mod", kernels())
+def test_32_bit_cap_saturates_both_disciplines(mod):
+    # `DeviceGeometry` allows 32-bit counters because the compiled core
+    # stores 32 bits, so this cap is the largest count it can hold.
+    cap = DeviceGeometry(rows_per_bank=16, banks=1, rows_per_dsa=16,
+                         counter_bits=32).counter_cap
+    assert cap == 2 ** 32 - 1
+    core = mod.CounterCore(16, 16, 2, cap)
+    core.fill(cap - 1)
+    assert core.act(5, AGG) == [(5, cap)]
+    assert core.act(5, AGG) == []
+    assert core.act(8, VIC) == [(6, cap), (7, cap), (8, 0), (9, cap),
+                                (10, cap)]
+    assert core.act(8, VIC) == []
+    assert core.snapshot()[4:11] == [cap - 1, cap, cap, cap, 0, cap, cap]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 255),
                           st.sampled_from([AGG, VIC, NONE])),
                 max_size=300))
-@pytest.mark.skipif(_compiled is None, reason="compiled kernel unavailable")
 def test_kernel_builds_agree(ops):
-    a = _compiled.CounterCore(256, 128, 2, 255)
+    a = compiled_kernel().CounterCore(256, 128, 2, 255)
     b = _kernel_py.CounterCore(256, 128, 2, 255)
     for row, sem in ops:
         assert a.act(row, sem) == b.act(row, sem)
