@@ -1,9 +1,11 @@
-"""Pure-Python build of the hot kernels.
+"""Pure-Python build of the hot kernels, and the reference for the
+compiled one.
 
-Same classes and behavior as the compiled build, `_kernel.c` (generated
-from `_kernel.pyx`); `kernel` uses this one when the compiled build does
-not import.  Kept free of any package-internal imports so it can be
-exercised standalone in tests.
+Same classes and behavior as `_kernel.c`, the hand-written C extension;
+`kernel` uses this one when the compiled build does not import.  A
+change to the kernel edits both files together, and the parity tests in
+`tests/test_kernel.py` and the golden digests tie the two.  Kept free of
+any package-internal imports so it can be exercised standalone in tests.
 """
 
 from __future__ import annotations
@@ -119,9 +121,6 @@ class CounterCore:
         c = self._c
         return c.index(max(c))
 
-    def count_at_least(self, threshold: int) -> int:
-        return sum(1 for v in self._c if v >= threshold)
-
 
 class TopQueue:
     """Fixed-depth queue of the highest-count rows seen so far.
@@ -191,7 +190,3 @@ class TopQueue:
 
     def items(self) -> List[Tuple[int, int]]:
         return [(-neg_row, count) for count, neg_row in reversed(self._keys)]
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._keys.clear()

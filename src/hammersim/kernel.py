@@ -1,9 +1,10 @@
 """Kernel selection: the compiled extension if it imports, pure Python
 otherwise.
 
-The compiled build is the committed `_kernel.c`, which `setup.py`
-compiles at install time.  Both builds export the same names with
-identical behavior; the tests check parity on both.
+The compiled build is `_kernel.c`, a hand-written C extension that
+`setup.py` compiles at install time; `_kernel_py.py` is the reference.
+Both builds export the same names with identical behavior, so a change
+edits the two together, and the tests check parity on both.
 `KERNEL_BUILD` says which one is live.
 """
 

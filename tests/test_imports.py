@@ -175,18 +175,19 @@ def uncalled_functions(defining, reading):
                   if name not in read)
 
 
-# The kernel methods no module under src/ calls.  The committed C cannot
-# be regenerated without Cython, so its surface is frozen, and the
-# Python build keeps the same surface (ROADMAP item 3).
-DEAD_KERNEL_API = [
-    "_kernel_py.CounterCore.argmax",
-    "_kernel_py.CounterCore.count_at_least",
-    "_kernel_py.CounterCore.fill",
-    "_kernel_py.CounterCore.load",
-    "_kernel_py.CounterCore.max_count",
-    "_kernel_py.TopQueue.clear",
-    "_kernel_py.TopQueue.min_count",
-]
+# perfbench/layers.py wraps or replays these by name, so they stay until
+# a benchmark change drops them.
+PERFBENCH_NAMES = "named by perfbench/layers.py"
+# The kernel methods no module under src/ calls, each with the reason it
+# stays.  Both builds keep one surface (`test_kernel`), so a name dropped
+# here is dropped from `_kernel.c` too.
+DEAD_KERNEL_API = {
+    "_kernel_py.CounterCore.argmax": PERFBENCH_NAMES,
+    "_kernel_py.CounterCore.fill": "test fixture: sets every counter",
+    "_kernel_py.CounterCore.load": "test fixture: sets each counter",
+    "_kernel_py.CounterCore.max_count": PERFBENCH_NAMES,
+    "_kernel_py.TopQueue.min_count": PERFBENCH_NAMES,
+}
 
 
 def test_every_function_is_called():
@@ -196,11 +197,11 @@ def test_every_function_is_called():
     assert [name for name in uncalled if name not in DEAD_KERNEL_API] == []
 
 
-def test_dead_kernel_api_is_exactly_the_frozen_surface():
+def test_dead_kernel_api_is_exactly_the_uncalled_methods():
     kernel = SRC / "_kernel_py.py"
     package = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert uncalled_functions([("_kernel_py", kernel.read_text())],
-                              package) == DEAD_KERNEL_API
+                              package) == sorted(DEAD_KERNEL_API)
 
 
 def test_the_check_flags_an_uncalled_function():

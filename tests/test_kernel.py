@@ -1,9 +1,12 @@
 """Compiled and pure-Python kernels must be indistinguishable, and the
 top-K queue must match a brute-force model.
 
-The compiled build is the committed `_kernel.c`, built once per session
-by `setup.py build_ext` into a temporary directory and loaded from
-there, never in place.  A failed build is an error, not a skip.
+The compiled build is `_kernel.c`, the kernel's hand-written C source,
+built once per session by `setup.py build_ext` into a temporary
+directory and loaded from there, never in place.  A failed build is an
+error, not a skip, and so is a compiler warning.  A change to the kernel
+edits `_kernel.c` and `_kernel_py.py` together; these tests and the
+golden digests tie the two.
 """
 
 import atexit
@@ -12,6 +15,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -52,6 +56,17 @@ def kernels():
     return [_kernel_py, compiled_kernel()]
 
 
+def test_kernel_c_compiles_without_warnings(tmp_path):
+    # The `perfbench --build compiled` command, with warnings as errors.
+    target = tmp_path / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    run = subprocess.run(
+        ["gcc", "-O2", "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"],
+         str(ROOT / "src" / "hammersim" / "_kernel.c"), "-o", str(target),
+         "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_selected_build_is_reported():
     assert {mod.KERNEL_BUILD for mod in kernels()} == {"python", "compiled"}
 
@@ -67,6 +82,44 @@ def test_builds_expose_one_surface():
         assert public(getattr(compiled, cls)) == public(getattr(py, cls))
     for mod in kernels():
         assert (mod.AGGRESSOR, mod.VICTIM, mod.NONE) == (AGG, VIC, NONE)
+
+
+@pytest.mark.parametrize("mod", kernels())
+def test_bad_arguments_raise_value_error(mod):
+    core = mod.CounterCore(8, 4, 1, 3)
+    bad = [
+        (lambda: mod.CounterCore(0, 4, 1, 3),
+         "n_rows must be a positive multiple of dsa_rows"),
+        (lambda: mod.CounterCore(-8, 4, 1, 3),
+         "n_rows must be a positive multiple of dsa_rows"),
+        (lambda: mod.CounterCore(6, 4, 1, 3),
+         "n_rows must be a positive multiple of dsa_rows"),
+        (lambda: mod.CounterCore(8, 4, 0, 3), "br and cap must be >= 1"),
+        (lambda: mod.CounterCore(8, 4, 1, 0), "br and cap must be >= 1"),
+        (lambda: mod.TopQueue(0), "depth must be >= 1"),
+        (lambda: core.fill(4), "fill value outside [0, cap]"),
+        (lambda: core.load([0] * 7), "length mismatch"),
+        (lambda: core.load([0] * 9), "length mismatch"),
+        (lambda: core.load([0] * 7 + [4]), "value outside [0, cap]"),
+    ]
+    for call, message in bad:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mod", kernels())
+def test_row_outside_the_bank_raises_index_error(mod):
+    core = mod.CounterCore(8, 4, 1, 3)
+    for call in (core.get, core.reset, lambda row: core.act(row, AGG)):
+        with pytest.raises(IndexError):
+            call(8)
+    assert core.snapshot() == [0] * 8
+
+
+def test_compiled_core_rejects_a_cap_wider_than_32_bits():
+    with pytest.raises(OverflowError):
+        compiled_kernel().CounterCore(8, 4, 1, 2 ** 32)
 
 
 @pytest.mark.parametrize("mod", kernels())

@@ -7,12 +7,13 @@ write.  Each case writes one workload's inputs with
 `perfbench/workloads.py`, runs its CLI calls in-process in a temporary
 directory and compares the digests, so a change to the CLI bytes fails
 here and not only in the benchmark.  The replay case records the kernel
-ops of small CLI runs with `perfbench/layers.py` and replays them, so a
-kernel call the recorder does not know fails here and not only under
-`--trace 1`.  The spans case installs `perfbench/layers.py`'s tracing
-on small CLI runs, so a runner the tracer cannot reach by the names it
-wraps (the closure variable `runner`, `cli`'s module globals) fails
-here too.  Nothing is written under `perfbench/`, not even bytecode.
+ops of small CLI runs with `perfbench/layers.py` and replays them, on
+each kernel build, so a kernel call the recorder does not know fails
+here and not only under `--trace 1`.  The spans case installs
+`perfbench/layers.py`'s tracing on small CLI runs, so a runner the
+tracer cannot reach by the names it wraps (the closure variable
+`runner`, `cli`'s module globals) fails here too.  Nothing is written
+under `perfbench/`, not even bytecode.
 """
 
 import hashlib
@@ -24,7 +25,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hammersim import counters, schemes
 from hammersim.cli import EXIT_OK, main
+from test_kernel import kernels
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GATED = ("domino_refresh", "trace_audited", "oracle_grid")
@@ -86,10 +89,13 @@ REPLAY_CALLS = (
 )
 
 
-def test_kernel_op_stream_replays(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+def test_kernel_op_stream_replays(mod, tmp_path, monkeypatch):
+    # The recorder subclasses the build under test, so the compiled types
+    # must take a Python `__init__` and empty `__slots__` as well.
     layers = load_perfbench("layers")
-    from hammersim import kernel
-
+    monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
+    monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
     recorder = layers.Recorder(10_000_000)
     monkeypatch.chdir(tmp_path)
     restore = recorder.install()
@@ -103,7 +109,7 @@ def test_kernel_op_stream_replays(tmp_path, monkeypatch):
     finally:
         restore()
     replayed = layers.replay(recorder.objects, {
-        "CounterCore": kernel.CounterCore, "TopQueue": kernel.TopQueue})
+        "CounterCore": mod.CounterCore, "TopQueue": mod.TopQueue})
     assert sum(ops for ops, _s, _ok in replayed.values()) == recorder.count
     for name, (ops, _seconds, matches) in replayed.items():
         assert ops > 0, name
