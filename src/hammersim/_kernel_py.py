@@ -10,8 +10,8 @@ any package-internal imports so it can be exercised standalone in tests.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, insort
+from operator import index
 from typing import Dict, List, Optional, Tuple
 
 KERNEL_BUILD = "python"
@@ -20,9 +20,23 @@ AGGRESSOR = 0
 VICTIM = 1
 NONE = 2
 
+# A queue key's low 64 bits hold `_ROW_TOP - row`; the `_OPEN` floor lies
+# below every count a C `long` holds.
+_ROW_TOP = (1 << 63) - 1
+_ROW_MASK = (1 << 64) - 1
+_OPEN = -(1 << 63) - 1
+
 
 class CounterCore:
     """Saturating per-row activation counters for one bank.
+
+    `_c` is a plain list of ints, one per row.  Reading a list element
+    hands back the stored int, where an `array` would box a new one.
+    CPython shares the ints up to 256, so a row at such a count costs one
+    8-byte slot, as in an `array("L")`; a larger count adds its own int
+    object.  `cap` must fit in 32 bits, as the compiled build's counters
+    do.  A negative row raises `IndexError` instead of indexing from the
+    end of the list.
 
     Rows are grouped into subarrays of `dsa_rows`; victim-side updates
     never cross a subarray edge.  `_below[p]` and `_above[p]` hold the
@@ -42,11 +56,13 @@ class CounterCore:
             raise ValueError("n_rows must be a positive multiple of dsa_rows")
         if br < 1 or cap < 1:
             raise ValueError("br and cap must be >= 1")
+        if cap > 0xFFFFFFFF:
+            raise OverflowError("cap does not fit in 32 bits")
         self.n_rows = n_rows
         self.dsa_rows = dsa_rows
         self.br = br
         self.cap = cap
-        self._c = array("L", [0]) * n_rows
+        self._c = [0] * n_rows
         below = [tuple(range(-br, 0))] * dsa_rows
         above = [tuple(range(1, br + 1))] * dsa_rows
         for p in range(min(br, dsa_rows)):
@@ -58,6 +74,8 @@ class CounterCore:
 
     def act(self, row: int, sem: int) -> List[Tuple[int, int]]:
         """Apply one activation of `row`; return rows whose count changed."""
+        if row < 0:
+            raise IndexError("row out of range")
         c = self._c
         if sem == AGGRESSOR:
             v = c[row]
@@ -65,9 +83,12 @@ class CounterCore:
                 c[row] = v + 1
                 return [(row, v + 1)]
             return []
-        changed: List[Tuple[int, int]] = []
         if sem == NONE:
-            return changed
+            # The other two fail at their first index past the bank.
+            if row >= self.n_rows:
+                raise IndexError("row out of range")
+            return []
+        changed: List[Tuple[int, int]] = []
         # VICTIM: bump in-subarray neighbors and reset self, in row order.
         cap = self.cap
         place = row % self.dsa_rows
@@ -89,23 +110,28 @@ class CounterCore:
         return changed
 
     def get(self, row: int) -> int:
+        if row < 0:
+            raise IndexError("row out of range")
         return self._c[row]
 
     def reset(self, row: int) -> int:
+        if row < 0:
+            raise IndexError("row out of range")
         old = self._c[row]
         self._c[row] = 0
         return old
 
     def fill(self, value: int) -> None:
+        value = index(value)
         if not 0 <= value <= self.cap:
             raise ValueError("fill value outside [0, cap]")
-        for i in range(self.n_rows):
-            self._c[i] = value
+        self._c[:] = [value] * self.n_rows
 
     def load(self, values) -> None:
         if len(values) != self.n_rows:
             raise ValueError("length mismatch")
         for i, v in enumerate(values):
+            v = index(v)
             if not 0 <= v <= self.cap:
                 raise ValueError("value outside [0, cap]")
             self._c[i] = v
@@ -131,62 +157,74 @@ class TopQueue:
     higher-numbered row is displaced first (the lower row is retained).
     `pop_max` yields count-descending, row-ascending.
 
-    A `row -> count` dict answers membership, and `_keys` holds one
-    `(count, -row)` key per row in ascending order, so `_keys[0]` is the
-    eviction candidate and `_keys[-1]` is what `pop_max` returns.
+    Each queued row has one int key, `(count << 64) + (2**63 - 1 - row)`,
+    which sorts as `(count, -row)` for every row and count a C `long`
+    holds, as in the compiled build.  A `row -> key` dict answers
+    membership, and `_keys` holds the keys in ascending order, so
+    `_keys[0]` is the eviction candidate and `_keys[-1]` is what `pop_max`
+    returns.  `_floor` is the minimum count while the queue is full and
+    `_OPEN`, below every count, otherwise: a new row at or below it is
+    rejected before any other work.  `remove` and `pop_max` leave the
+    queue short, so they reset it to `_OPEN`.
     """
 
-    __slots__ = ("depth", "_counts", "_keys")
+    __slots__ = ("depth", "_key_of", "_keys", "_floor")
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
-        self._counts: Dict[int, int] = {}
-        self._keys: List[Tuple[int, int]] = []
+        self._key_of: Dict[int, int] = {}
+        self._keys: List[int] = []
+        self._floor = _OPEN
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def update(self, row: int, count: int) -> int:
         """Returns the evicted row, -1 if none, -2 if rejected."""
-        counts = self._counts
+        key_of = self._key_of
+        if count <= self._floor and row not in key_of:
+            return -2
         keys = self._keys
-        old = counts.get(row)
+        old = key_of.get(row)
         evicted = -1
         if old is not None:
-            del keys[bisect_left(keys, (old, -row))]
+            del keys[bisect_left(keys, old)]
         elif len(keys) == self.depth:
-            low_count, low_neg_row = keys[0]
-            if count <= low_count:
-                return -2
-            del keys[0]
-            evicted = -low_neg_row
-            del counts[evicted]
-        counts[row] = count
-        insort(keys, (count, -row))
+            evicted = _ROW_TOP - (keys.pop(0) & _ROW_MASK)
+            del key_of[evicted]
+        key = (count << 64) + (_ROW_TOP - row)
+        key_of[row] = key
+        insort(keys, key)
+        if len(keys) == self.depth:
+            self._floor = keys[0] >> 64
         return evicted
 
     def remove(self, row: int) -> bool:
-        count = self._counts.pop(row, None)
-        if count is None:
+        key = self._key_of.pop(row, None)
+        if key is None:
             return False
         keys = self._keys
-        del keys[bisect_left(keys, (count, -row))]
+        del keys[bisect_left(keys, key)]
+        self._floor = _OPEN
         return True
 
     def pop_max(self) -> Optional[Tuple[int, int]]:
         if not self._keys:
             return None
-        count, neg_row = self._keys.pop()
-        del self._counts[-neg_row]
-        return -neg_row, count
+        key = self._keys.pop()
+        row = _ROW_TOP - (key & _ROW_MASK)
+        del self._key_of[row]
+        self._floor = _OPEN
+        return row, key >> 64
 
     def peek_max_count(self) -> int:
-        return self._keys[-1][0] if self._keys else -1
+        return self._keys[-1] >> 64 if self._keys else -1
 
     def min_count(self) -> int:
-        return self._keys[0][0] if self._keys else -1
+        return self._keys[0] >> 64 if self._keys else -1
 
     def items(self) -> List[Tuple[int, int]]:
-        return [(-neg_row, count) for count, neg_row in reversed(self._keys)]
+        return [(_ROW_TOP - (key & _ROW_MASK), key >> 64)
+                for key in reversed(self._keys)]

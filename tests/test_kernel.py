@@ -111,15 +111,28 @@ def test_bad_arguments_raise_value_error(mod):
 @pytest.mark.parametrize("mod", kernels())
 def test_row_outside_the_bank_raises_index_error(mod):
     core = mod.CounterCore(8, 4, 1, 3)
-    for call in (core.get, core.reset, lambda row: core.act(row, AGG)):
-        with pytest.raises(IndexError):
-            call(8)
+    calls = [core.get, core.reset] + [
+        lambda row, sem=sem: core.act(row, sem) for sem in (AGG, VIC, NONE)]
+    for call in calls:
+        for row in (8, -1):
+            with pytest.raises(IndexError):
+                call(row)
     assert core.snapshot() == [0] * 8
 
 
-def test_compiled_core_rejects_a_cap_wider_than_32_bits():
+@pytest.mark.parametrize("mod", kernels())
+def test_core_rejects_a_cap_wider_than_32_bits(mod):
     with pytest.raises(OverflowError):
-        compiled_kernel().CounterCore(8, 4, 1, 2 ** 32)
+        mod.CounterCore(8, 4, 1, 2 ** 32)
+
+
+@pytest.mark.parametrize("mod", kernels())
+def test_counts_that_are_not_ints_raise_type_error(mod):
+    core = mod.CounterCore(8, 4, 1, 3)
+    for call in (lambda: core.fill(1.5), lambda: core.load([0.0] * 8)):
+        with pytest.raises(TypeError):
+            call()
+    assert core.snapshot() == [0] * 8
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -286,6 +299,9 @@ class QueueModel:
         self.depth = depth
         self.counts = {}
 
+    def __len__(self):
+        return len(self.counts)
+
     def update(self, row, count):
         if row in self.counts:
             self.counts[row] = count
@@ -310,8 +326,27 @@ class QueueModel:
         del self.counts[row]
         return row, count
 
+    def peek_max_count(self):
+        return max(self.counts.values(), default=-1)
+
+    def min_count(self):
+        return min(self.counts.values(), default=-1)
+
     def items(self):
         return sorted(self.counts.items(), key=lambda rc: (-rc[1], rc[0]))
+
+
+def queue_ops(rows, counts):
+    # Mostly updates, as in a run, so a full queue often takes several
+    # before a `remove` or `pop_max` makes room.
+    update = st.tuples(st.just("update"), rows, counts)
+    return st.lists(st.one_of(update, update, update,
+                              st.tuples(st.just("remove"), rows),
+                              st.tuples(st.just("pop_max"))), max_size=120)
+
+
+def queue_state(q):
+    return q.items(), len(q), q.peek_max_count(), q.min_count()
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -354,21 +389,48 @@ def test_queue_remove_and_len(mod):
     assert len(q) == 1
 
 
+@pytest.mark.parametrize("mod", kernels())
+def test_queue_floor_follows_the_minimum_of_a_full_queue(mod):
+    q = mod.TopQueue(2)
+    q.update(1, 5)
+    q.update(2, 7)
+    assert q.update(3, 5) == -2
+    # A row leaving makes room, so a new row at the old floor gets in.
+    assert q.remove(2) is True
+    assert q.update(3, 5) == -1
+    assert q.pop_max() == (1, 5)
+    assert q.update(4, 5) == -1
+    assert q.items() == [(3, 5), (4, 5)]
+    # Raising a queued row's count raises the floor with it.
+    q.update(4, 9)
+    q.update(3, 8)
+    assert q.update(5, 7) == -2
+    assert q.update(5, 9) == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6),
-       st.lists(st.one_of(
-           st.tuples(st.just("update"), st.integers(0, 20),
-                     st.integers(1, 50)),
-           st.tuples(st.just("remove"), st.integers(0, 20)),
-           st.tuples(st.just("pop_max"))), max_size=120))
+       queue_ops(st.integers(0, 20), st.integers(1, 50)))
 @pytest.mark.parametrize("mod", kernels())
 def test_queue_matches_reference_model(mod, depth, ops):
     q = mod.TopQueue(depth)
     model = QueueModel(depth)
     for kind, *args in ops:
         assert getattr(q, kind)(*args) == getattr(model, kind)(*args)
-        counts = model.counts.values()
-        assert len(q) == len(model.counts)
-        assert q.peek_max_count() == (max(counts) if counts else -1)
-        assert q.min_count() == (min(counts) if counts else -1)
-        assert q.items() == model.items()
+        assert queue_state(q) == queue_state(model)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 6), queue_ops(
+    st.one_of(st.integers(0, 20),
+              st.sampled_from([2 ** 31, 2 ** 32, 2 ** 62, 2 ** 63 - 1])),
+    st.one_of(st.integers(1, 50), st.just(2 ** 32 - 1))))
+def test_queue_builds_agree(depth, ops):
+    # Rows up to the largest C `long` reach every bit of the Python
+    # build's 64-bit row field.
+    queues = [mod.TopQueue(depth) for mod in kernels()] + [QueueModel(depth)]
+    for kind, *args in ops:
+        python, compiled, model = (getattr(q, kind)(*args) for q in queues)
+        assert python == compiled == model
+        python, compiled, model = map(queue_state, queues)
+        assert python == compiled == model
