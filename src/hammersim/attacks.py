@@ -197,7 +197,7 @@ def run_feinting(engine: BankEngine, r1: int, *,
 
     def harvest() -> None:
         nonlocal log_cursor
-        for kind, row in log.kinds_and_rows(log_cursor):
+        for kind, row in zip(log.kinds[log_cursor:], log.rows[log_cursor:]):
             if (kind == "RFM" or kind == "PROACT") and row >= 0:
                 mitigated.add(row)
         log_cursor = len(log)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
                    RefreshConfig, rows_per_refresh)
@@ -60,10 +60,9 @@ class EventLog:
 
     Times, rows and counters are `array("q")` columns and kinds a list of
     the engine's interned kind strings: about 33 B per event, a quarter
-    of what a list of tuples holds.  It reads as that list: iteration
-    and int or slice indexing give the tuples, `index` finds one, and it
-    compares equal to a list of them.  The engine appends to the
-    columns."""
+    of what a list of tuples holds.  It has a length and iterates as
+    that list of tuples; `list(log)` builds the list.  The engine's
+    `_log` appends to the columns."""
 
     __slots__ = ("times", "kinds", "rows", "counters")
 
@@ -79,27 +78,9 @@ class EventLog:
     def __iter__(self) -> Iterator[Tuple[int, str, int, int]]:
         return zip(self.times, self.kinds, self.rows, self.counters)
 
-    def __getitem__(self, index: Union[int, slice]):
-        entry = (self.times[index], self.kinds[index], self.rows[index],
-                 self.counters[index])
-        if isinstance(index, slice):
-            return list(zip(*entry))
-        return entry
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (EventLog, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def index(self, entry: Tuple[int, str, int, int]) -> int:
-        for i, logged in enumerate(self):
-            if logged == entry:
-                return i
-        raise ValueError(f"{entry!r} is not in the log")
-
-    def kinds_and_rows(self, start: int) -> Iterator[Tuple[str, int]]:
-        """The kind and row of each event from index `start` on."""
-        return zip(self.kinds[start:], self.rows[start:])
+def _no_log(t: int, kind: str, row: int) -> None:
+    """The event writer of an engine that keeps no log."""
 
 
 @dataclass
@@ -126,10 +107,10 @@ class EngineMetrics:
 class BankEngine:
     """Deterministic closed-loop engine for one bank.
 
-    With `collect_log` on, every command lands in `log`, an `EventLog`
-    whose four columns the engine appends to through their bound
-    `append`s; with it off the log stays empty and no counter is read
-    for it."""
+    Every command goes through `_log`, the one event writer, bound once
+    here.  With `collect_log` on it appends the event to `log`, an
+    `EventLog`; with it off it is `_no_log`, so the log stays empty and
+    no counter is read for it."""
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
                  refresh: Optional[RefreshConfig] = None, *,
@@ -139,17 +120,29 @@ class BankEngine:
             tRFC=ns(scheme.tRFC_ns))
         self.scheme = SchemeState(scheme, geometry)
         self.collect_log = collect_log
-        # (time_ps, kind, row, counter) per event, one column each
         self.log = log = EventLog()
-        self._log_appends = (log.times.append, log.kinds.append,
-                             log.rows.append, log.counters.append)
+        if collect_log:
+            add_time, add_kind, add_row, add_counter = (
+                log.times.append, log.kinds.append, log.rows.append,
+                log.counters.append)
+            get = self.scheme.bank.core.get
+
+            def _log(t: int, kind: str, row: int) -> None:
+                """Record one event with `row`'s current counter (0 for
+                row -1, no row)."""
+                add_time(t)
+                add_kind(kind)
+                add_row(row)
+                add_counter(get(row) if row >= 0 else 0)
+        else:
+            _log = _no_log
+        self._log = _log
 
         self._tRC = ns(scheme.tRC_ns)
         self._tRFC = self.refresh.tRFC
         self._rpr = rows_per_refresh(geometry, self.refresh)
         self._tREFI = self.refresh.tREFI
         self._rows = geometry.rows_per_bank
-        self._get = self.scheme.bank.core.get
         self._on_act = self.scheme.on_act
 
         self.now = 0              # the instant the bank next becomes free
@@ -173,17 +166,6 @@ class BankEngine:
         self.scheme.activation_observer = observer.on_activation
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _log(self, t: int, kind: str, row: int) -> None:
-        """Record one event with `row`'s current counter (-1: no row).
-
-        Callers skip it when `collect_log` is off, so a run without a log
-        never reads counters for it."""
-        add_time, add_kind, add_row, add_counter = self._log_appends
-        add_time(t)
-        add_kind(kind)
-        add_row(row)
-        add_counter(self._get(row) if row >= 0 else 0)
 
     def _window(self, t: int) -> WindowStats:
         """The record of the refresh window holding `t`."""
@@ -213,24 +195,21 @@ class BankEngine:
         self.now = t + self._tRFC
         self._charge_block(t, self._tRFC)
         self.metrics.refs_issued += 1
-        if self.collect_log:
-            self._log(t, "REF", rows[0])
+        self._log(t, "REF", rows[0])
         refreshed, alert = self.scheme.on_refresh(
             rows, alert_allowed=(self._state == _IDLE))
         if refreshed:
             # Runs inside the tRFC block; no extra time.
             self.metrics.proactive_count += 1
-            if self.collect_log:
-                for r in refreshed:
-                    self._log(t, "PROACT", r)
+            for r in refreshed:
+                self._log(t, "PROACT", r)
         if alert is not None:
             self._assert_alert(self.now, alert)
 
     def _assert_alert(self, t: int, row: int) -> None:
         self.metrics.alerts_raised += 1
         self._window(t).alert_count += 1
-        if self.collect_log:
-            self._log(t, "ALERT", row)
+        self._log(t, "ALERT", row)
         self._state = _WINDOW
         self._win_deadline = t + _TABO_ACT
         self._win_acts_left = ABO_ACT
@@ -258,9 +237,8 @@ class BankEngine:
             self._charge_block(t, _TRFM)
             self.metrics.rfms_issued += 1
             self._window(t).rfm_count += 1
-            if self.collect_log:
-                for row in serviced or (-1,):
-                    self._log(t, "RFM", row)
+            for row in serviced or (-1,):
+                self._log(t, "RFM", row)
             issued += 1
             if not self.scheme.burst_goes_on(issued):
                 break
@@ -306,12 +284,7 @@ class BankEngine:
         self.metrics.acts_issued += 1
         self.now = t + self._tRC
         alert = self._on_act(row, state == _IDLE)
-        if self.collect_log:
-            add_time, add_kind, add_row, add_counter = self._log_appends
-            add_time(t)
-            add_kind("ACT")
-            add_row(row)
-            add_counter(self._get(row))
+        self._log(t, "ACT", row)
         if state == _IDLE:
             if alert is not None:
                 self._assert_alert(t, alert)

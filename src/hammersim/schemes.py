@@ -285,7 +285,9 @@ class SchemeState:
             raise ValueError(f"row {row} outside bank")
         if self.activation_observer is not None:
             self.activation_observer(row)
-        # The _activate walk, inlined: it runs for every demand ACT.
+        # The _activate walk, inlined: it runs for every demand ACT.  A
+        # call to `_activate((row,), ...)` here read slower on perfbench's
+        # `trace_audited` in 4 of 4 paired runs (see CHANGES.md).
         hot = []
         for r, count in self._act(row, self._sem):
             if count == 0:

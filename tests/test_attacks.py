@@ -177,7 +177,7 @@ def test_wave_rejects_a_bad_point_before_any_act():
             wave_layout(engine.scheme.config, engine.geometry, r1)
         with pytest.raises(ValueError):
             run_feinting(engine, r1)
-        assert engine.metrics.acts_issued == 0 and engine.log == []
+        assert engine.metrics.acts_issued == 0 and list(engine.log) == []
 
 
 def test_wave_refuses_an_engine_without_a_log():

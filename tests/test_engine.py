@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hammersim import _kernel_py, counters
 from hammersim.attacks import DamageObserver, RoundRobinSpec, gen_round_robin
 from hammersim.dram import (DeviceGeometry, RefreshConfig, ns,
                             rows_per_refresh, us)
-from hammersim.engine import (BankEngine, EventLog, TraceEvent, audit_log,
+from hammersim.engine import (BankEngine, TraceEvent, audit_log,
                               log_to_csv_lines)
-from hammersim.schemes import SchemeConfig, preset
+from hammersim.schemes import SCHEMES, SchemeConfig, preset
 
 TREFI = us(3.9)
 TRFC = ns(295)
@@ -117,7 +118,7 @@ def test_stale_four_field_event_is_rejected_before_any_act():
     with pytest.raises(ValueError):
         engine.run_trace([("act", 10, None, 0)], us(10))
     assert engine.metrics.acts_issued == 0
-    assert engine.log == []
+    assert list(engine.log) == []
 
 
 def test_idle_chronus_engine_reports_each_refreshed_row():
@@ -171,7 +172,7 @@ def test_alert_window_admits_three_acts_then_bursts():
     kinds = [kind for _, kind, _, _ in engine.log]
     first = kinds.index("ALERT")
     assert kinds[first + 1:first + 4] == ["ACT", "ACT", "ACT"]
-    tail = engine.log[first + 4:]
+    tail = list(engine.log)[first + 4:]
     assert tail[0][1] == "RFM"
     rfm_times = []
     for entry in tail:
@@ -213,7 +214,7 @@ def test_idle_gap_mitigates_before_it_refreshes():
         if advance_first:
             engine.advance_to(us(30))
         assert engine.issue_act(300, us(30)) == us(30)
-        return engine.log
+        return list(engine.log)
     log = run(False)
     assert log == run(True)
     commands = [(t, kind) for t, kind, _, _ in log if kind != "ACT"]
@@ -277,8 +278,9 @@ def test_proactive_refresh_logs_before_the_alert_of_its_ref():
         engine.issue_act(row)
     assert engine.metrics.alerts_raised == 0
     engine.advance_to(TREFI + 1)
-    ref = engine.log.index((TREFI, "REF", 1, 3))  # logged before counting
-    assert [(t, kind, row) for t, kind, row, _ in engine.log[ref:ref + 3]] \
+    log = list(engine.log)
+    ref = log.index((TREFI, "REF", 1, 3))  # logged before counting
+    assert [(t, kind, row) for t, kind, row, _ in log[ref:ref + 3]] \
         == [(TREFI, "REF", 1), (TREFI, "PROACT", 1),
             (TREFI + TRFC, "ALERT", 3)]
     assert engine.metrics.proactive_count == 1
@@ -347,65 +349,67 @@ def test_identical_runs_emit_identical_logs():
     def run():
         engine = BankEngine(plain_pvac(8, n_mit=2), small_geometry())
         engine.run_trace(three_rows(400), us(3000))
-        return engine.log
+        return list(engine.log)
     first, second = run(), run()
     assert first == second
     assert list(log_to_csv_lines(first)) == list(log_to_csv_lines(second))
 
 
-def test_unlogged_run_does_no_log_work():
-    def run(collect_log):
-        engine = BankEngine(preset("PVAC", 8, 2), small_geometry(),
+class CountingCore(_kernel_py.CounterCore):
+    """The Python counter store, counting its `get` calls."""
+
+    reads = 0
+
+    def get(self, row: int) -> int:
+        self.reads += 1
+        return super().get(row)
+
+
+def test_unlogged_run_does_no_log_work(monkeypatch):
+    # The logged run reads one counter per event with a row, on top of
+    # the scheme's own reads; the unlogged run makes only the latter.
+    monkeypatch.setattr(counters, "CounterCore", CountingCore)
+
+    def run(scheme, collect_log):
+        engine = BankEngine(preset(scheme, 8, 2), small_geometry(),
                             collect_log=collect_log)
-        if not collect_log:
-            engine._log = lambda *event: pytest.fail(f"logged {event}")
-        metrics = engine.run_trace(three_rows(400),
-                                   us(3000))
+        metrics = engine.run_trace(three_rows(400), us(3000))
         return engine, metrics
-    logged, logged_metrics = run(True)
-    assert {kind for _, kind, _, _ in logged.log} == {
-        "ACT", "REF", "ALERT", "RFM", "PROACT"}
-    unlogged, unlogged_metrics = run(False)
-    assert unlogged.log == []
-    assert unlogged_metrics == logged_metrics
+    for scheme in SCHEMES:
+        logged, logged_metrics = run(scheme, True)
+        if scheme == "PVAC":
+            assert {kind for _, kind, _, _ in logged.log} == {
+                "ACT", "REF", "ALERT", "RFM", "PROACT"}
+        log_reads = sum(1 for _t, _kind, row, _c in logged.log if row >= 0)
+        assert log_reads >= 400
+        unlogged, unlogged_metrics = run(scheme, False)
+        assert list(unlogged.log) == []
+        assert unlogged.scheme.bank.core.reads \
+            == logged.scheme.bank.core.reads - log_reads
+        assert unlogged_metrics == logged_metrics
 
 
-LOG_ENTRY = st.tuples(
+LOG_EVENT = st.tuples(
     st.integers(0, 2**62),
     st.sampled_from(["ACT", "REF", "RFM", "ALERT", "PROACT"]),
-    st.integers(-1, 2**20), st.integers(0, 2**32 - 1))
+    st.integers(-1, 511))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(LOG_ENTRY, max_size=40), st.data())
-def test_event_log_reads_as_its_list_of_tuples(entries, data):
-    log, model = EventLog(), []
-    columns = (log.times, log.kinds, log.rows, log.counters)
-    for entry in entries:
-        for column, value in zip(columns, entry):
-            column.append(value)
-        model.append(entry)
-        assert len(log) == len(model)
-        assert log[-1] == model[-1] and log[len(model) - 1] == model[-1]
-    assert list(log) == model and list(log) == model  # iterates again
-    assert log == model and log != model + [(0, "ACT", 0, 0)]
-    for i in range(-len(model), len(model)):
-        assert log[i] == model[i]
-    with pytest.raises(IndexError):
-        log[len(model)]
-    bound = st.one_of(st.none(), st.integers(-len(model) - 2,
-                                             len(model) + 2))
-    piece = slice(data.draw(bound), data.draw(bound),
-                  data.draw(st.sampled_from([None, 1, 2, -1, -3])))
-    assert log[piece] == model[piece]
-    if model:
-        entry = data.draw(st.sampled_from(model))
-        assert log.index(entry) == model.index(entry)
-    with pytest.raises(ValueError):
-        log.index((-1, "ACT", 0, 0))
-    cursor = data.draw(st.integers(0, len(model)))
-    assert list(log.kinds_and_rows(cursor)) == [
-        (kind, row) for _t, kind, row, _c in model[cursor:]]
+@given(st.lists(LOG_EVENT, max_size=40),
+       st.lists(st.integers(0, 2**16 - 1), min_size=8, max_size=8))
+def test_event_log_reads_as_its_list_of_tuples(events, counts):
+    # What `_log` appends iterates back as (t, kind, row, counter), the
+    # counter read from the bank at the append (0 for row -1, no row).
+    engine = BankEngine(plain_pvac(64), small_geometry())
+    engine.scheme.bank.core.load(counts * 64)
+    model = []
+    for t, kind, row in events:
+        engine._log(t, kind, row)
+        model.append((t, kind, row, counts[row % 8] if row >= 0 else 0))
+        assert len(engine.log) == len(model)
+    assert list(engine.log) == model
+    assert list(engine.log) == model  # iterates again
 
 
 def test_event_log_holds_at_most_40_bytes_per_event():
