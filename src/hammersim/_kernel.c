@@ -5,18 +5,19 @@
    reference.  A change to the kernel edits both files; the parity tests
    in tests/test_kernel.py and the golden digests tie the two.
 
-   Counters are 32-bit unsigned and saturate at `cap`.  Rows and queue
-   counts are C longs.  Constructor arguments are parsed in `tp_new` and
-   there is no `tp_init`, so a Python subclass may define `__init__` and
-   need not call the base one. */
+   `act` counts one of two disciplines, AGGRESSOR or VICTIM, and raises
+   ValueError for any other code, whatever the row.  Counters are 32-bit
+   unsigned and saturate at `cap`.  Rows and queue counts are C longs.
+   Constructor arguments are parsed in `tp_new` and there is no
+   `tp_init`, so a Python subclass may define `__init__` and need not
+   call the base one. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <limits.h>
 #include <string.h>
 
-enum { AGGRESSOR = 0, VICTIM = 1, NONE = 2 };
+enum { AGGRESSOR = 0, VICTIM = 1 };
 
 /* Fastcall methods take a signature PyCFunction does not name. */
 #define FASTCALL(f) ((PyCFunction)(void (*)(void))(f))
@@ -145,13 +146,18 @@ core_act(PyObject *op, PyObject *const *args, Py_ssize_t nargs)
 {
     CounterCore *self = (CounterCore *)op;
     long a[2];
-    if (parse_longs("act", args, nargs, 2, a) < 0
-        || core_check(self, a[0]) < 0)
+    if (parse_longs("act", args, nargs, 2, a) < 0)
         return NULL;
     long row = a[0], sem = a[1];
+    if (sem != AGGRESSOR && sem != VICTIM) {
+        PyErr_Format(PyExc_ValueError, "unknown counting code %ld", sem);
+        return NULL;
+    }
+    if (core_check(self, row) < 0)
+        return NULL;
     PyObject *changed = PyList_New(0);
-    if (changed == NULL || sem == NONE)
-        return changed;
+    if (changed == NULL)
+        return NULL;
     unsigned int *c = self->c;
     if (sem == AGGRESSOR) {
         if (c[row] < self->cap) {
@@ -205,22 +211,6 @@ core_reset(PyObject *op, PyObject *arg)
     unsigned int old = self->c[row];
     self->c[row] = 0;
     return PyLong_FromUnsignedLong(old);
-}
-
-static PyObject *
-core_fill(PyObject *op, PyObject *arg)
-{
-    CounterCore *self = (CounterCore *)op;
-    long value = PyLong_AsLong(arg);
-    if (value == -1 && PyErr_Occurred())
-        return NULL;
-    if (value < 0 || (unsigned long)value > self->cap) {
-        PyErr_SetString(PyExc_ValueError, "fill value outside [0, cap]");
-        return NULL;
-    }
-    for (long i = 0; i < self->n_rows; i++)
-        self->c[i] = (unsigned int)value;
-    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -295,21 +285,12 @@ static PyMethodDef core_methods[] = {
      "Apply one activation of `row`; return rows whose count changed."},
     {"get", core_get, METH_O, NULL},
     {"reset", core_reset, METH_O, NULL},
-    {"fill", core_fill, METH_O, NULL},
     {"load", core_load, METH_O, NULL},
     {"snapshot", core_snapshot, METH_NOARGS, NULL},
     {"max_count", core_max_count, METH_NOARGS, NULL},
     {"argmax", core_argmax, METH_NOARGS,
      "Lowest row index holding the maximum count."},
     {NULL, NULL, 0, NULL},
-};
-
-static PyMemberDef core_members[] = {
-    {"n_rows", T_LONG, offsetof(CounterCore, n_rows), READONLY, NULL},
-    {"dsa_rows", T_LONG, offsetof(CounterCore, dsa_rows), READONLY, NULL},
-    {"br", T_LONG, offsetof(CounterCore, br), READONLY, NULL},
-    {"cap", T_UINT, offsetof(CounterCore, cap), READONLY, NULL},
-    {NULL, 0, 0, 0, NULL},
 };
 
 static PyTypeObject CounterCoreType = {
@@ -322,7 +303,6 @@ static PyTypeObject CounterCoreType = {
               "Rows are grouped into subarrays of `dsa_rows`; victim-side "
               "updates\nnever cross a subarray edge.",
     .tp_methods = core_methods,
-    .tp_members = core_members,
     .tp_new = core_new,
 };
 
@@ -498,11 +478,6 @@ static PyMethodDef queue_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PyMemberDef queue_members[] = {
-    {"depth", T_LONG, offsetof(TopQueue, depth), READONLY, NULL},
-    {NULL, 0, 0, 0, NULL},
-};
-
 static PySequenceMethods queue_as_sequence = {
     .sq_length = queue_len,
 };
@@ -522,7 +497,6 @@ static PyTypeObject TopQueueType = {
               "displaced first (the lower row is retained).\n`pop_max` "
               "yields count-descending, row-ascending.",
     .tp_methods = queue_methods,
-    .tp_members = queue_members,
     .tp_new = queue_new,
 };
 
@@ -545,7 +519,6 @@ PyInit__kernel(void)
     if (PyModule_AddStringConstant(m, "KERNEL_BUILD", "compiled") < 0
         || PyModule_AddIntConstant(m, "AGGRESSOR", AGGRESSOR) < 0
         || PyModule_AddIntConstant(m, "VICTIM", VICTIM) < 0
-        || PyModule_AddIntConstant(m, "NONE", NONE) < 0
         || PyModule_AddType(m, &CounterCoreType) < 0
         || PyModule_AddType(m, &TopQueueType) < 0) {
         Py_DECREF(m);

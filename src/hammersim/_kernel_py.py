@@ -1,11 +1,12 @@
 """Pure-Python build of the hot kernels, and the reference for the
 compiled one.
 
-Same classes and behavior as `_kernel.c`, the hand-written C extension;
-`kernel` uses this one when the compiled build does not import.  A
-change to the kernel edits both files together, and the parity tests in
-`tests/test_kernel.py` and the golden digests tie the two.  Kept free of
-any package-internal imports so it can be exercised standalone in tests.
+Same codes (`AGGRESSOR`, `VICTIM`), classes and behavior as `_kernel.c`,
+the hand-written C extension; `kernel` uses this one when the compiled
+build does not import.  A change to the kernel edits both files
+together, and the parity tests in `tests/test_kernel.py` and the golden
+digests tie the two.  Kept free of any package-internal imports so it
+can be exercised standalone in tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ KERNEL_BUILD = "python"
 
 AGGRESSOR = 0
 VICTIM = 1
-NONE = 2
 
 # A queue key's low 64 bits hold `_ROW_TOP - row`; the `_OPEN` floor lies
 # below every count a C `long` holds.
@@ -30,13 +30,16 @@ _OPEN = -(1 << 63) - 1
 class CounterCore:
     """Saturating per-row activation counters for one bank.
 
+    `act` counts one activation under one of the two disciplines,
+    `AGGRESSOR` or `VICTIM`; any other code raises `ValueError`, whatever
+    the row, before any counter moves.  A negative row raises
+    `IndexError` instead of indexing from the end of the list.
+
     `_c` is a plain list of ints, one per row.  Reading a list element
     hands back the stored int, where an `array` would box a new one.
     CPython shares the ints up to 256, so a row at such a count costs one
     8-byte slot, as in an `array("L")`; a larger count adds its own int
-    object.  `cap` must fit in 32 bits, as the compiled build's counters
-    do.  A negative row raises `IndexError` instead of indexing from the
-    end of the list.
+    object.  `cap` must fit in 32 bits, as the compiled build's counters do.
 
     Rows are grouped into subarrays of `dsa_rows`; victim-side updates
     never cross a subarray edge.  `_below[p]` and `_above[p]` hold the
@@ -48,8 +51,7 @@ class CounterCore:
     tools; the engine makes none.
     """
 
-    __slots__ = ("n_rows", "dsa_rows", "br", "cap", "_c", "_below",
-                 "_above")
+    __slots__ = ("_dsa_rows", "_cap", "_c", "_below", "_above")
 
     def __init__(self, n_rows: int, dsa_rows: int, br: int, cap: int) -> None:
         if n_rows <= 0 or dsa_rows <= 0 or n_rows % dsa_rows != 0:
@@ -58,10 +60,8 @@ class CounterCore:
             raise ValueError("br and cap must be >= 1")
         if cap > 0xFFFFFFFF:
             raise OverflowError("cap does not fit in 32 bits")
-        self.n_rows = n_rows
-        self.dsa_rows = dsa_rows
-        self.br = br
-        self.cap = cap
+        self._dsa_rows = dsa_rows
+        self._cap = cap
         self._c = [0] * n_rows
         below = [tuple(range(-br, 0))] * dsa_rows
         above = [tuple(range(1, br + 1))] * dsa_rows
@@ -74,24 +74,24 @@ class CounterCore:
 
     def act(self, row: int, sem: int) -> List[Tuple[int, int]]:
         """Apply one activation of `row`; return rows whose count changed."""
-        if row < 0:
-            raise IndexError("row out of range")
         c = self._c
         if sem == AGGRESSOR:
+            if row < 0:
+                raise IndexError("row out of range")
             v = c[row]
-            if v < self.cap:
+            if v < self._cap:
                 c[row] = v + 1
                 return [(row, v + 1)]
             return []
-        if sem == NONE:
-            # The other two fail at their first index past the bank.
-            if row >= self.n_rows:
-                raise IndexError("row out of range")
-            return []
-        changed: List[Tuple[int, int]] = []
+        if sem != VICTIM:
+            raise ValueError(f"unknown counting code {sem}")
+        if row < 0:
+            raise IndexError("row out of range")
         # VICTIM: bump in-subarray neighbors and reset self, in row order.
-        cap = self.cap
-        place = row % self.dsa_rows
+        # A row past the bank fails at its first index, before any change.
+        changed: List[Tuple[int, int]] = []
+        cap = self._cap
+        place = row % self._dsa_rows
         for o in self._below[place]:
             n = row + o
             v = c[n]
@@ -121,20 +121,15 @@ class CounterCore:
         self._c[row] = 0
         return old
 
-    def fill(self, value: int) -> None:
-        value = index(value)
-        if not 0 <= value <= self.cap:
-            raise ValueError("fill value outside [0, cap]")
-        self._c[:] = [value] * self.n_rows
-
     def load(self, values) -> None:
-        if len(values) != self.n_rows:
+        c = self._c
+        if len(values) != len(c):
             raise ValueError("length mismatch")
         for i, v in enumerate(values):
             v = index(v)
-            if not 0 <= v <= self.cap:
+            if not 0 <= v <= self._cap:
                 raise ValueError("value outside [0, cap]")
-            self._c[i] = v
+            c[i] = v
 
     def snapshot(self) -> List[int]:
         return list(self._c)
@@ -168,12 +163,12 @@ class TopQueue:
     queue short, so they reset it to `_OPEN`.
     """
 
-    __slots__ = ("depth", "_key_of", "_keys", "_floor")
+    __slots__ = ("_depth", "_key_of", "_keys", "_floor")
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self.depth = depth
+        self._depth = depth
         self._key_of: Dict[int, int] = {}
         self._keys: List[int] = []
         self._floor = _OPEN
@@ -191,13 +186,13 @@ class TopQueue:
         evicted = -1
         if old is not None:
             del keys[bisect_left(keys, old)]
-        elif len(keys) == self.depth:
+        elif len(keys) == self._depth:
             evicted = _ROW_TOP - (keys.pop(0) & _ROW_MASK)
             del key_of[evicted]
         key = (count << 64) + (_ROW_TOP - row)
         key_of[row] = key
         insort(keys, key)
-        if len(keys) == self.depth:
+        if len(keys) == self._depth:
             self._floor = keys[0] >> 64
         return evicted
 

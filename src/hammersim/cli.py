@@ -138,7 +138,7 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
         means: List[float] = []
         for w in range(windows):
             engine.advance_to((w + 1) * refresh.window_ps)
-            snap = engine.scheme.bank.snapshot()
+            snap = engine.scheme.bank.core.snapshot()
             means.append(sum(snap) / len(snap))
         metrics = engine.finalize(windows * refresh.window_ps)
         for w, stats in enumerate(metrics.windows):

@@ -8,6 +8,7 @@ A config section is read against a table of `Key`s, one per key, by
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import (Any, Dict, Iterator, Mapping, NamedTuple, Optional,
@@ -50,10 +51,39 @@ def config_errors(where: str) -> Iterator[None]:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _unique_key_map(loader: yaml.SafeLoader, node: yaml.MappingNode):
+    """A YAML mapping; a key given twice is an error, not the last value."""
+    first: Dict[Any, int] = {}
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue
+        key = loader.construct_object(key_node, deep=True)
+        if not isinstance(key, Hashable):
+            continue  # the safe loader rejects it
+        if key in first:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping", node.start_mark,
+                f"found duplicate key {key!r} (first on line {first[key]})",
+                key_node.start_mark)
+        first[key] = key_node.start_mark.line + 1
+    return loader.construct_yaml_map(node)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, with `_unique_key_map` for every mapping."""
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _unique_key_map)
+
+
 def load_config(path: str) -> Dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            loader = _UniqueKeyLoader(fh)
+            try:
+                data = loader.get_single_data()
+            finally:
+                loader.dispose()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -67,7 +97,8 @@ def load_config(path: str) -> Dict[str, Any]:
 
 def check_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
                path: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    # YAML keys need not be strings, nor all of one type.
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         where = f"{path}.{unknown[0]}" if path else unknown[0]
         raise ConfigError(f"unknown key {where!r} (allowed under "

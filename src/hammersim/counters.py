@@ -8,13 +8,16 @@ Two counting disciplines share one store:
   increments the counters of its neighbors within the blast radius, clipped
   to the row's subarray.
 
-`AGGRESSOR_COUNT`, `VICTIM_COUNT` and `NO_COUNT` (count nothing) are the
-kernel's codes and the package's one name for a discipline.
+`AGGRESSOR_COUNT` and `VICTIM_COUNT` are the kernel's two codes and the
+package's one name for a discipline.  `NO_COUNT` is the scheme table's
+code for a refreshed row that counts nothing; it never reaches the
+kernel, which raises ValueError for it.
 
 `CounterBank` holds one bank's counters in a kernel `CounterCore`, which
-exists in two interchangeable builds (compiled and pure Python); see
-`kernel`.  `neighbour_offsets` is the victim rule for everything outside
-the kernel; `tests/test_kernel.py` ties the kernel's own copy to it.
+exists in two interchangeable builds (compiled and pure Python; see
+`kernel`); its readers read `bank.core`.  `neighbour_offsets` is the
+victim rule for everything outside the kernel; `tests/test_kernel.py`
+ties the kernel's own copy to it.
 The rest of the module models the counter subarray (CSA): its access
 timings (the `CSA_T*` constants, integer ps), the latency of one
 counter update (`csa_scaled_latency`) and its layouts.  `CsaLayout` is
@@ -29,9 +32,11 @@ from functools import lru_cache
 from typing import List, NamedTuple, Tuple
 
 from .dram import DeviceGeometry
-from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, NONE as NO_COUNT,
-                     VICTIM as VICTIM_COUNT, CounterCore)
+from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, VICTIM as VICTIM_COUNT,
+                     CounterCore)
 from .units import ns, to_ns
+
+NO_COUNT = 2
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +114,8 @@ class CsaLayout:
 
 
 class CounterBank:
-    """Counters for one bank: the kernel's `CounterCore` plus the reads
-    the engine and the CLI make of it."""
+    """Counters for one bank: `core`, the kernel's `CounterCore` sized
+    from `geometry`, looked up in this module when the bank is built."""
 
     def __init__(self, geometry: DeviceGeometry) -> None:
         self.geometry = geometry
@@ -118,12 +123,6 @@ class CounterBank:
             geometry.rows_per_bank, geometry.rows_per_dsa,
             geometry.blast_radius, geometry.counter_cap,
         )
-
-    def get(self, row: int) -> int:
-        return self.core.get(row)
-
-    def snapshot(self) -> List[int]:
-        return self.core.snapshot()
 
     def apply_activation(self, row: int, semantics: int
                          ) -> List[Tuple[int, int]]:

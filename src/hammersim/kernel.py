@@ -3,19 +3,19 @@ otherwise.
 
 The compiled build is `_kernel.c`, a hand-written C extension that
 `setup.py` compiles at install time; `_kernel_py.py` is the reference.
-Both builds export the same names with identical behavior, so a change
-edits the two together, and the tests check parity on both.
-`KERNEL_BUILD` says which one is live.
+Both export the two counting codes, `AGGRESSOR` and `VICTIM`, and the
+same classes with identical behavior, so a change edits the two
+together, and the tests check parity on both.  `KERNEL_BUILD` says
+which one is live.
 """
 
 from __future__ import annotations
 
 try:
-    from ._kernel import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
+    from ._kernel import (AGGRESSOR, VICTIM,  # noqa: F401
                           KERNEL_BUILD, CounterCore, TopQueue)
 except ImportError:
-    from ._kernel_py import (AGGRESSOR, NONE, VICTIM,  # noqa: F401
+    from ._kernel_py import (AGGRESSOR, VICTIM,  # noqa: F401
                              KERNEL_BUILD, CounterCore, TopQueue)
 
-__all__ = ["CounterCore", "TopQueue", "KERNEL_BUILD",
-           "AGGRESSOR", "VICTIM", "NONE"]
+__all__ = ["CounterCore", "TopQueue", "KERNEL_BUILD", "AGGRESSOR", "VICTIM"]

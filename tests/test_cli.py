@@ -235,6 +235,38 @@ def test_bw_bound_config_errors(tmp_path, yaml_text, needle):
     assert needle in all_text(result)
 
 
+@pytest.mark.parametrize("command, yaml_text, key, line", [
+    # PyYAML alone keeps the second section and runs at the default n_bo.
+    ("domino", "domino: {n_bo: 8, windows: 1}\n"
+     "geometry: {rows_per_bank: 512, rows_per_dsa: 512}\n"
+     "domino: {windows: 2}\n", "domino", 3),
+    ("bw-bound", "bw_bound:\n  points:\n    - {n_mit: 1, n_bo: 15,\n"
+     "       n_mit: 2}\n", "n_mit", 4),
+], ids=["top-level", "in-a-list-item"])
+def test_a_duplicated_key_exits_2_naming_it_and_its_line(
+        tmp_path, command, yaml_text, key, line):
+    cfg = write_cfg(tmp_path, yaml_text)
+    result = run_cli(command, "--config", cfg, "--out",
+                     str(tmp_path / "out"))
+    assert result.exit_code == EXIT_CONFIG
+    assert f"duplicate key {key!r}" in all_text(result)
+    assert f"line {line}," in all_text(result)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("yaml_text, needle", [
+    ("1: 2\nx: 3\n", "unknown key 1 "),
+    ("bw_bound:\n  points:\n    - {n_mit: 1, n_bo: 15, 7: 1, z: 2}\n",
+     "unknown key 'bw_bound.points[0].7'"),
+], ids=["top-level", "in-a-list-item"])
+def test_unknown_keys_of_mixed_types_exit_2(tmp_path, yaml_text, needle):
+    cfg = write_cfg(tmp_path, yaml_text)
+    result = run_cli("bw-bound", "--config", cfg, "--out",
+                     str(tmp_path / "out"))
+    assert result.exit_code == EXIT_CONFIG
+    assert needle in all_text(result)
+
+
 def test_absent_config_file_exits_2(tmp_path):
     result = run_cli("bw-bound", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out"))

@@ -109,3 +109,13 @@ def test_manifest_is_canonical():
     b = dump_manifest({"a": {"y": 3, "z": 2}, "b": 1})
     assert a == b
     assert a.index("a:") < a.index("b:")
+
+
+def test_load_config_keeps_merge_keys_and_rejects_unhashable_ones(tmp_path):
+    # Only a key given twice is new: a merged key may still be overridden.
+    p = tmp_path / "scenario.yaml"
+    p.write_text("base: &b {n_bo: 8, n_mit: 1}\nscheme: {<<: *b, n_bo: 9}\n")
+    assert load_config(str(p))["scheme"] == {"n_bo": 9, "n_mit": 1}
+    p.write_text("? [a]\n: 1\n")
+    with pytest.raises(ConfigError, match="unhashable key"):
+        load_config(str(p))

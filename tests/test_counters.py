@@ -49,18 +49,18 @@ def test_aggressor_counting_increments_self():
     bank = CounterBank(G)
     for _ in range(3):
         bank.apply_activation(50, 0)
-    assert bank.get(50) == 3
-    assert bank.get(49) == 0
+    assert bank.core.get(50) == 3
+    assert bank.core.get(49) == 0
 
 
 def test_victim_counting_resets_self_and_bumps_neighbors():
     bank = CounterBank(G)
     bank.apply_activation(50, 1)
-    assert bank.get(50) == 0
-    assert [bank.get(r) for r in (48, 49, 51, 52)] == [1, 1, 1, 1]
+    assert bank.core.get(50) == 0
+    assert [bank.core.get(r) for r in (48, 49, 51, 52)] == [1, 1, 1, 1]
     bank.apply_activation(51, 1)
-    assert bank.get(51) == 0  # reset by its own activation
-    assert bank.get(50) == 1
+    assert bank.core.get(51) == 0  # reset by its own activation
+    assert bank.core.get(50) == 1
 
 
 def test_counters_saturate_at_cap():
@@ -69,7 +69,7 @@ def test_counters_saturate_at_cap():
     bank = CounterBank(small)
     for _ in range(10):
         bank.apply_activation(5, 0)
-    assert bank.get(5) == 3  # 2-bit cap
+    assert bank.core.get(5) == 3  # 2-bit cap
 
 
 def test_counter_update_latency_matches_pipeline_sum():

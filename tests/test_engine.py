@@ -132,7 +132,7 @@ def test_idle_chronus_engine_reports_each_refreshed_row():
     rpr = rows_per_refresh(engine.geometry, refresh)
     assert rpr == 8 and engine.metrics.refs_issued == 3
     assert activated == list(range(3 * rpr))
-    assert engine.scheme.bank.snapshot() == [0] * 512
+    assert engine.scheme.bank.core.snapshot() == [0] * 512
 
 
 @pytest.mark.parametrize("scheme", [plain_pvac(10_000), preset("PRAC", 64)],
@@ -143,13 +143,13 @@ def test_out_of_bank_act_fails_without_counting(scheme):
     engine.attach_observer(observer)
     engine.issue_act(0)
     engine.issue_act(511)
-    before = engine.scheme.bank.snapshot()
+    before = engine.scheme.bank.core.snapshot()
     acts, now, damage = (engine.metrics.acts_issued, engine.now,
                          list(observer.damage))
     for row in (-1, 512):
         with pytest.raises(ValueError, match="outside bank"):
             engine.issue_act(row)
-    assert engine.scheme.bank.snapshot() == before
+    assert engine.scheme.bank.core.snapshot() == before
     assert engine.metrics.acts_issued == acts
     assert engine.now == now
     assert observer.damage == damage

@@ -151,10 +151,13 @@ def run_cli_case(name: str, workdir: Path) -> dict:
     return file_digests(outdir)
 
 
-def file_digests(outdir: Path) -> dict:
-    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(outdir.iterdir())
-            if f.suffix in (".csv", ".yaml")}
+def file_digests(out: Path) -> dict:
+    """SHA-256 of each CSV and manifest under `out`, keyed by relative
+    path, as the benchmark worker keys them."""
+    return {path.relative_to(out).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.suffix == ".csv" or path.name == "manifest.yaml"}
 
 
 def all_cli_cases(workdir: Path) -> dict:

@@ -183,7 +183,6 @@ PERFBENCH_NAMES = "named by perfbench/layers.py"
 # here is dropped from `_kernel.c` too.
 DEAD_KERNEL_API = {
     "_kernel_py.CounterCore.argmax": PERFBENCH_NAMES,
-    "_kernel_py.CounterCore.fill": "test fixture: sets every counter",
     "_kernel_py.CounterCore.load": "test fixture: sets each counter",
     "_kernel_py.CounterCore.max_count": PERFBENCH_NAMES,
     "_kernel_py.TopQueue.min_count": PERFBENCH_NAMES,

@@ -23,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim import _kernel_py
-from hammersim.counters import victim_set
+from hammersim.counters import NO_COUNT, victim_set
 from hammersim.dram import DeviceGeometry
 
-AGG, VIC, NONE = 0, 1, 2
+AGG, VIC = 0, 1
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,13 +75,22 @@ def public(cls):
     return {name for name in dir(cls) if not name.startswith("_")}
 
 
+# The whole public surface of each kernel class; a name added to or
+# dropped from a build fails here.
+SURFACE = {
+    "CounterCore": {"act", "get", "reset", "load", "snapshot", "max_count",
+                    "argmax"},
+    "TopQueue": {"update", "remove", "pop_max", "peek_max_count",
+                 "min_count", "items"},
+}
+
+
 def test_builds_expose_one_surface():
-    # A method added to one build only fails here.
-    py, compiled = kernels()
-    for cls in ("CounterCore", "TopQueue"):
-        assert public(getattr(compiled, cls)) == public(getattr(py, cls))
     for mod in kernels():
-        assert (mod.AGGRESSOR, mod.VICTIM, mod.NONE) == (AGG, VIC, NONE)
+        for cls, names in SURFACE.items():
+            assert public(getattr(mod, cls)) == names
+        assert (mod.AGGRESSOR, mod.VICTIM) == (AGG, VIC)
+        assert not hasattr(mod, "NONE")
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -97,7 +106,6 @@ def test_bad_arguments_raise_value_error(mod):
         (lambda: mod.CounterCore(8, 4, 0, 3), "br and cap must be >= 1"),
         (lambda: mod.CounterCore(8, 4, 1, 0), "br and cap must be >= 1"),
         (lambda: mod.TopQueue(0), "depth must be >= 1"),
-        (lambda: core.fill(4), "fill value outside [0, cap]"),
         (lambda: core.load([0] * 7), "length mismatch"),
         (lambda: core.load([0] * 9), "length mismatch"),
         (lambda: core.load([0] * 7 + [4]), "value outside [0, cap]"),
@@ -111,13 +119,31 @@ def test_bad_arguments_raise_value_error(mod):
 @pytest.mark.parametrize("mod", kernels())
 def test_row_outside_the_bank_raises_index_error(mod):
     core = mod.CounterCore(8, 4, 1, 3)
-    calls = [core.get, core.reset] + [
-        lambda row, sem=sem: core.act(row, sem) for sem in (AGG, VIC, NONE)]
-    for call in calls:
+    for call in (core.get, core.reset):
         for row in (8, -1):
             with pytest.raises(IndexError):
                 call(row)
     assert core.snapshot() == [0] * 8
+
+
+@pytest.mark.parametrize("mod", kernels())
+def test_act_counts_the_two_disciplines_only(mod):
+    # Any other code, `counters.NO_COUNT` included, raises ValueError
+    # whatever the row; a discipline code raises IndexError off the bank.
+    # Both builds raise the same exception, and no counter moves.
+    core = mod.CounterCore(8, 4, 1, 3)
+    counts = [1, 2, 3, 0, 1, 2, 3, 0]
+    core.load(counts)
+    for sem in (2, 3, -1, NO_COUNT):
+        for row in (-1, 0, 8):
+            with pytest.raises(ValueError,
+                               match=f"^unknown counting code {sem}$"):
+                core.act(row, sem)
+    for sem in (AGG, VIC):
+        for row in (-1, 8):
+            with pytest.raises(IndexError):
+                core.act(row, sem)
+    assert core.snapshot() == counts
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -129,9 +155,8 @@ def test_core_rejects_a_cap_wider_than_32_bits(mod):
 @pytest.mark.parametrize("mod", kernels())
 def test_counts_that_are_not_ints_raise_type_error(mod):
     core = mod.CounterCore(8, 4, 1, 3)
-    for call in (lambda: core.fill(1.5), lambda: core.load([0.0] * 8)):
-        with pytest.raises(TypeError):
-            call()
+    with pytest.raises(TypeError):
+        core.load([0.0] * 8)
     assert core.snapshot() == [0] * 8
 
 
@@ -140,7 +165,6 @@ def test_aggressor_act_returns_changed_row(mod):
     core = mod.CounterCore(64, 64, 2, 255)
     assert core.act(10, AGG) == [(10, 1)]
     assert core.act(10, AGG) == [(10, 2)]
-    assert core.act(10, NONE) == []
 
 
 @pytest.mark.parametrize("mod", kernels())
@@ -202,7 +226,7 @@ def test_32_bit_cap_saturates_both_disciplines(mod):
                          counter_bits=32).counter_cap
     assert cap == 2 ** 32 - 1
     core = mod.CounterCore(16, 16, 2, cap)
-    core.fill(cap - 1)
+    core.load([cap - 1] * 16)
     assert core.act(5, AGG) == [(5, cap)]
     assert core.act(5, AGG) == []
     assert core.act(8, VIC) == [(6, cap), (7, cap), (8, 0), (9, cap),
@@ -213,7 +237,7 @@ def test_32_bit_cap_saturates_both_disciplines(mod):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 255),
-                          st.sampled_from([AGG, VIC, NONE])),
+                          st.sampled_from([AGG, VIC])),
                 max_size=300))
 def test_kernel_builds_agree(ops):
     a = compiled_kernel().CounterCore(256, 128, 2, 255)
@@ -249,7 +273,7 @@ def act_model(counts, row, sem, dsa_rows, br, cap):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3),
        st.lists(st.tuples(st.integers(0, 63),
-                          st.sampled_from([AGG, VIC, NONE])),
+                          st.sampled_from([AGG, VIC])),
                 max_size=300))
 @pytest.mark.parametrize("mod", kernels())
 def test_act_matches_brute_force_model(mod, br, ops):
@@ -266,10 +290,9 @@ def test_act_matches_brute_force_model(mod, br, ops):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(
     st.tuples(st.just("act"), st.integers(0, 63),
-              st.sampled_from([AGG, VIC, NONE])),
+              st.sampled_from([AGG, VIC])),
     st.tuples(st.just("reset"), st.integers(0, 63)),
     st.tuples(st.just("reset_max")),
-    st.tuples(st.just("fill"), st.integers(0, 7)),
     st.tuples(st.just("load"), st.lists(st.integers(0, 7), min_size=64,
                                         max_size=64))), max_size=300))
 def test_python_build_max_and_argmax_match_brute_force(ops):
@@ -279,8 +302,6 @@ def test_python_build_max_and_argmax_match_brute_force(ops):
             core.act(op[1], op[2])
         elif op[0] == "reset":
             core.reset(op[1])
-        elif op[0] == "fill":
-            core.fill(op[1])
         elif op[0] == "load":
             core.load(op[1])
         else:

@@ -16,7 +16,6 @@ tracer cannot reach by the names it wraps (the closure variable
 under `perfbench/`, not even bytecode.
 """
 
-import hashlib
 import importlib.util
 import json
 import sys
@@ -27,6 +26,7 @@ from click.testing import CliRunner
 
 from hammersim import counters, schemes
 from hammersim.cli import EXIT_OK, main
+from test_golden import file_digests
 from test_kernel import kernels
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,15 +50,6 @@ def load_perfbench(stem: str):
     return sys.modules[name]
 
 
-def output_digests(out: Path) -> dict:
-    """SHA-256 of each CSV and manifest under `out`, as the worker keys
-    them."""
-    return {path.relative_to(out).as_posix():
-            hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.rglob("*"))
-            if path.suffix == ".csv" or path.name == "manifest.yaml"}
-
-
 @pytest.mark.parametrize("name", GATED)
 def test_gated_workload_matches_reference(name, tmp_path, monkeypatch):
     workloads = load_perfbench("workloads")
@@ -74,7 +65,7 @@ def test_gated_workload_matches_reference(name, tmp_path, monkeypatch):
             main, workloads.cli_args(workload, call, seed),
             catch_exceptions=False)
         assert result.exit_code == EXIT_OK, result.output
-    assert output_digests(tmp_path / "out") == expected
+    assert file_digests(tmp_path / "out") == expected
 
 
 # A 128-row domino that PRAC crosses in its last window and PVAC from

@@ -110,11 +110,11 @@ def test_unknown_row_rejected():
         state = make_state(scheme, 64)
         for row in (0, 1, 254, 255):
             state.on_act(row)
-        before = state.bank.snapshot()
+        before = state.bank.core.snapshot()
         for row in (-1, -2, 256):
             with pytest.raises(ValueError):
                 state.on_act(row)
-        assert state.bank.snapshot() == before
+        assert state.bank.core.snapshot() == before
         assert state.queue.items() == sorted(
             ((r, c) for r, c in enumerate(before) if c),
             key=lambda rc: (-rc[1], rc[0]))
@@ -130,7 +130,7 @@ def test_victim_counting_alerts_on_neighbours_not_self():
     # naming the lowest of them.
     assert actions == [None, None, 8]
     assert hot_rows(state) == [8, 9, 11, 12]
-    assert state.bank.get(10) == 0
+    assert state.bank.core.get(10) == 0
 
 
 def test_aggressor_counting_alerts_on_self():
@@ -138,7 +138,7 @@ def test_aggressor_counting_alerts_on_self():
     assert state.on_act(10) is None
     assert state.on_act(10) is None
     assert state.on_act(10) == 10
-    assert state.bank.get(10) == 3
+    assert state.bank.core.get(10) == 3
 
 
 def test_adjacent_ping_pong_keeps_hammered_rows_reset():
@@ -150,15 +150,15 @@ def test_adjacent_ping_pong_keeps_hammered_rows_reset():
     for i in range(8):
         row = 10 if i % 2 == 0 else 11
         action = state.on_act(row)
-        assert state.bank.get(10) <= 1
-        assert state.bank.get(11) <= 1
+        assert state.bank.core.get(10) <= 1
+        assert state.bank.core.get(11) <= 1
         if action is not None:
             alerts.append((i, action))
     assert len(alerts) == 1
     step, action = alerts[0]
     assert step == 7  # fourth round trip pushes both flanks to the line
     assert action == 9
-    assert state.bank.get(9) == 8 and state.bank.get(12) == 8
+    assert state.bank.core.get(9) == 8 and state.bank.core.get(12) == 8
 
 
 def test_unit_stride_sweep_bounds_interior_rows():
@@ -171,10 +171,10 @@ def test_unit_stride_sweep_bounds_interior_rows():
     for _ in range(3):
         for row in range(lo, hi + 1):
             assert state.on_act(row) is None
-            assert max(state.bank.get(r) for r in interior) <= 4
+            assert max(state.bank.core.get(r) for r in interior) <= 4
     # The rows flanking the sweep are never activated and accumulate.
-    assert state.bank.get(lo - 1) == 6   # two in-range neighbours per lap
-    assert state.bank.get(lo - 2) == 3   # one in-range neighbour per lap
+    assert state.bank.core.get(lo - 1) == 6   # two in-range neighbours per lap
+    assert state.bank.core.get(lo - 2) == 3   # one in-range neighbour per lap
 
 
 def test_multiple_victims_cross_together_single_alert():
@@ -205,7 +205,7 @@ def test_parked_alert_deasserts_once_serviced():
     assert state.pending_alert
     assert state.on_rfm() == [10]
     assert state.take_pending_alert() is None
-    assert state.bank.get(10) == 0
+    assert state.bank.core.get(10) == 0
 
 
 # -- refresh counting --------------------------------------------------------
@@ -217,7 +217,7 @@ def test_refresh_passes_walk_aggressor_counters_to_threshold():
         assert state.on_refresh(group) == ([], None)
     # Row 0 is the lowest of the eight rows crossing together.
     assert state.on_refresh(group) == ([], 0)
-    assert all(state.bank.get(r) == 64 for r in group)
+    assert all(state.bank.core.get(r) == 64 for r in group)
 
 
 def test_refresh_only_victim_counts_peak_at_twice_blast_radius():
@@ -235,8 +235,8 @@ def test_chronus_refresh_leaves_counters_alone():
     state = make_state("Chronus", 64)
     state.on_act(100)
     assert state.on_refresh(range(8, 16)) == ([], None)
-    assert state.bank.get(100) == 1
-    assert all(state.bank.get(r) == 0 for r in range(8, 16))
+    assert state.bank.core.get(100) == 1
+    assert all(state.bank.core.get(r) == 0 for r in range(8, 16))
 
 
 @pytest.mark.parametrize("scheme,counted", [("Chronus", False),
@@ -294,8 +294,8 @@ def test_aggressor_rfm_resets_and_disturbs_victims():
     for _ in range(3):
         state.on_act(10)
     assert state.on_rfm() == [10]
-    assert state.bank.get(10) == 0
-    assert all(state.bank.get(r) == 1 for r in (8, 9, 11, 12))
+    assert state.bank.core.get(10) == 0
+    assert all(state.bank.core.get(r) == 1 for r in (8, 9, 11, 12))
 
 
 @pytest.mark.parametrize("scheme,mitigated", [
@@ -342,11 +342,11 @@ def test_victim_rfm_services_queue_top_then_cascades():
     state.on_act(13)  # row 11 is a victim of both, so it tops the queue
     assert state.on_rfm() == [11, 10, 12, 8]
     # Rows serviced late enough to dodge later bumps end the burst reset.
-    assert state.bank.get(8) == 0
-    assert state.bank.get(12) == 0
+    assert state.bank.core.get(8) == 0
+    assert state.bank.core.get(12) == 0
     # Earlier services absorbed bumps from the rest of the burst.
-    assert state.bank.get(9) == 3
-    assert state.bank.get(11) == 2
+    assert state.bank.core.get(9) == 3
+    assert state.bank.core.get(11) == 2
 
 
 def test_victim_rfm_burst_services_four_rows():
@@ -355,7 +355,7 @@ def test_victim_rfm_burst_services_four_rows():
         state.on_act(10, alert_allowed=False)
         state.on_act(30, alert_allowed=False)
     assert state.on_rfm() == [8, 9, 11, 12]
-    assert state.bank.get(12) == 0  # the last serviced row ends reset
+    assert state.bank.core.get(12) == 0  # the last serviced row ends reset
 
 
 def test_rfm_with_empty_queue_is_noop():
@@ -382,7 +382,7 @@ def test_chronus_alert_services_until_no_counter_is_hot():
             break
     assert bursts == len(hot)
     assert state.bank.core.max_count() < 3
-    assert all(state.bank.get(r) == 0 for r in hot)
+    assert all(state.bank.core.get(r) == 0 for r in hot)
 
 
 def test_chronus_finds_hot_row_displaced_from_queue():
@@ -455,8 +455,9 @@ def test_proactive_fires_at_threshold_on_refresh_boundary():
     for _ in range(32):
         state.on_act(10)
     assert state.on_refresh(range(200, 208)) == ([10], None)
-    assert state.bank.get(10) == 0
-    assert state.bank.get(9) == 1  # serviced as a real refresh, not an erase
+    assert state.bank.core.get(10) == 0
+    # Serviced as a real refresh, not an erase.
+    assert state.bank.core.get(9) == 1
     assert engine_fed("QPRAC", 64, [10] * 32, refs=1).proactive_count == 1
 
 
@@ -466,7 +467,7 @@ def test_proactive_respects_threshold():
         state.on_act(10)
     assert state.on_refresh(range(200, 208)) == ([], None)
     assert engine_fed("QPRAC", 64, [10] * 31, refs=1).proactive_count == 0
-    assert state.bank.get(10) == 31
+    assert state.bank.core.get(10) == 31
 
 
 def test_proactive_respects_period():
@@ -484,7 +485,7 @@ def test_pvac_proactive_refreshes_victims():
     for _ in range(32):
         state.on_act(10, alert_allowed=True)
     assert state.on_refresh(range(200, 208)) == ([8, 9, 11, 12], None)
-    assert state.bank.get(12) == 0
+    assert state.bank.core.get(12) == 0
 
 
 def test_fixed_count_bursts_issue_n_mit_rfms():
