@@ -192,7 +192,7 @@ def run_feinting(engine: BankEngine, r1: int, *,
         stop_at_ps = engine.refresh.window_ps
 
     log = engine.log
-    log_cursor = len(log)
+    log_cursor = len(log.kinds)
     mitigated: Set[int] = set()
 
     def harvest() -> None:
@@ -200,7 +200,7 @@ def run_feinting(engine: BankEngine, r1: int, *,
         for kind, row in zip(log.kinds[log_cursor:], log.rows[log_cursor:]):
             if (kind == "RFM" or kind == "PROACT") and row >= 0:
                 mitigated.add(row)
-        log_cursor = len(log)
+        log_cursor = len(log.kinds)
 
     issue_act = engine.issue_act
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import deque
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
-from itertools import islice
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from itertools import chain, islice
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, TextIO, Tuple)
 
 import click
 
@@ -29,7 +31,7 @@ from .config import (GEOMETRY, REFRESH, SCHEME, ConfigError, Key,
                      scheme_doc, scheme_from)
 from .counters import csa_scaled_latency
 from .dram import DEFAULT_TRC_NS, N_MITS, PRAC_TRC_NS
-from .engine import BankEngine, audit_log, log_to_csv_lines
+from .engine import BankEngine, EventLog, audit_log, log_to_csv_lines
 from .schemes import (DEFAULT_QUEUE_DEPTH, SchemeConfig, check_n_mit,
                       preset)
 from .security import (AnalysisParams, RecurrenceConfig, brute_force_oracle,
@@ -257,6 +259,40 @@ def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
+@contextmanager
+def _events_csv(outdir: str) -> Iterator[TextIO]:
+    """events.csv, open for writing under a temporary name that becomes
+    `events.csv` once the block succeeds; a failed block leaves no file."""
+    path = os.path.join(outdir, "events.csv")
+    part = path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
+def _write_events(chunks: Iterable[EventLog],
+                  fh: TextIO) -> Iterator[EventLog]:
+    """Pass `chunks` on, each once its CSV lines are written to `fh`.
+
+    `log_to_csv_lines` is called once, on a pipe that holds the chunks
+    not yet written: after the header it makes one line per event, so
+    taking a chunk's length in lines empties the pipe again."""
+    pipe: Deque[EventLog] = deque()
+    lines = log_to_csv_lines(chain.from_iterable(iter(pipe.popleft, None)))
+    fh.write(next(lines) + "\n")
+    for chunk in chunks:
+        if chunk:
+            pipe.append(chunk)
+            batch = list(islice(lines, len(chunk)))
+            batch.append("")  # the last line's newline
+            fh.write("\n".join(batch))
+        yield chunk
+
+
 @_scenario_command("simulate", scheme=SCHEME, geometry=GEOMETRY,
                    refresh=REFRESH, simulate=(
     Key("kind", (str,), "idle"),
@@ -271,6 +307,10 @@ def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
 ))
 def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                   jobs: int) -> int:
+    """Run the trace, streaming its event log into `events.csv` (when
+    asked for) and the auditor in one pass as the engine drains it.
+
+    A config error, a broken trace line among them, leaves no output."""
     opts = read_section(cfg, "simulate", TABLES["simulate"])
     scheme = scheme_from(cfg)
     geometry = geometry_from(cfg)
@@ -280,22 +320,16 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     kind = opts["kind"]
     engine = BankEngine(scheme, geometry, refresh)
     duration_ps = opts["duration_windows"] * refresh.window_ps
-    if opts["trace"] is not None:
-        opts["kind"] = "file"
-        try:
-            with open(opts["trace"], "r", encoding="utf-8") as fh:
-                events = lines_to_trace(fh, geometry.rows_per_bank)
-                metrics = engine.run_trace(events, duration_ps)
-                for _event in events:  # lines past the run are checked too
-                    pass
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"simulate.trace: {_undecodable_line(opts['trace'], exc)}"
-            ) from exc
-        except (OSError, TraceError) as exc:
-            raise ConfigError(f"simulate.trace: {exc}") from exc
-    else:
-        if kind == "idle":
+    with ExitStack() as stack:
+        if opts["trace"] is not None:
+            opts["kind"] = "file"
+            try:
+                trace = stack.enter_context(
+                    open(opts["trace"], "r", encoding="utf-8"))
+            except OSError as exc:
+                raise ConfigError(f"simulate.trace: {exc}") from exc
+            events = lines_to_trace(trace, geometry.rows_per_bank)
+        elif kind == "idle":
             events = []
         elif kind in ("round_robin", "benign"):
             with config_errors("simulate"):
@@ -308,7 +342,22 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
                                         ns(opts["act_gap_ns"]), opts["count"])
         else:
             raise ConfigError(f"simulate.kind: unknown kind {kind!r}")
-        metrics = engine.run_trace(events, duration_ps)
+        try:
+            chunks = engine.stream_trace(events, duration_ps)
+            if opts["write_events"]:
+                csv = stack.enter_context(_events_csv(outdir))
+                chunks = _write_events(chunks, csv)
+            problems = audit_log(chain.from_iterable(chunks), scheme, refresh)
+            if opts["trace"] is not None:
+                for _event in events:  # lines past the run are checked too
+                    pass
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"simulate.trace: {_undecodable_line(opts['trace'], exc)}"
+            ) from exc
+        except TraceError as exc:
+            raise ConfigError(f"simulate.trace: {exc}") from exc
+    metrics = engine.metrics
     rows = ["window,bandwidth,rfm_count,alert_count,blocked_ns"]
     for w in metrics.windows:
         rows.append(f"{w.index},{w.bandwidth:.6f},{w.rfm_count},"
@@ -316,9 +365,6 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
     rows.append(f"total,,{metrics.rfms_issued},{metrics.alerts_raised},"
                 f"{metrics.act_blocked_ps / 1000.0:.3f}")
     _write_text(outdir, "summary.csv", rows)
-    if opts["write_events"]:
-        _write_text(outdir, "events.csv", log_to_csv_lines(engine.log))
-    problems = audit_log(engine.log, scheme, refresh)
     if problems:
         _write_text(outdir, "audit.txt", problems)
         click.echo(f"audit failed: {len(problems)} violations "

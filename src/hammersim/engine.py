@@ -54,29 +54,49 @@ class TraceEvent(NamedTuple):
     time_ps: int = 0  # 0 = as soon as possible
 
 
+Event = Tuple[int, str, int, int]
+
+# Events the log keeps before `BankEngine.stream_trace` drains it.
+LOG_CHUNK = 1024
+
+
 class EventLog:
     """The engine's event log, one `(time_ps, kind, row, counter)` entry
     per event, stored as four columns.
 
     Times, rows and counters are `array("q")` columns and kinds a list of
     the engine's interned kind strings: about 33 B per event, a quarter
-    of what a list of tuples holds.  It has a length and iterates as
-    that list of tuples; `list(log)` builds the list.  The engine's
-    `_log` appends to the columns."""
+    of what a list of tuples holds.  It iterates as that list of tuples
+    over the events it keeps; `list(log)` builds the list.  `drain`
+    hands the kept events on and forgets them, and `len(log)` counts
+    every event logged, drained or kept.  The engine's `_log` appends to
+    the columns."""
 
-    __slots__ = ("times", "kinds", "rows", "counters")
+    __slots__ = ("times", "kinds", "rows", "counters", "drained")
 
     def __init__(self) -> None:
         self.times = array("q")
         self.kinds: List[str] = []
         self.rows = array("q")
         self.counters = array("q")
+        self.drained = 0  # events handed on by `drain`
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.drained + len(self.kinds)
 
-    def __iter__(self) -> Iterator[Tuple[int, str, int, int]]:
+    def __iter__(self) -> Iterator[Event]:
         return zip(self.times, self.kinds, self.rows, self.counters)
+
+    def drain(self) -> "EventLog":
+        """The kept events, moved to a new log.  This log's columns are
+        emptied in place, so the engine's bound appends still reach
+        them."""
+        chunk = EventLog()
+        chunk.times, chunk.kinds = self.times[:], self.kinds[:]
+        chunk.rows, chunk.counters = self.rows[:], self.counters[:]
+        self.drained += len(chunk)
+        del self.times[:], self.kinds[:], self.rows[:], self.counters[:]
+        return chunk
 
 
 def _no_log(t: int, kind: str, row: int) -> None:
@@ -110,7 +130,11 @@ class BankEngine:
     Every command goes through `_log`, the one event writer, bound once
     here.  With `collect_log` on it appends the event to `log`, an
     `EventLog`; with it off it is `_no_log`, so the log stays empty and
-    no counter is read for it."""
+    no counter is read for it.  `run_trace` keeps the whole log;
+    `stream_trace` drains it as it goes (`simulate` streams it into
+    `events.csv` and the auditor that way), so its memory does not grow
+    with the run's length.  Either way `len(log)` counts every event
+    logged."""
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
                  refresh: Optional[RefreshConfig] = None, *,
@@ -314,8 +338,18 @@ class BankEngine:
             else:
                 return
 
-    def run_trace(self, events: Iterable[TraceEvent],
-                  duration_ps: int) -> EngineMetrics:
+    def _run(self, events: Iterable[TraceEvent],
+             duration_ps: int) -> Iterator[None]:
+        """The one admission loop: issue each event's ACT at its time or
+        at the bank's next free slot, whichever is later, until an ACT
+        issues at or past `duration_ps`; then run the idle bank up to
+        `duration_ps` one REF at a time.  A step is one admitted ACT or
+        one idle REF; the loop yields after each step that leaves
+        `LOG_CHUNK` or more events in the log.
+
+        Stepping `advance_to` REF by REF does the work one call to
+        `advance_to(duration_ps)` does, in the same order."""
+        kept = self.log.kinds
         cursor = 0
         issue_act = self.issue_act
         for row, time_ps in events:
@@ -325,8 +359,35 @@ class BankEngine:
             if issued >= duration_ps:
                 break
             cursor = issued
-        self.advance_to(duration_ps)
+            if len(kept) >= LOG_CHUNK:
+                yield
+        advance_to = self.advance_to
+        while self._ref_due < duration_ps:
+            advance_to(self._ref_due + 1)
+            if len(kept) >= LOG_CHUNK:
+                yield
+        advance_to(duration_ps)
+
+    def run_trace(self, events: Iterable[TraceEvent],
+                  duration_ps: int) -> EngineMetrics:
+        """Run `events` up to `duration_ps`, keeping the whole log."""
+        for _step in self._run(events, duration_ps):
+            pass
         return self.finalize(duration_ps)
+
+    def stream_trace(self, events: Iterable[TraceEvent],
+                     duration_ps: int) -> Iterator[EventLog]:
+        """Run `events` as `run_trace` does, handing the log on as it
+        grows: each step that leaves `LOG_CHUNK` or more events kept
+        drains them, yielded as one `EventLog`, and the rest follow at the
+        end.  The log never keeps more than `LOG_CHUNK` events plus one
+        step's, so memory does not grow with the run's length.  Once
+        the stream is exhausted, `metrics` is finalized."""
+        log = self.log
+        for _step in self._run(events, duration_ps):
+            yield log.drain()
+        self.finalize(duration_ps)
+        yield log.drain()
 
     def finalize(self, duration_ps: int) -> EngineMetrics:
         """Close the run at `duration_ps` and sum its windows.
@@ -345,8 +406,7 @@ class BankEngine:
         return m
 
 
-def log_to_csv_lines(log: Iterable[Tuple[int, str, int, int]]
-                     ) -> Iterator[str]:
+def log_to_csv_lines(log: Iterable[Event]) -> Iterator[str]:
     """The event log as CSV lines, header first, one line at a time; the
     bank column is always 0, the one bank the engine models."""
     yield "time_ns,bank,event,row,counter_after"
@@ -357,8 +417,8 @@ def log_to_csv_lines(log: Iterable[Tuple[int, str, int, int]]
             yield f"{t / 1000:.3f},0,{kind},{row},{counter}"
 
 
-def audit_log(log: Iterable[Tuple[int, str, int, int]],
-              scheme: SchemeConfig, refresh: RefreshConfig) -> List[str]:
+def audit_log(log: Iterable[Event], scheme: SchemeConfig,
+              refresh: RefreshConfig) -> List[str]:
     """Independent legality pass over an emitted event log.
 
     Checks tRC spacing between ACTs, non-overlap with REF/RFM blocking

@@ -190,6 +190,19 @@ def test_wave_refuses_an_engine_without_a_log():
     assert engine.metrics.acts_issued == 0
 
 
+def test_wave_reads_its_rounds_past_a_drained_log():
+    # `len(log)` also counts drained events; the rounds read the kept
+    # ones, so a log drained before the wave changes nothing.
+    def wave(drained: int):
+        engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+                            small_geometry())
+        for _ in range(drained):
+            engine._log(0, "NOP", -1)
+        engine.log.drain()
+        return run_feinting(engine, 8)
+    assert wave(40) == wave(0)
+
+
 def test_wave_against_victim_counting_shrinks_the_pool():
     engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
                         small_geometry())

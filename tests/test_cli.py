@@ -7,13 +7,17 @@ reproduces the files byte for byte.
 """
 
 import concurrent.futures
+import random
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from hammersim import cli
+from hammersim import attacks, cli, config, counters, schemes
 from hammersim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from hammersim.engine import LOG_CHUNK, EventLog, audit_log, log_to_csv_lines
+from hammersim.units import ns
+from test_kernel import kernels
 
 
 def run_cli(*argv, **kwargs):
@@ -609,12 +613,200 @@ def test_simulate_trace_run_keeps_engine_faults_apart(tmp_path, monkeypatch):
     # run is not blamed on the trace.
     def broken_run(self, events, duration_ps):
         raise ValueError("engine fault")
-    monkeypatch.setattr(cli.BankEngine, "run_trace", broken_run)
+    monkeypatch.setattr(cli.BankEngine, "stream_trace", broken_run)
     trace = tmp_path / "attack.trace"
     trace.write_text("ASAP,0,ACT,5\n")
     cfg = write_cfg(tmp_path, SIM_PREFIX + f"simulate: {{trace: '{trace}'}}\n")
     with pytest.raises(ValueError, match="^engine fault$"):
         run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+
+
+def test_simulate_bad_line_inside_the_run_leaves_no_output(tmp_path):
+    # The broken line is read mid-run, after events.csv has begun: the
+    # run still exits 2 and leaves the output directory empty.
+    trace = tmp_path / "attack.trace"
+    trace.write_text("ASAP,0,ACT,5\n" * 3000 + "ASAP,0,ACT,4096\n")
+    cfg = write_cfg(tmp_path, SIM_PREFIX + f"simulate: {{trace: '{trace}', "
+                    "write_events: true}\n")
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_CONFIG
+    assert "simulate.trace: line 3001: row 4096 " in all_text(result)
+    assert list(outdir.iterdir()) == []
+
+
+def test_simulate_events_csv_write_error_is_not_the_trace(tmp_path,
+                                                          monkeypatch):
+    # An OSError raised while events.csv is written is no trace error;
+    # it leaves no events.csv, whole or partial, behind.
+    def failing_lines(log):
+        yield "time_ns,bank,event,row,counter_after"
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "log_to_csv_lines", failing_lines)
+    trace = tmp_path / "attack.trace"
+    trace.write_text("ASAP,0,ACT,5\n" * 3000)
+    cfg = write_cfg(tmp_path, SIM_PREFIX + f"simulate: {{trace: '{trace}', "
+                    "write_events: true}\n")
+    outdir = tmp_path / "out"
+    with pytest.raises(OSError, match="No space left on device"):
+        run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert list(outdir.iterdir()) == []
+
+
+class FastActEngine(cli.BankEngine):
+    """An engine that admits ACTs half the scheme's tRC apart."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tRC //= 2
+
+
+def test_simulate_audit_failure_exits_3_with_its_outputs(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "BankEngine", FastActEngine)
+    cfg = write_cfg(tmp_path, SIM_PREFIX + """\
+refresh: {tREFW_ns: 1000000}
+simulate: {kind: round_robin, n: 8, stride: 3, write_events: true}
+""")
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_INVARIANT
+    problems = (outdir / "audit.txt").read_text().splitlines()
+    assert f"audit failed: {len(problems)} violations" in all_text(result)
+    assert sum("violates tRC" in p for p in problems) > 1000
+    events = (outdir / "events.csv").read_text().splitlines()
+    assert events[0] == "time_ns,bank,event,row,counter_after"
+    assert sum(",ACT," in line for line in events) > 1000
+    assert (outdir / "summary.csv").exists()
+    assert not (outdir / "manifest.yaml").exists()
+
+
+# Each simulate kind on a 1024-row bank with a 1 ms tREFW, each long
+# enough that the engine drains its log several times.
+STREAM_PREFIX = """\
+scheme: {name: PVAC, n_bo: 16, n_mit: 4}
+geometry: {rows_per_bank: 1024, rows_per_dsa: 256}
+refresh: {tREFW_ns: 1000000}
+"""
+STREAM_CASES = {
+    "idle": "{kind: idle, duration_windows: 12}",
+    "round_robin": "{kind: round_robin, n: 8, stride: 3, base_row: 40}",
+    "benign": "{kind: benign, count: 5000, act_gap_ns: 100.0}",
+    "file": "{trace: attack.trace}",
+    "fast_act": "{kind: round_robin, n: 8, stride: 3}",
+}
+
+
+def stream_trace_file(path):
+    """Timed background ACTs with an ASAP burst after every 100th."""
+    rng = random.Random(5)
+    lines = []
+    for k in range(3000):
+        lines.append(f"{300 * (k + 1)},0,ACT,{rng.randrange(1024)}")
+        if k % 100 == 0:
+            lines.extend(f"ASAP,0,ACT,{500 + 2 * (j % 3)}" for j in range(40))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def kept_log_outputs(cfg, trace, seed):
+    """events.csv, summary.csv and the audit problems of the config's
+    run on the kept-log path: `run_trace`, then the whole log to
+    `log_to_csv_lines` and `audit_log`."""
+    sim = cfg["simulate"]
+    scheme, geometry = config.scheme_from(cfg), config.geometry_from(cfg)
+    refresh = config.refresh_from(cfg, scheme)
+    engine = cli.BankEngine(scheme, geometry, refresh)
+    if "trace" in sim:
+        with open(trace, encoding="utf-8") as fh:
+            events = list(attacks.lines_to_trace(fh, geometry.rows_per_bank))
+    elif sim["kind"] == "idle":
+        events = []
+    elif sim["kind"] == "round_robin":
+        events = attacks.gen_round_robin(attacks.RoundRobinSpec(
+            n=sim["n"], stride=sim["stride"], base_row=sim.get("base_row", 0)))
+    else:
+        events = attacks.gen_benign(geometry, seed, ns(sim["act_gap_ns"]),
+                                    sim["count"])
+    metrics = engine.run_trace(
+        events, sim.get("duration_windows", 1) * refresh.window_ps)
+    summary = [f"{w.index},{w.bandwidth:.6f},{w.rfm_count},"
+               f"{w.alert_count},{w.blocked_ps / 1000.0:.3f}"
+               for w in metrics.windows]
+    summary.append(f"total,,{metrics.rfms_issued},{metrics.alerts_raised},"
+                   f"{metrics.act_blocked_ps / 1000.0:.3f}")
+    return (len(engine.log), "\n".join(log_to_csv_lines(engine.log)) + "\n",
+            summary, audit_log(engine.log, scheme, refresh))
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_simulate_stream_matches_the_kept_log(tmp_path, monkeypatch, mod,
+                                              case):
+    monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
+    monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
+    if case == "fast_act":
+        monkeypatch.setattr(cli, "BankEngine", FastActEngine)
+    monkeypatch.chdir(tmp_path)
+    stream_trace_file(tmp_path / "attack.trace")
+    text = (STREAM_PREFIX + "simulate: " + STREAM_CASES[case][:-1]
+            + ", write_events: true}\n")
+    cfg = write_cfg(tmp_path, text)
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir),
+                     "--seed", "3")
+    events, csv_text, summary, problems = kept_log_outputs(
+        yaml.safe_load(text), tmp_path / "attack.trace", 3)
+    assert events > 2 * LOG_CHUNK
+    assert (outdir / "events.csv").read_text() == csv_text
+    _header, rows = csv_rows(outdir / "summary.csv")
+    assert [",".join(row) for row in rows] == summary
+    if case == "fast_act":
+        assert problems
+        assert result.exit_code == EXIT_INVARIANT
+        assert (outdir / "audit.txt").read_text().splitlines() == problems
+    else:
+        assert problems == []
+        assert result.exit_code == EXIT_OK
+        assert not (outdir / "audit.txt").exists()
+
+
+def test_simulate_keeps_a_bounded_log(tmp_path, monkeypatch):
+    # A saturating stride-3 PVAC run of six 1 ms windows logs over 100k
+    # events; at each drain the log keeps fewer than LOG_CHUNK events
+    # plus those of the step, an ACT or an idle REF, that filled it.
+    kept_at_drain, step_events = [], [0]
+    drain = EventLog.drain
+
+    def spy_drain(log):
+        kept_at_drain.append(len(log.kinds))
+        return drain(log)
+
+    def step_spy(method):
+        def step(engine, *args):
+            before = len(engine.log)
+            result = method(engine, *args)
+            step_events[0] = max(step_events[0], len(engine.log) - before)
+            return result
+        return step
+    monkeypatch.setattr(EventLog, "drain", spy_drain)
+    for name in ("issue_act", "advance_to"):
+        monkeypatch.setattr(cli.BankEngine, name,
+                            step_spy(getattr(cli.BankEngine, name)))
+    cfg = write_cfg(tmp_path, STREAM_PREFIX + """\
+simulate: {kind: round_robin, n: 8, stride: 3, duration_windows: 6,
+           write_events: true}
+""")
+    outdir = tmp_path / "out"
+    result = run_cli("simulate", "--config", cfg, "--out", str(outdir))
+    assert result.exit_code == EXIT_OK
+    logged = sum(kept_at_drain)
+    print(f"{logged} events in {len(kept_at_drain)} drains, at most "
+          f"{max(kept_at_drain)} kept; largest step {step_events[0]}")
+    assert logged >= 100_000
+    assert logged + 1 == len(
+        (outdir / "events.csv").read_text().splitlines())
+    assert 0 < step_events[0] < 64
+    assert max(kept_at_drain) <= LOG_CHUNK - 1 + step_events[0]
 
 
 @pytest.mark.parametrize("body, needle", [

@@ -426,6 +426,17 @@ def test_event_log_holds_at_most_40_bytes_per_event():
     assert held / events <= 40
 
 
+def test_event_log_drain_hands_on_the_kept_events():
+    engine = BankEngine(plain_pvac(64), small_geometry())
+    engine.run_trace(hammer(10, 30), us(3.9))
+    logged = list(engine.log)
+    assert list(engine.log.drain()) == logged
+    assert list(engine.log) == [] and len(engine.log) == len(logged)
+    engine.issue_act(11)  # the engine's bound appends reach the columns
+    assert [kind for _t, kind, _r, _c in engine.log] == ["ACT"]
+    assert len(engine.log) == len(logged) + 1
+
+
 def test_csv_lines_render_nanoseconds():
     log = [(295000, "ACT", 10, 3), (343500, "RFM", 11, 0)]
     lines = list(log_to_csv_lines(log))
