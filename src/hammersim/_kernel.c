@@ -120,40 +120,43 @@ core_dealloc(PyObject *op)
     Py_TYPE(op)->tp_free(op);
 }
 
-/* -1 with an IndexError set if `row` lies outside the bank. */
+/* Reads a row index from `arg` into `row`; -1 with an error set if it is
+   not an int, and IndexError if it lies outside the bank, a C long
+   included, as in the Python build. */
 static int
-core_check(CounterCore *self, long row)
+core_row(CounterCore *self, PyObject *arg, long *row)
 {
-    if (row >= 0 && row < self->n_rows)
+    int overflow;
+    *row = PyLong_AsLongAndOverflow(arg, &overflow);
+    if (*row == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow && *row >= 0 && *row < self->n_rows)
         return 0;
     PyErr_SetString(PyExc_IndexError, "row out of range");
     return -1;
 }
 
-/* Reads a row index from `arg` into `row`; -1 with an error set if it is
-   not an int or lies outside the bank. */
-static int
-core_row(CounterCore *self, PyObject *arg, long *row)
-{
-    *row = PyLong_AsLong(arg);
-    if (*row == -1 && PyErr_Occurred())
-        return -1;
-    return core_check(self, *row);
-}
-
+/* The counting code is checked first, so a bad one raises ValueError
+   whatever the row, as in the Python build. */
 static PyObject *
 core_act(PyObject *op, PyObject *const *args, Py_ssize_t nargs)
 {
     CounterCore *self = (CounterCore *)op;
-    long a[2];
-    if (parse_longs("act", args, nargs, 2, a) < 0)
-        return NULL;
-    long row = a[0], sem = a[1];
-    if (sem != AGGRESSOR && sem != VICTIM) {
-        PyErr_Format(PyExc_ValueError, "unknown counting code %ld", sem);
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "act() takes exactly 2 arguments (%zd given)", nargs);
         return NULL;
     }
-    if (core_check(self, row) < 0)
+    int overflow;
+    long sem = PyLong_AsLongAndOverflow(args[1], &overflow);
+    if (sem == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || (sem != AGGRESSOR && sem != VICTIM)) {
+        PyErr_Format(PyExc_ValueError, "unknown counting code %S", args[1]);
+        return NULL;
+    }
+    long row;
+    if (core_row(self, args[0], &row) < 0)
         return NULL;
     PyObject *changed = PyList_New(0);
     if (changed == NULL)

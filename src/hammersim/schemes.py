@@ -211,15 +211,20 @@ class SchemeState:
         The alert line is level-sensitive: a crossing parked during the
         hold-off only matters if some counter still sits at or above n_bo
         once the hold expires.  Rows mitigated in the meantime de-assert.
+
+        When nothing queued is hot the check costs one queue read, the
+        top count; only a hot top makes it read the queued rows.
         """
         if not self.pending_alert:
             return None
         self.pending_alert = False
-        row = min((row for row, count in self.queue.items()
-                   if count >= self._n_bo), default=None)
-        if row is None and self._adaptive:
+        n_bo = self._n_bo
+        if self.queue.peek_max_count() >= n_bo:
+            return min(row for row, count in self.queue.items()
+                       if count >= n_bo)
+        if self._adaptive:
             return self._hottest_if_hot()
-        return row
+        return None
 
     def _prune_hot(self) -> Set[int]:
         """Drop from `_hot` the rows now below n_bo; return what is left,

@@ -147,6 +147,24 @@ def test_act_counts_the_two_disciplines_only(mod):
 
 
 @pytest.mark.parametrize("mod", kernels())
+def test_ints_outside_a_c_long_raise_what_the_python_build_raises(mod):
+    # A row is off the bank and a code is unknown, however wide the int.
+    core = mod.CounterCore(8, 4, 1, 3)
+    for row in (2 ** 70, -2 ** 70):
+        for sem in (AGG, VIC):
+            with pytest.raises(IndexError):
+                core.act(row, sem)
+        for call in (core.get, core.reset):
+            with pytest.raises(IndexError):
+                call(row)
+    for row in (0, 2 ** 70):
+        with pytest.raises(ValueError, match=f"^unknown counting code "
+                                             f"{2 ** 70}$"):
+            core.act(row, 2 ** 70)
+    assert core.snapshot() == [0] * 8
+
+
+@pytest.mark.parametrize("mod", kernels())
 def test_core_rejects_a_cap_wider_than_32_bits(mod):
     with pytest.raises(OverflowError):
         mod.CounterCore(8, 4, 1, 2 ** 32)

@@ -208,6 +208,44 @@ def test_parked_alert_deasserts_once_serviced():
     assert state.bank.core.get(10) == 0
 
 
+def spied_state(mod, scheme: str, n_bo: int):
+    """A `scheme` state on `mod`'s kernel build, and the list that its
+    queue's `items` calls append to."""
+    reads = []
+
+    class SpyQueue(mod.TopQueue):
+        def items(self):
+            reads.append(None)
+            return super().items()
+
+    with mock.patch.object(counters, "CounterCore", mod.CounterCore), \
+            mock.patch.object(schemes, "TopQueue", SpyQueue):
+        return make_state(scheme, n_bo), reads
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+def test_parked_alert_names_the_lowest_hot_row(mod):
+    state, reads = spied_state(mod, "PRAC", 3)
+    for row, count in ((20, 5), (10, 3)):
+        for _ in range(count):
+            state.on_act(row, alert_allowed=False)
+    assert state.take_pending_alert() == 10
+    assert reads  # the spy sees the queue reads of a hot check
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@pytest.mark.parametrize("scheme", ["PRAC", "Chronus"])
+def test_parked_alert_reads_no_queued_rows_when_nothing_is_hot(mod, scheme):
+    # Once the top count is below n_bo, that one read settles the check.
+    state, reads = spied_state(mod, scheme, 3)
+    for _ in range(3):
+        state.on_act(10, alert_allowed=False)
+    assert state.on_rfm() == [10]
+    assert state.pending_alert
+    assert state.take_pending_alert() is None
+    assert reads == []
+
+
 # -- refresh counting --------------------------------------------------------
 
 def test_refresh_passes_walk_aggressor_counters_to_threshold():
