@@ -6,6 +6,11 @@ byte-identical.
 
 Each command's config keys, their types and their defaults sit in one
 table per config section, above its runner; `TABLES` holds them all.
+`_scenario_command` runs the protocol every command shares: it reads the
+command's own section (its name with `_` for `-`) for the runner and
+writes the manifest the runner's return asks for.  A runner that returns
+no sections writes no manifest: `simulate` when its audit fails, while
+`oracle-check` keeps its manifest when it exits 3 on an unsound point.
 `--jobs` is read only by `sweep-stride`, which starts at most that many
 worker processes and never more than it has cells.
 """
@@ -19,7 +24,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from itertools import chain, islice
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
-                    Mapping, Optional, TextIO, Tuple)
+                    Optional, TextIO, Tuple)
 
 import click
 
@@ -43,10 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
-# Lines per write call in `_write_text`: one join instead of a write per
-# line, with at most this many lines held at once.
-_WRITE_BATCH = 1024
-
 # Each command's config, one table per section it takes; see `Key`.
 # Config's builders read the `geometry`, `refresh` and `scheme` sections.
 TABLES: Dict[str, Dict[str, Tuple[Key, ...]]] = {}
@@ -59,10 +60,18 @@ def main() -> None:
 
 def _scenario_command(name: str, **tables: Tuple[Key, ...]):
     """Make the decorated runner the command `name`, whose config is read
-    against `tables`."""
+    against `tables`.  The command loads the config, makes the output
+    directory (so a config error leaves it empty), reads its own section
+    `opts` and calls `runner(cfg, opts, outdir, seed, jobs)`.  The runner
+    returns its exit code and the sections the manifest echoes besides
+    `opts`, or None for no manifest, as on `simulate`'s audit failure;
+    `oracle-check`'s exit 3 on an unsound point keeps its manifest.  The
+    manifest holds those sections, `opts` as the runner left it,
+    `scenario` and `seed`."""
     TABLES[name] = tables
+    section = name.replace("-", "_")
 
-    def register(runner: Callable[..., int]) -> Callable[..., int]:
+    def register(runner: Callable[..., Tuple]) -> Callable[..., Tuple]:
         @click.option("--config", "config_path", type=click.Path(),
                       help="YAML configuration file.")
         @click.option("--out", "outdir", required=True,
@@ -75,10 +84,16 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
             try:
                 cfg = load_config(config_path) if config_path else {}
                 os.makedirs(outdir, exist_ok=True)
-                code = runner(cfg, outdir, seed, max(1, jobs))
+                opts = read_section(cfg, section, tables)
+                code, sections = runner(cfg, opts, outdir, seed, max(1, jobs))
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 sys.exit(EXIT_CONFIG)
+            if sections is not None:
+                doc = {**sections, section: opts, "scenario": name,
+                       "seed": seed}
+                _write_text(outdir, "manifest.yaml",
+                            dump_manifest(doc).splitlines())
             sys.exit(code)
 
         main.command(name=name)(command)
@@ -87,20 +102,10 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
 
 
 def _write_text(outdir: str, name: str, lines: Iterable[str]) -> None:
-    """Write `lines` as they come, each ended by a newline, joining up
-    to `_WRITE_BATCH` of them per write call."""
-    it = iter(lines)
+    """Write `lines`, each ended by a newline."""
     with open(os.path.join(outdir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        while batch := list(islice(it, _WRITE_BATCH)):
-            batch.append("")  # the last line's newline
-            fh.write("\n".join(batch))
-
-
-def _write_manifest(outdir: str, scenario: str, seed: int,
-                    resolved: Mapping[str, Any]) -> None:
-    doc = dict(resolved, scenario=scenario, seed=seed)
-    _write_text(outdir, "manifest.yaml", dump_manifest(doc).splitlines())
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _write_plot(outdir: str, *commands: str) -> None:
@@ -121,9 +126,8 @@ def _write_plot(outdir: str, *commands: str) -> None:
     Key("n_mit", (int,), 4),
     Key("queue_depth", (int,), DEFAULT_QUEUE_DEPTH),
 ), geometry=GEOMETRY, refresh=REFRESH)
-def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
-                jobs: int) -> int:
-    opts = read_section(cfg, "domino", TABLES["domino"])
+def _run_domino(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     windows, names = opts["windows"], opts["schemes"]
     geometry = geometry_from(cfg)
     with config_errors("domino"):
@@ -154,9 +158,7 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
                 "set ylabel 'bandwidth'",
                 "plot " + ", \\\n     ".join(series))
     # The refresh section is not echoed.
-    _write_manifest(outdir, "domino", seed,
-                    {"domino": opts, "geometry": asdict(geometry)})
-    return EXIT_OK
+    return EXIT_OK, {"geometry": asdict(geometry)}
 
 
 @_scenario_command("security-table", security_table=(
@@ -169,9 +171,8 @@ def _run_domino(cfg: Dict[str, Any], outdir: str, seed: int,
     Key("setup_budget_ns", (int, float, type(None)),
         RecurrenceConfig.setup_budget_ns),
 ))
-def _run_security_table(cfg: Dict[str, Any], outdir: str, seed: int,
-                        jobs: int) -> int:
-    opts = read_section(cfg, "security_table", TABLES["security-table"])
+def _run_security_table(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                        seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     with config_errors("security_table"):
         rec = RecurrenceConfig(variant=opts["variant"],
                                granularity=opts["granularity"],
@@ -187,8 +188,7 @@ def _run_security_table(cfg: Dict[str, Any], outdir: str, seed: int,
                 "set xlabel 'tolerated hammer count'",
                 "set ylabel 'alert threshold'",
                 "plot 'security_table.csv' using 3:4 with points")
-    _write_manifest(outdir, "security-table", seed, {"security_table": opts})
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 _BW_POINT = (Key("n_mit", (int,)), Key("n_bo", (int,)),
@@ -201,9 +201,8 @@ _BW_POINT = (Key("n_mit", (int,)), Key("n_bo", (int,)),
         for point in ((4, 237, DEFAULT_TRC_NS), (4, 52, PRAC_TRC_NS),
                       (1, 15, DEFAULT_TRC_NS), (4, 43, DEFAULT_TRC_NS))]),
 ))
-def _run_bw_bound(cfg: Dict[str, Any], outdir: str, seed: int,
-                  jobs: int) -> int:
-    opts = read_section(cfg, "bw_bound", TABLES["bw-bound"])
+def _run_bw_bound(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                  seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     rows = ["n_mit,n_bo,tRC_ns,bound"]
     for i, point in enumerate(opts["points"]):
         with config_errors(f"bw_bound.points[{i}]"):
@@ -211,17 +210,15 @@ def _run_bw_bound(cfg: Dict[str, Any], outdir: str, seed: int,
         rows.append(f"{point['n_mit']},{point['n_bo']},"
                     f"{point['tRC_ns']:.6f},{bound:.6f}")
     _write_text(outdir, "bw_bound.csv", rows)
-    _write_manifest(outdir, "bw-bound", seed, {"bw_bound": opts})
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 @_scenario_command("csa-latency", csa_latency=(
     Key("rows", [int], [65536, 131072, 262144]),
     Key("brs", [int], [1, 2, 4]),
 ))
-def _run_csa_latency(cfg: Dict[str, Any], outdir: str, seed: int,
-                     jobs: int) -> int:
-    opts = read_section(cfg, "csa_latency", TABLES["csa-latency"])
+def _run_csa_latency(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                     seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     out = ["rows,br,tRCD_csa_ns,update_ns,tWR_csa_ns,tRP_csa_ns,"
            "total_ns,scaled_total_ns,csa_share"]
     for rows in opts["rows"]:
@@ -238,8 +235,7 @@ def _run_csa_latency(cfg: Dict[str, Any], outdir: str, seed: int,
                 "set style fill solid border -1",
                 "plot 'csa_latency.csv' using 3:xtic(1), '' using 4, "
                 "'' using 5, '' using 6")
-    _write_manifest(outdir, "csa-latency", seed, {"csa_latency": opts})
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
@@ -305,13 +301,12 @@ def _write_events(chunks: Iterable[EventLog],
     Key("count", (int,), 1000),
     Key("write_events", (bool,), False),
 ))
-def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
-                  jobs: int) -> int:
+def _run_simulate(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                  seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     """Run the trace, streaming its event log into `events.csv` (when
     asked for) and the auditor in one pass as the engine drains it.
 
     A config error, a broken trace line among them, leaves no output."""
-    opts = read_section(cfg, "simulate", TABLES["simulate"])
     scheme = scheme_from(cfg)
     geometry = geometry_from(cfg)
     with config_errors("scheme"):
@@ -369,11 +364,10 @@ def _run_simulate(cfg: Dict[str, Any], outdir: str, seed: int,
         _write_text(outdir, "audit.txt", problems)
         click.echo(f"audit failed: {len(problems)} violations "
                    f"(see audit.txt)", err=True)
-        return EXIT_INVARIANT
-    _write_manifest(outdir, "simulate", seed, {
-        "scheme": scheme_doc(scheme), "geometry": asdict(geometry),
-        "refresh": refresh_doc(refresh), "simulate": opts})
-    return EXIT_OK
+        return EXIT_INVARIANT, None
+    return EXIT_OK, {"scheme": scheme_doc(scheme),
+                     "geometry": asdict(geometry),
+                     "refresh": refresh_doc(refresh)}
 
 
 def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
@@ -402,9 +396,8 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
     Key("queue_depth", (int,), DEFAULT_QUEUE_DEPTH),
     Key("windows", (int,), 1, 1),
 ), geometry=GEOMETRY)
-def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
-                      jobs: int) -> int:
-    opts = read_section(cfg, "sweep_stride", TABLES["sweep-stride"])
+def _run_sweep_stride(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                      seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     hcs, strides, n = opts["hc"], opts["strides"], opts["n"]
     name, n_mit = opts["scheme"], opts["n_mit"]
     geometry = geometry_from(cfg)
@@ -444,9 +437,7 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     _write_plot(outdir, "set xlabel 'stride'",
                 "set ylabel 'RFM commands per window'",
                 "plot 'sweep_stride.csv' using 2:6 with linespoints")
-    _write_manifest(outdir, "sweep-stride", seed,
-                    {"sweep_stride": opts, "geometry": asdict(geometry)})
-    return EXIT_OK
+    return EXIT_OK, {"geometry": asdict(geometry)}
 
 
 @_scenario_command("oracle-check", oracle_check=(
@@ -455,9 +446,8 @@ def _run_sweep_stride(cfg: Dict[str, Any], outdir: str, seed: int,
     Key("n_mits", [int], [1, 4]),
     Key("rows", (int,), 256),
 ))
-def _run_oracle_check(cfg: Dict[str, Any], outdir: str, seed: int,
-                      jobs: int) -> int:
-    opts = read_section(cfg, "oracle_check", TABLES["oracle-check"])
+def _run_oracle_check(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
+                      seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
     grid = [(name, n_mit, n_bo) for name in sorted(opts["schemes"])
             for n_mit in sorted(opts["n_mits"])
             for n_bo in sorted(opts["n_bos"])]
@@ -477,12 +467,11 @@ def _run_oracle_check(cfg: Dict[str, Any], outdir: str, seed: int,
         if not check.sound:
             unsound += 1
     _write_text(outdir, "oracle_check.csv", out)
-    _write_manifest(outdir, "oracle-check", seed, {"oracle_check": opts})
     if unsound:
         click.echo(f"oracle check: {unsound} grid points exceed the "
                    f"analytical bound", err=True)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        return EXIT_INVARIANT, {}
+    return EXIT_OK, {}
 
 
 if __name__ == "__main__":

@@ -335,6 +335,18 @@ def small_oracle_geometry(rows: int = 256) -> DeviceGeometry:
                           counter_bits=16, blast_radius=2)
 
 
+def run_bound(config: SchemeConfig, geometry: DeviceGeometry
+              ) -> Tuple[int, int, int]:
+    """`worst_case_hc` of `config` on `geometry` with no setup budget:
+    (hc, worst_r1, nr), where hc bounds the hammered count of any run of
+    `config` on that bank."""
+    params = AnalysisParams(
+        n_mit=config.n_mit, br=geometry.blast_radius,
+        rows_per_bank=geometry.rows_per_bank,
+        recurrence=RecurrenceConfig(setup_budget_ns=None))
+    return worst_case_hc(config.scheme, config.n_bo, params)
+
+
 def oracle_point(scheme: str, n_bo: int, n_mit: int,
                  geometry: DeviceGeometry
                  ) -> Tuple[SchemeConfig, int, int]:
@@ -349,10 +361,6 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     """
     if not 16 <= geometry.rows_per_bank <= 4096:
         raise ValueError("oracle runs need a bank of [16, 4096] rows")
-    params = AnalysisParams(
-        n_mit=n_mit, br=geometry.blast_radius,
-        rows_per_bank=geometry.rows_per_bank,
-        recurrence=RecurrenceConfig(setup_budget_ns=None))
     # The preset pins a scheme's one mitigation; the bound must not be
     # taken for a count the run cannot have.
     check_n_mit(scheme, n_mit)
@@ -360,7 +368,7 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank,
                            geometry.blast_radius)
-    bound, worst, _nr = worst_case_hc(scheme, n_bo, params)
+    bound, worst, _nr = run_bound(config, geometry)
     # An adaptive scheme has no worst pool (worst_r1 0): its wave runs
     # 32 rows.
     r1 = max(4, min(worst or 32, cap))

@@ -70,6 +70,47 @@ def test_missing_out_is_a_usage_error():
     assert result.exit_code == 2
 
 
+# A small config per command for the protocol test; a command not named
+# here runs on its defaults.
+PROTOCOL_CONFIGS = {
+    "domino": "domino: {windows: 1, n_bo: 8, n_mit: 1}\n"
+              "geometry: {rows_per_bank: 512, rows_per_dsa: 512}\n"
+              "refresh: {tREFW_ns: 8000000}\n",
+    "security-table": "security_table: {max_hc: [64], schemes: [PVAC], "
+                      "n_mits: [4]}\n",
+    "simulate": "scheme: {name: PVAC, n_bo: 32}\n"
+                "geometry: {rows_per_bank: 1024}\n"
+                "refresh: {tREFW_ns: 1000000}\n",
+    "sweep-stride": "sweep_stride: {hc: [64], strides: [1], n: 8}\n",
+    "oracle-check": "oracle_check: {schemes: [PVAC], n_bos: [8], "
+                    "n_mits: [4], rows: 64}\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_manifest_names_its_run_and_section(
+        tmp_path, monkeypatch, command):
+    """The protocol `cli._scenario_command` runs for every command: the
+    manifest names the command and the seed and echoes the command's own
+    section, every key of its table resolved."""
+    monkeypatch.setattr(cli, "_sweep_point", solved_only)
+    text = PROTOCOL_CONFIGS.get(command)
+    outdir = tmp_path / "out"
+    argv = [command, "--out", str(outdir), "--seed", "7"]
+    if text is not None:
+        argv += ["--config", write_cfg(tmp_path, text)]
+    result = run_cli(*argv)
+    assert result.exit_code == EXIT_OK, all_text(result)
+    manifest = yaml.safe_load((outdir / "manifest.yaml").read_text())
+    section = command.replace("-", "_")
+    assert manifest["scenario"] == command
+    assert manifest["seed"] == 7
+    assert set(manifest[section]) == {
+        key.name for key in cli.TABLES[command][section]}
+    given = yaml.safe_load(text or "{}").get(section, {})
+    assert manifest[section] == dict(manifest[section], **given)
+
+
 @pytest.mark.parametrize("command, yaml_text, section", [
     ("domino", "domino: {n_mit: 3}\n", "domino"),
     ("domino", "domino: {n_bo: 300}\n", "domino"),

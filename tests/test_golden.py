@@ -3,10 +3,16 @@
 Each case runs one scheme on one workload over a small bank with a short
 refresh window and hashes what the run emits: the CSV event log, the
 `EngineMetrics` fields (windows included) and, for the feinting wave,
-the `FeintingResult`.  The `cli/*` entries pin the bytes of each CSV and
+the `FeintingResult`.  Each case also pins its count of log lines per
+event kind, checked before the digests, so that a moved digest also says
+which counts moved.  The `cli/*` entries pin the bytes of each CSV and
 `manifest.yaml` that a few small CLI runs write.  A refactor or a speedup
 must leave every digest unchanged; a change that moves one on purpose
 says why in CHANGES.md.
+
+Every case is also held against the analyzer's bound: its observed
+hammered count, read from a `DamageObserver` (the feinting wave's own),
+must not exceed `security.run_bound` of its scheme on the bank.
 
 Both matrices run once per kernel build, the pure-Python one and the
 compiled one `test_kernel.kernels()` builds, so they also check that the
@@ -25,17 +31,19 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 from click.testing import CliRunner
 
 from hammersim import _kernel_py, counters, schemes
 from hammersim.cli import EXIT_OK, main
-from hammersim.attacks import (RoundRobinSpec, gen_benign, gen_round_robin,
-                               run_feinting)
+from hammersim.attacks import (DamageObserver, RoundRobinSpec, gen_benign,
+                               gen_round_robin, run_feinting)
 from hammersim.dram import DeviceGeometry, RefreshConfig
 from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
+from hammersim.security import run_bound
 from hammersim.units import ms, ns, us
 from test_kernel import kernels
 
@@ -54,6 +62,8 @@ WORKLOADS = ("idle", "rr128_s1", "rr128_s3", "benign0", "feinting",
 # 20 us lands in the middle of the setup batch for every scheme.
 STOP_POOL = 64
 STOP_AT_PS = us(20)
+# The event kinds whose log lines each case counts.
+KINDS = ("ACT", "REF", "RFM", "ALERT", "PROACT")
 
 # CLI runs: three closed-form commands on their defaults, the security
 # table under each non-default recurrence setting, a domino on a 512-row
@@ -95,9 +105,12 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_case(scheme: str, workload: str, collect_log: bool = True) -> dict:
-    """Digests of one scheme × workload run on the live kernel classes;
-    with `collect_log` off, the log entry is the log itself, as a list."""
+def run_case(scheme: str, workload: str,
+             collect_log: bool = True) -> Tuple[dict, int]:
+    """Digests and per-kind event counts of one scheme × workload run on
+    the live kernel classes, and the run's observed hammered count; with
+    `collect_log` off, the log entry is the log itself, as a list, and
+    no count is taken."""
     refresh = _refresh(scheme)
     engine = BankEngine(preset(scheme, N_BO), GEOMETRY, refresh,
                         collect_log=collect_log)
@@ -110,7 +123,10 @@ def run_case(scheme: str, workload: str, collect_log: bool = True) -> dict:
         engine.advance_to(duration)
         engine.finalize(duration)
         out["feinting"] = _digest(dataclasses.asdict(result))
+        observed_hc = result.observed_hc
     else:
+        observer = DamageObserver(GEOMETRY)
+        engine.attach_observer(observer)
         if workload == "idle":
             events = []
         elif workload.startswith("rr128_s"):
@@ -121,18 +137,24 @@ def run_case(scheme: str, workload: str, collect_log: bool = True) -> dict:
             events = gen_benign(GEOMETRY, seed=0, act_gap_ps=ns(200),
                                 count=duration // ns(200))
         engine.run_trace(events, duration)
+        observed_hc = observer.max_peak()
+    if collect_log:
+        out["counts"] = {kind: engine.log.kinds.count(kind) for kind in KINDS}
     out["log"] = (_digest(list(log_to_csv_lines(engine.log))) if collect_log
                   else list(engine.log))
     out["metrics"] = _digest(dataclasses.asdict(engine.metrics))
-    return out
+    return out, observed_hc
 
 
-def all_cases() -> dict:
-    return {f"{s}/{w}": run_case(s, w) for s in SCHEMES for w in WORKLOADS}
+def all_cases() -> Tuple[dict, dict]:
+    """Each case's pinned entry, and its observed hammered count."""
+    runs = {f"{s}/{w}": run_case(s, w) for s in SCHEMES for w in WORKLOADS}
+    return ({name: out for name, (out, _hc) in runs.items()},
+            {name: hc for name, (_out, hc) in runs.items()})
 
 
 def unlogged_cases() -> dict:
-    return {f"{s}/{w}": run_case(s, w, collect_log=False)
+    return {f"{s}/{w}": run_case(s, w, collect_log=False)[0]
             for s in SCHEMES for w in WORKLOADS
             if not w.startswith("feinting")}
 
@@ -174,7 +196,18 @@ def test_golden_digests_unchanged(mod, monkeypatch):
     monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
     monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
     expected = _expected(cli=False)
-    assert all_cases() == expected
+    cases, observed = all_cases()
+    above = []
+    for name, hc in observed.items():
+        bound = run_bound(preset(name.split("/")[0], N_BO), GEOMETRY)[0]
+        print(f"golden {name}: observed HC {hc}, bound {bound}, "
+              f"ratio {hc / bound:.3f}")
+        if hc > bound:
+            above.append(name)
+    assert not above, f"observed HC above the analyzer's bound: {above}"
+    assert ({name: case["counts"] for name, case in cases.items()}
+            == {name: case["counts"] for name, case in expected.items()})
+    assert cases == expected
     assert unlogged_cases() == {
         name: {"log": [], "metrics": digests["metrics"]}
         for name, digests in expected.items() if "feinting" not in digests}
@@ -193,6 +226,6 @@ if __name__ == "__main__":
     counters.CounterCore = _kernel_py.CounterCore
     schemes.TopQueue = _kernel_py.TopQueue
     with tempfile.TemporaryDirectory() as workdir:
-        cases = {**all_cases(), **all_cli_cases(Path(workdir))}
+        cases = {**all_cases()[0], **all_cli_cases(Path(workdir))}
     GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
