@@ -6,7 +6,8 @@
    in tests/test_kernel.py and the golden digests tie the two.
 
    `act` counts one of two disciplines, AGGRESSOR or VICTIM, and raises
-   ValueError for any other code, whatever the row.  Counters are 32-bit
+   ValueError for any other int code and TypeError for a code that is
+   not an int, whatever the row.  Counters are 32-bit
    unsigned and saturate at `cap`.  Rows and queue counts are C longs.
    Constructor arguments are parsed in `tp_new` and there is no
    `tp_init`, so a Python subclass may define `__init__` and need not

@@ -31,9 +31,10 @@ class CounterCore:
     """Saturating per-row activation counters for one bank.
 
     `act` counts one activation under one of the two disciplines,
-    `AGGRESSOR` or `VICTIM`; any other code raises `ValueError`, whatever
-    the row, before any counter moves.  A negative row raises
-    `IndexError` instead of indexing from the end of the list.
+    `AGGRESSOR` or `VICTIM`; any other int code raises `ValueError` and
+    any other code `TypeError`, whatever the row, before any counter
+    moves.  A negative row raises `IndexError` instead of indexing from
+    the end of the list.
 
     `_c` is a plain list of ints, one per row.  Reading a list element
     hands back the stored int, where an `array` would box a new one.
@@ -75,7 +76,7 @@ class CounterCore:
     def act(self, row: int, sem: int) -> List[Tuple[int, int]]:
         """Apply one activation of `row`; return rows whose count changed."""
         c = self._c
-        if sem == AGGRESSOR:
+        if sem is AGGRESSOR:
             if row < 0:
                 raise IndexError("row out of range")
             v = c[row]
@@ -83,8 +84,13 @@ class CounterCore:
                 c[row] = v + 1
                 return [(row, v + 1)]
             return []
-        if sem != VICTIM:
-            raise ValueError(f"unknown counting code {sem}")
+        if sem is not VICTIM:
+            # A code that is not one of the two int objects: a non-int
+            # raises TypeError, as in the compiled build.
+            code = index(sem)
+            if code != AGGRESSOR and code != VICTIM:
+                raise ValueError(f"unknown counting code {sem}")
+            return self.act(row, AGGRESSOR if code == AGGRESSOR else VICTIM)
         if row < 0:
             raise IndexError("row out of range")
         # VICTIM: bump in-subarray neighbors and reset self, in row order.

@@ -66,17 +66,14 @@ def gen_round_robin(spec: RoundRobinSpec,
 
 
 def gen_benign(geometry: DeviceGeometry, seed: int, act_gap_ps: int,
-               count: int) -> List[TraceEvent]:
-    """Uniform-random row stream at a fixed request rate (smoke tests)."""
+               count: int) -> Iterator[TraceEvent]:
+    """Uniform-random row stream at a fixed request rate.  The arguments
+    are checked here; each event is drawn as it is read."""
     if act_gap_ps < 1 or count < 0:
         raise ValueError("act_gap_ps must be >= 1 and count >= 0")
-    rng = random.Random(seed)
-    events = []
-    t = act_gap_ps
-    for _ in range(count):
-        events.append(TraceEvent(rng.randrange(geometry.rows_per_bank), t))
-        t += act_gap_ps
-    return events
+    rng, rows = random.Random(seed), geometry.rows_per_bank
+    return (TraceEvent(rng.randrange(rows), k * act_gap_ps)
+            for k in range(1, count + 1))
 
 
 class DamageObserver:

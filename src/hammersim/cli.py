@@ -8,9 +8,7 @@ Each command's config keys, their types and their defaults sit in one
 table per config section, above its runner; `TABLES` holds them all.
 `_scenario_command` runs the protocol every command shares: it reads the
 command's own section (its name with `_` for `-`) for the runner and
-writes the manifest the runner's return asks for.  A runner that returns
-no sections writes no manifest: `simulate` when its audit fails, while
-`oracle-check` keeps its manifest when it exits 3 on an unsound point.
+writes the manifest the runner's return asks for, on an exit 3 too.
 `--jobs` is read only by `sweep-stride`, which starts at most that many
 worker processes and never more than it has cells.
 """
@@ -64,10 +62,8 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
     directory (so a config error leaves it empty), reads its own section
     `opts` and calls `runner(cfg, opts, outdir, seed, jobs)`.  The runner
     returns its exit code and the sections the manifest echoes besides
-    `opts`, or None for no manifest, as on `simulate`'s audit failure;
-    `oracle-check`'s exit 3 on an unsound point keeps its manifest.  The
-    manifest holds those sections, `opts` as the runner left it,
-    `scenario` and `seed`."""
+    `opts`.  The manifest holds those sections, `opts` as the runner left
+    it, `scenario` and `seed`."""
     TABLES[name] = tables
     section = name.replace("-", "_")
 
@@ -89,11 +85,9 @@ def _scenario_command(name: str, **tables: Tuple[Key, ...]):
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 sys.exit(EXIT_CONFIG)
-            if sections is not None:
-                doc = {**sections, section: opts, "scenario": name,
-                       "seed": seed}
-                _write_text(outdir, "manifest.yaml",
-                            dump_manifest(doc).splitlines())
+            doc = {**sections, section: opts, "scenario": name, "seed": seed}
+            _write_text(outdir, "manifest.yaml",
+                        dump_manifest(doc).splitlines())
             sys.exit(code)
 
         main.command(name=name)(command)
@@ -127,7 +121,7 @@ def _write_plot(outdir: str, *commands: str) -> None:
     Key("queue_depth", (int,), DEFAULT_QUEUE_DEPTH),
 ), geometry=GEOMETRY, refresh=REFRESH)
 def _run_domino(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                seed: int, jobs: int) -> Tuple[int, dict]:
     windows, names = opts["windows"], opts["schemes"]
     geometry = geometry_from(cfg)
     with config_errors("domino"):
@@ -172,7 +166,7 @@ def _run_domino(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
         RecurrenceConfig.setup_budget_ns),
 ))
 def _run_security_table(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                        seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                        seed: int, jobs: int) -> Tuple[int, dict]:
     with config_errors("security_table"):
         rec = RecurrenceConfig(variant=opts["variant"],
                                granularity=opts["granularity"],
@@ -202,7 +196,7 @@ _BW_POINT = (Key("n_mit", (int,)), Key("n_bo", (int,)),
                       (1, 15, DEFAULT_TRC_NS), (4, 43, DEFAULT_TRC_NS))]),
 ))
 def _run_bw_bound(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                  seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                  seed: int, jobs: int) -> Tuple[int, dict]:
     rows = ["n_mit,n_bo,tRC_ns,bound"]
     for i, point in enumerate(opts["points"]):
         with config_errors(f"bw_bound.points[{i}]"):
@@ -218,7 +212,7 @@ def _run_bw_bound(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
     Key("brs", [int], [1, 2, 4]),
 ))
 def _run_csa_latency(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                     seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                     seed: int, jobs: int) -> Tuple[int, dict]:
     out = ["rows,br,tRCD_csa_ns,update_ns,tWR_csa_ns,tRP_csa_ns,"
            "total_ns,scaled_total_ns,csa_share"]
     for rows in opts["rows"]:
@@ -302,7 +296,7 @@ def _write_events(chunks: Iterable[EventLog],
     Key("write_events", (bool,), False),
 ))
 def _run_simulate(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                  seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                  seed: int, jobs: int) -> Tuple[int, dict]:
     """Run the trace, streaming its event log into `events.csv` (when
     asked for) and the auditor in one pass as the engine drains it.
 
@@ -364,10 +358,9 @@ def _run_simulate(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
         _write_text(outdir, "audit.txt", problems)
         click.echo(f"audit failed: {len(problems)} violations "
                    f"(see audit.txt)", err=True)
-        return EXIT_INVARIANT, None
-    return EXIT_OK, {"scheme": scheme_doc(scheme),
-                     "geometry": asdict(geometry),
-                     "refresh": refresh_doc(refresh)}
+    return (EXIT_INVARIANT if problems else EXIT_OK), {
+        "scheme": scheme_doc(scheme), "geometry": asdict(geometry),
+        "refresh": refresh_doc(refresh)}
 
 
 def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
@@ -397,7 +390,7 @@ def _sweep_point(args: Tuple) -> Tuple[Tuple[int, int], str]:
     Key("windows", (int,), 1, 1),
 ), geometry=GEOMETRY)
 def _run_sweep_stride(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                      seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                      seed: int, jobs: int) -> Tuple[int, dict]:
     hcs, strides, n = opts["hc"], opts["strides"], opts["n"]
     name, n_mit = opts["scheme"], opts["n_mit"]
     geometry = geometry_from(cfg)
@@ -409,15 +402,15 @@ def _run_sweep_stride(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
     # config error before any job starts.
     schemes: Dict[int, SchemeConfig] = {}  # feasible hcs only
     with config_errors("sweep_stride"):
-        # `preset` would pin n_mit 1 and run a point not solved for.
+        # Before any solve, so no hc needs to be feasible to reject it.
         check_n_mit(name, n_mit)
         params = AnalysisParams(n_mit=n_mit, br=geometry.blast_radius,
                                 rows_per_bank=geometry.rows_per_bank)
         for hc in hcs:
             point = solve_nbo(name, hc, params)
             if point.feasible:
-                schemes[hc] = preset(name, n_bo=point.n_bo, n_mit=n_mit,
-                                     queue_depth=opts["queue_depth"])
+                schemes[hc] = SchemeConfig(name, point.n_bo, n_mit,
+                                           opts["queue_depth"])
                 schemes[hc].check_fits(geometry)
     tasks = [(hc, stride, n, schemes.get(hc), opts["windows"], geometry)
              for hc in hcs for stride in strides]
@@ -447,7 +440,7 @@ def _run_sweep_stride(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
     Key("rows", (int,), 256),
 ))
 def _run_oracle_check(cfg: Dict[str, Any], opts: Dict[str, Any], outdir: str,
-                      seed: int, jobs: int) -> Tuple[int, Optional[dict]]:
+                      seed: int, jobs: int) -> Tuple[int, dict]:
     grid = [(name, n_mit, n_bo) for name in sorted(opts["schemes"])
             for n_mit in sorted(opts["n_mits"])
             for n_bo in sorted(opts["n_bos"])]

@@ -9,9 +9,7 @@ Two counting disciplines share one store:
   to the row's subarray.
 
 `AGGRESSOR_COUNT` and `VICTIM_COUNT` are the kernel's two codes and the
-package's one name for a discipline.  `NO_COUNT` is the scheme table's
-code for a refreshed row that counts nothing; it never reaches the
-kernel, which raises ValueError for it.
+package's one name for a discipline.
 
 `CounterBank` holds one bank's counters in a kernel `CounterCore`, which
 exists in two interchangeable builds (compiled and pure Python; see
@@ -35,8 +33,6 @@ from .dram import DeviceGeometry
 from .kernel import (AGGRESSOR as AGGRESSOR_COUNT, VICTIM as VICTIM_COUNT,
                      CounterCore)
 from .units import ns, to_ns
-
-NO_COUNT = 2
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,10 @@ The engine owns the memory-controller half of the alert protocol:
   opportunities pass.
 
 The engine keeps time; the scheme performs, and reports, each row
-activation.  It answers each hook in rows (see `schemes`): an alert is the
-lowest hot row, logged on the ``ALERT`` line; the rows an RFM or a
-proactive hook serviced are logged one ``RFM`` or ``PROACT`` line each.
+activation.  It answers each hook in rows (see `schemes`): an alert names
+one hot row, which `schemes` says, logged on the ``ALERT`` line; the rows
+an RFM or a proactive hook serviced are logged one ``RFM`` or ``PROACT``
+line each.
 
 "Opportunity" is the operative word for both the window and the hold: when
 demand is waiting, they are consumed by real activations; when the

@@ -4,16 +4,21 @@ A scheme is its name: `SCHEME_RULES` holds what each name fixes (what an
 ACT and a refreshed row count, tRC, tRFC, proactive hook, RFM
 service), after the PRAC/Chronus analyses (Canpolat et al., DRAMSec 2024
 / HPCA 2025) and MOAT (Qureshi et al., 2024).  `SchemeConfig` adds the
-knobs a run may set; `preset` is each name's stock configuration.
+knobs a run may set, and a bare one is the name's stock scheme;
+`preset` pins a single-mitigation scheme's ``n_mit`` to 1, for a config
+that shares one ``n_mit`` across schemes.
 
 Each scheme owns a per-bank counter store and a fixed-depth priority queue
 of the hottest rows.  The engine feeds it activations, refreshes, and RFM
 grants.  The scheme performs each row activation they cause (the demand
 ACT, every row of a REF group, every mitigation row), reports it to
-`activation_observer`, then counts it; it answers in rows.  An alert is
-the lowest row at or above ``n_bo`` (``None``: no alert); `on_refresh`
-also returns the rows its proactive hook refreshed, and `on_rfm` the rows
-one RFM serviced.
+`activation_observer`, then counts it; it answers in rows (``None``: no
+alert).  An ACT, or a REF whose hook did not run, alerts on the lowest
+row it just counted to ``n_bo`` or above.  A parked alert, and a REF
+whose hook ran, alerts on the lowest queued row at or above ``n_bo``;
+when no queued row is, an adaptive scheme alerts on the hottest row
+counted hot.  `on_refresh` also returns the rows its proactive hook
+refreshed, and `on_rfm` the rows one RFM serviced.
 
 Alert deferral: while the controller is inside the post-mitigation hold
 window it calls these hooks with ``alert_allowed=False``.  A threshold
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .counters import (AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT, CounterBank,
+from .counters import (AGGRESSOR_COUNT, VICTIM_COUNT, CounterBank,
                        neighbour_offsets)
 from .dram import (DEFAULT_TRC_NS, N_MITS, PRAC_TRC_NS, STANDARD_TRFC_NS,
                    DeviceGeometry)
@@ -41,7 +46,7 @@ class SchemeRules(NamedTuple):
     """What a scheme's name fixes."""
 
     act_count: int                   # what a demand ACT counts
-    ref_count: int                   # what a refreshed row counts
+    ref_count: Optional[int]         # what a refreshed row counts, if any
     tRC_ns: float                    # row cycle, a `dram` tRC
     tRFC_ns: float
     proactive_period: Optional[int]  # REFs per proactive hook; None: no hook
@@ -55,7 +60,7 @@ SCHEME_RULES: Dict[str, SchemeRules] = {
                         STANDARD_TRFC_NS, None, False),
     "PVAC": SchemeRules(VICTIM_COUNT, VICTIM_COUNT, DEFAULT_TRC_NS,
                         STANDARD_TRFC_NS, 1, True),
-    "Chronus": SchemeRules(AGGRESSOR_COUNT, NO_COUNT, DEFAULT_TRC_NS,
+    "Chronus": SchemeRules(AGGRESSOR_COUNT, None, DEFAULT_TRC_NS,
                            STANDARD_TRFC_NS, 2, False, adaptive=True),
     "QPRAC": SchemeRules(AGGRESSOR_COUNT, AGGRESSOR_COUNT, PRAC_TRC_NS,
                          STANDARD_TRFC_NS, 1, True),
@@ -83,12 +88,15 @@ def check_n_mit(scheme: str, n_mit: int) -> None:
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """A scheme at a threshold; its name fixes the rest (`SCHEME_RULES`).
+    `proactive=False` drops the name's proactive hook, so that only the
+    alert path mitigates."""
+
     scheme: str
     n_bo: int
     n_mit: int = 1
-    proactive_threshold: Optional[int] = None
-    proactive_period: Optional[int] = None
     queue_depth: int = DEFAULT_QUEUE_DEPTH
+    proactive: bool = True
 
     def __post_init__(self) -> None:
         check_n_mit(self.scheme, self.n_mit)
@@ -98,10 +106,6 @@ class SchemeConfig:
             raise ValueError("n_mit must be 1, 2, or 4")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.proactive_period is not None and self.proactive_period < 1:
-            raise ValueError("proactive_period must be >= 1 when set")
-        if self.proactive_threshold is not None and self.proactive_threshold < 1:
-            raise ValueError("proactive_threshold must be >= 1 when set")
 
     @property
     def tRC_ns(self) -> float:
@@ -116,6 +120,19 @@ class SchemeConfig:
         """What a demand ACT counts: a `counters` code."""
         return SCHEME_RULES[self.scheme].act_count
 
+    @property
+    def proactive_period(self) -> Optional[int]:
+        """REFs per proactive hook; None: no hook."""
+        return (SCHEME_RULES[self.scheme].proactive_period if self.proactive
+                else None)
+
+    @property
+    def proactive_threshold(self) -> Optional[int]:
+        """The top count the hook needs to run; None: any."""
+        if self.proactive and SCHEME_RULES[self.scheme].proactive_at_half:
+            return max(1, self.n_bo // 2)
+        return None
+
     def check_fits(self, geometry: DeviceGeometry) -> None:
         """Raise ValueError unless n_bo fits the geometry's counters."""
         if self.n_bo > geometry.counter_cap:
@@ -127,14 +144,10 @@ class SchemeConfig:
 
 def preset(scheme: str, n_bo: int, n_mit: int = 1, *,
            queue_depth: int = DEFAULT_QUEUE_DEPTH) -> SchemeConfig:
-    """Named stock configuration for each scheme at a given threshold."""
-    rules = scheme_rules(scheme)
-    return SchemeConfig(
-        scheme=scheme, n_bo=n_bo,
-        n_mit=1 if rules.single_mitigation else n_mit,
-        proactive_threshold=(max(1, n_bo // 2) if rules.proactive_at_half
-                             else None),
-        proactive_period=rules.proactive_period, queue_depth=queue_depth)
+    """`scheme` at `n_bo`, with `n_mit` pinned to 1 for a scheme that
+    performs a single mitigation per alert."""
+    n_mit = 1 if scheme_rules(scheme).single_mitigation else n_mit
+    return SchemeConfig(scheme, n_bo, n_mit, queue_depth)
 
 
 class SchemeState:
@@ -174,13 +187,16 @@ class SchemeState:
         self._q_update = self.queue.update
         self._q_remove = self.queue.remove
         self._n_bo = config.n_bo
+        self._proactive_period = config.proactive_period
+        self._proactive_threshold = config.proactive_threshold
 
     # -- internal plumbing ------------------------------------------------
 
-    def _activate(self, rows: Sequence[int], sem: int) -> List[int]:
+    def _activate(self, rows: Sequence[int], sem: Optional[int]
+                  ) -> List[int]:
         """Activate each of `rows`: report it to `activation_observer`,
-        count it as `sem` and feed the counter changes to the queue;
-        return the rows now >= n_bo.
+        count it as `sem` (None: not at all) and feed the counter changes
+        to the queue; return the rows now >= n_bo.
 
         The one walk for REF groups and mitigation work; `on_act` keeps
         its own inline copy for one row."""
@@ -188,7 +204,7 @@ class SchemeState:
         if observer is not None:
             for row in rows:
                 observer(row)
-        if sem == NO_COUNT:
+        if sem is None:
             return []  # Chronus's REF: no kernel call per row
         act, update, remove, n_bo = (self._act, self._q_update,
                                      self._q_remove, self._n_bo)
@@ -328,10 +344,10 @@ class SchemeState:
         return refreshed, None
 
     def _proactive_if_due(self) -> List[int]:
-        period = self.config.proactive_period
+        period = self._proactive_period
         if period is None or self._refs_seen % period != 0:
             return []
-        threshold = self.config.proactive_threshold
+        threshold = self._proactive_threshold
         if threshold is not None and self.queue.peek_max_count() < threshold:
             return []
         return self._one_mitigation_unit()

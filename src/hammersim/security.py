@@ -41,7 +41,7 @@ from .attacks import run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import ABO_ACT, N_MITS, RFM_NS, DeviceGeometry
 from .engine import BankEngine
-from .schemes import SchemeConfig, check_n_mit, preset, scheme_rules
+from .schemes import SchemeConfig, check_n_mit, scheme_rules
 
 
 def discipline_for_scheme(scheme: str) -> Optional[int]:
@@ -361,10 +361,7 @@ def oracle_point(scheme: str, n_bo: int, n_mit: int,
     """
     if not 16 <= geometry.rows_per_bank <= 4096:
         raise ValueError("oracle runs need a bank of [16, 4096] rows")
-    # The preset pins a scheme's one mitigation; the bound must not be
-    # taken for a count the run cannot have.
-    check_n_mit(scheme, n_mit)
-    config = preset(scheme, n_bo=n_bo, n_mit=n_mit)
+    config = SchemeConfig(scheme, n_bo, n_mit)
     config.check_fits(geometry)
     cap = max_initial_pool(config.counter_semantics, geometry.rows_per_bank,
                            geometry.blast_radius)

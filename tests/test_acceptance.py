@@ -153,7 +153,7 @@ def test_criterion_4_mitigation_bandwidth_bound():
 
     # A one-row saturating stream should spend the bounded fraction of
     # its non-idle time inside RFM service.
-    config = SchemeConfig(scheme="PVAC", n_bo=237, n_mit=4)
+    config = SchemeConfig(scheme="PVAC", n_bo=237, n_mit=4, proactive=False)
     engine, refresh = make_engine(config)
     row = RoundRobinSpec(n=1, base_row=5000)
     metrics = finalize_audited(engine, config, refresh, refresh.window_ps,

@@ -58,9 +58,9 @@ def test_round_robin_repeats_one_event_per_pool_row():
 
 def test_benign_stream_is_seeded_and_paced():
     geometry = small_geometry()
-    first = gen_benign(geometry, seed=7, act_gap_ps=1000, count=50)
-    second = gen_benign(geometry, seed=7, act_gap_ps=1000, count=50)
-    other = gen_benign(geometry, seed=8, act_gap_ps=1000, count=50)
+    first = list(gen_benign(geometry, seed=7, act_gap_ps=1000, count=50))
+    second = list(gen_benign(geometry, seed=7, act_gap_ps=1000, count=50))
+    other = list(gen_benign(geometry, seed=8, act_gap_ps=1000, count=50))
     assert first == second
     assert first != other
     assert [e.time_ps for e in first] == [1000 * (k + 1) for k in range(50)]
@@ -131,7 +131,7 @@ def test_observer_matches_eager_ledger(dsa, br, rows):
 # -- the wave attack ---------------------------------------------------------
 
 def test_wave_setup_charges_each_prepared_aggressor():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+    engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
                         small_geometry())
     result = run_feinting(engine, 8)
     assert result.setup_acts == 2 * 7  # two groups, n_bo - 1 each
@@ -183,7 +183,7 @@ def test_wave_rejects_a_bad_point_before_any_act():
 def test_wave_refuses_an_engine_without_a_log():
     # The rounds drop the rows the log shows mitigated; with no log the
     # pool would never shrink and the observed HC would be wrong.
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+    engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
                         small_geometry(), collect_log=False)
     with pytest.raises(ValueError, match="log"):
         run_feinting(engine, 8)
@@ -194,7 +194,7 @@ def test_wave_reads_its_rounds_past_a_drained_log():
     # `len(log)` also counts drained events; the rounds read the kept
     # ones, so a log drained before the wave changes nothing.
     def wave(drained: int):
-        engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+        engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
                             small_geometry())
         for _ in range(drained):
             engine._log(0, "NOP", -1)
@@ -204,7 +204,7 @@ def test_wave_reads_its_rounds_past_a_drained_log():
 
 
 def test_wave_against_victim_counting_shrinks_the_pool():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+    engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
                         small_geometry())
     result = run_feinting(engine, 8)
     assert result.alerts >= 1
@@ -228,7 +228,7 @@ def test_wave_against_aggressor_counting_reaches_blast_floor():
 
 
 def test_wave_only_drops_rows_the_defense_touched():
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=1),
+    engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
                         small_geometry())
     result = run_feinting(engine, 12)
     mitigated = {row for _, kind, row, _ in engine.log

@@ -719,7 +719,8 @@ simulate: {kind: round_robin, n: 8, stride: 3, write_events: true}
     assert events[0] == "time_ns,bank,event,row,counter_after"
     assert sum(",ACT," in line for line in events) > 1000
     assert (outdir / "summary.csv").exists()
-    assert not (outdir / "manifest.yaml").exists()
+    manifest = yaml.safe_load((outdir / "manifest.yaml").read_text())
+    assert manifest["scenario"] == "simulate"
 
 
 # Each simulate kind on a 1024-row bank with a 1 ms tREFW, each long

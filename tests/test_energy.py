@@ -107,8 +107,8 @@ def test_prac_timing_costs_more_per_access():
 def test_total_is_the_sum_of_classes():
     geometry = DeviceGeometry(rows_per_bank=512, banks=1, rows_per_dsa=512,
                               counter_bits=16, blast_radius=2)
-    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=4),
-                        geometry)
+    engine = BankEngine(SchemeConfig(scheme="PVAC", n_bo=8, n_mit=4,
+                                     proactive=False), geometry)
     engine.run_trace(hammer(10, 200), us(5000))
     report = energy_report(engine.log, engine.scheme.config, OPTIMIZED,
                            geometry, engine.refresh)

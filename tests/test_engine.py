@@ -27,7 +27,8 @@ def small_geometry() -> DeviceGeometry:
 
 def plain_pvac(n_bo: int, n_mit: int = 4) -> SchemeConfig:
     """PVAC without the proactive hook, so only the alert path runs."""
-    return SchemeConfig(scheme="PVAC", n_bo=n_bo, n_mit=n_mit)
+    return SchemeConfig(scheme="PVAC", n_bo=n_bo, n_mit=n_mit,
+                        proactive=False)
 
 
 def hammer(row: int, count: int):

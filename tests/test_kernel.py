@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim import _kernel_py
-from hammersim.counters import NO_COUNT, victim_set
+from hammersim.counters import victim_set
 from hammersim.dram import DeviceGeometry
 
 AGG, VIC = 0, 1
@@ -128,16 +128,20 @@ def test_row_outside_the_bank_raises_index_error(mod):
 
 @pytest.mark.parametrize("mod", kernels())
 def test_act_counts_the_two_disciplines_only(mod):
-    # Any other code, `counters.NO_COUNT` included, raises ValueError
-    # whatever the row; a discipline code raises IndexError off the bank.
-    # Both builds raise the same exception, and no counter moves.
+    # Any other int code raises ValueError and a code that is not an
+    # int TypeError, whatever the row; a discipline code raises
+    # IndexError off the bank.  Both builds raise the same exception, and
+    # no counter moves.
     core = mod.CounterCore(8, 4, 1, 3)
     counts = [1, 2, 3, 0, 1, 2, 3, 0]
     core.load(counts)
-    for sem in (2, 3, -1, NO_COUNT):
-        for row in (-1, 0, 8):
+    for row in (-1, 0, 8):
+        for sem in (2, 3, -1):
             with pytest.raises(ValueError,
                                match=f"^unknown counting code {sem}$"):
+                core.act(row, sem)
+        for sem in (0.0, "x"):
+            with pytest.raises(TypeError):
                 core.act(row, sem)
     for sem in (AGG, VIC):
         for row in (-1, 8):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hammersim import counters, schemes
-from hammersim.counters import AGGRESSOR_COUNT, NO_COUNT, VICTIM_COUNT
-from hammersim.dram import DeviceGeometry
+from hammersim.counters import AGGRESSOR_COUNT, VICTIM_COUNT
+from hammersim.dram import N_MITS, DeviceGeometry
 from hammersim.engine import BankEngine, EngineMetrics
 from hammersim.schemes import (DEFAULT_QUEUE_DEPTH, SCHEME_RULES, SCHEMES,
                                SchemeConfig, SchemeState, preset,
@@ -54,7 +54,7 @@ A, V = AGGRESSOR_COUNT, VICTIM_COUNT
 RULE_CASES = [
     ("PRAC", 52.0, 295.0, A, A, A, 4, None, None),
     ("PVAC", 48.0, 295.0, V, V, V, 4, 32, 1),
-    ("Chronus", 48.0, 295.0, A, NO_COUNT, None, 4, None, 2),
+    ("Chronus", 48.0, 295.0, A, None, None, 4, None, 2),
     ("QPRAC", 52.0, 295.0, A, A, A, 4, 32, 1),
     ("MOAT", 52.0, 410.0, A, A, A, 1, 32, 4),
 ]
@@ -78,9 +78,19 @@ def test_scheme_name_fixes_its_rules(name, trc, trfc, act, ref,
     assert stock.tRC_ns == trc and stock.tRFC_ns == trfc
 
 
-def test_five_names_and_six_settable_fields():
+def test_five_names_and_five_settable_fields():
     assert SCHEMES == ("PRAC", "PVAC", "Chronus", "QPRAC", "MOAT")
-    assert len(dataclasses.fields(SchemeConfig)) == 6
+    assert [f.name for f in dataclasses.fields(SchemeConfig)] == [
+        "scheme", "n_bo", "n_mit", "queue_depth", "proactive"]
+
+
+@pytest.mark.parametrize("name, n_mit", [
+    (name, n_mit) for name in SCHEMES for n_mit in N_MITS
+    if n_mit == 1 or not SCHEME_RULES[name].single_mitigation])
+def test_a_bare_config_is_the_stock_scheme(name, n_mit):
+    assert SchemeConfig(name, 64, n_mit) == preset(name, 64, n_mit)
+    plain = SchemeConfig(name, 64, n_mit, proactive=False)
+    assert (plain.proactive_period, plain.proactive_threshold) == (None, None)
 
 
 def test_config_rejects_mismatched_semantics():
