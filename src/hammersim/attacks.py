@@ -8,9 +8,10 @@ empty trace.
 
 The wave attack cannot be a static trace: which rows die each round
 depends on the defense's queue state, so the driver reacts to the
-engine's event log between activations.  It targets the engine's own
-scheme: against victim counting it packs aggressors so each serves a
-group of victims, against aggressor counting it hammers a contiguous
+`RFM` and `PROACT` lines of the engine's event log between activations
+(`WAVE_LOG`; the log need keep no other kind).  It targets the engine's
+own scheme: against victim counting it packs aggressors so each serves
+a group of victims, against aggressor counting it hammers a contiguous
 pool (`wave_layout`).
 """
 
@@ -27,6 +28,9 @@ from .engine import BankEngine, TraceEvent
 from .schemes import SchemeConfig
 
 WAVE_BASE_ROW = 8  # the wave's first aggressor
+# The event kinds `run_feinting` reads from the engine's log: the rows
+# an RFM or a proactive refresh serviced.
+WAVE_LOG = ("RFM", "PROACT")
 
 
 @dataclass(frozen=True)
@@ -86,31 +90,64 @@ class DamageObserver:
     restores, so it is taken lazily: a row's damage is recorded as it is
     restored, and `peak`, `max_peak()` and `argmax_peak()` fold in the
     live `damage` when read.
+
+    A run of activations of one row is settled once: a repeat owes only
+    +1 to each neighbour (the row's own damage is already 0, so its peak
+    cannot rise), so the observer keeps the last row and the bumps it
+    owes, and pays them when another row is activated or the ledger is
+    read.
     """
 
     def __init__(self, geometry: DeviceGeometry) -> None:
         self.geometry = geometry
         n = geometry.rows_per_bank
-        self.damage = [0] * n
+        self._damage = [0] * n
         self._reset_peak = [0] * n
         self._dsa = geometry.rows_per_dsa
         self._offsets = neighbour_offsets(geometry)
+        self._last = -1  # the row activated last
+        self._owed = 0   # its activations not yet paid to its neighbours
 
     def on_activation(self, row: int) -> None:
-        damage = self.damage
+        last = self._last
+        if row == last:
+            self._owed += 1
+            return
+        damage = self._damage
+        owed = self._owed
+        if owed:  # `_settle`, inlined: one call fewer per new row
+            for o in self._offsets[last % self._dsa]:
+                damage[last + o] += owed
         v = damage[row]
         if v > self._reset_peak[row]:
             self._reset_peak[row] = v
         damage[row] = 0
-        for o in self._offsets[row % self._dsa]:
-            damage[row + o] += 1
+        self._last = row
+        self._owed = 1
+
+    def _settle(self) -> None:
+        """Pay the last row's owed bumps to its neighbours."""
+        owed, last = self._owed, self._last
+        if owed:
+            damage = self._damage
+            for o in self._offsets[last % self._dsa]:
+                damage[last + o] += owed
+            self._owed = 0
+
+    @property
+    def damage(self) -> List[int]:
+        """Each row's damage since it was last restored."""
+        self._settle()
+        return list(self._damage)
 
     @property
     def peak(self) -> List[int]:
-        return list(map(max, self._reset_peak, self.damage))
+        self._settle()
+        return list(map(max, self._reset_peak, self._damage))
 
     def max_peak(self) -> int:
-        return max(map(max, self._reset_peak, self.damage))
+        self._settle()
+        return max(map(max, self._reset_peak, self._damage))
 
     def argmax_peak(self) -> int:
         """Lowest row holding the highest peak."""
@@ -171,16 +208,20 @@ def run_feinting(engine: BankEngine, r1: int, *,
     The layout is `wave_layout` for the engine's scheme and a pool of r1.
     Setup charges n_bo - 1 activations per aggressor; online rounds
     activate every aggressor that still serves a pool row once, and rows
-    the defense refreshed (read back from the event log) leave the pool.
+    the defense refreshed (read back from the log's `RFM` and `PROACT`
+    lines) leave the pool.
     The survivors are squeezed with the ABO_ACT + n_mit extra activations
     the alert window and the post-mitigation hold still admit.  The setup,
     each round and the tail are each issued as one lazy stream of rows,
     one ACT at a time while the bank's clock (`engine.now`) is still
-    before `stop_at_ps`.  The engine must keep its log (`collect_log`).
+    before `stop_at_ps`.  The engine's log must keep at least those two
+    kinds (`collect_log=WAVE_LOG` keeps only them).
     """
-    if not engine.collect_log:
+    dropped = [kind for kind in WAVE_LOG if kind not in engine.log.keep]
+    if dropped:
         raise ValueError("the wave attack reads mitigated rows from the "
-                         "event log; the engine keeps none")
+                         "event log; the engine's log keeps no "
+                         f"{' or '.join(dropped)} lines")
     config = engine.scheme.config
     groups, floor = wave_layout(config, engine.geometry, r1)
     observer = DamageObserver(engine.geometry)
@@ -195,7 +236,7 @@ def run_feinting(engine: BankEngine, r1: int, *,
     def harvest() -> None:
         nonlocal log_cursor
         for kind, row in zip(log.kinds[log_cursor:], log.rows[log_cursor:]):
-            if (kind == "RFM" or kind == "PROACT") and row >= 0:
+            if kind in WAVE_LOG and row >= 0:
                 mitigated.add(row)
         log_cursor = len(log.kinds)
 

@@ -14,7 +14,9 @@ The engine keeps time; the scheme performs, and reports, each row
 activation.  It answers each hook in rows (see `schemes`): an alert names
 one hot row, which `schemes` says, logged on the ``ALERT`` line; the rows
 an RFM or a proactive hook serviced are logged one ``RFM`` or ``PROACT``
-line each.
+line each.  Every event goes through one writer into the engine's
+`EventLog`, which keeps the lines of the kinds it was built to keep
+(every kind, or only the ones a reader reads) and counts the rest.
 
 "Opportunity" is the operative word for both the window and the hold: when
 demand is waiting, they are consumed by real activations; when the
@@ -31,7 +33,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from .dram import (ABO_ACT, RFM_NS, TABO_ACT_NS, DeviceGeometry,
                    RefreshConfig, rows_per_refresh)
@@ -57,6 +59,9 @@ class TraceEvent(NamedTuple):
 
 Event = Tuple[int, str, int, int]
 
+# The kinds of event the engine logs.
+EVENT_KINDS = ("ACT", "REF", "RFM", "ALERT", "PROACT")
+
 # Events the log keeps before `BankEngine.stream_trace` drains it.
 LOG_CHUNK = 1024
 
@@ -68,22 +73,25 @@ class EventLog:
     Times, rows and counters are `array("q")` columns and kinds a list of
     the engine's interned kind strings: about 33 B per event, a quarter
     of what a list of tuples holds.  It iterates as that list of tuples
-    over the events it keeps; `list(log)` builds the list.  `drain`
-    hands the kept events on and forgets them, and `len(log)` counts
-    every event logged, drained or kept.  The engine's `_log` appends to
-    the columns."""
+    over the events it keeps; `list(log)` builds the list.  `keep` names
+    the kinds it keeps (all of `EVENT_KINDS` by default); an event of
+    another kind is counted and forgotten at once.  `drain` hands the
+    kept events on and forgets them, and `len(log)` counts every event
+    logged, forgotten or kept.  The engine's `_log` appends to the
+    columns."""
 
-    __slots__ = ("times", "kinds", "rows", "counters", "drained")
+    __slots__ = ("times", "kinds", "rows", "counters", "forgotten", "keep")
 
-    def __init__(self) -> None:
+    def __init__(self, keep: Iterable[str] = EVENT_KINDS) -> None:
         self.times = array("q")
         self.kinds: List[str] = []
         self.rows = array("q")
         self.counters = array("q")
-        self.drained = 0  # events handed on by `drain`
+        self.forgotten = 0  # events counted but not kept
+        self.keep = frozenset(keep)
 
     def __len__(self) -> int:
-        return self.drained + len(self.kinds)
+        return self.forgotten + len(self.kinds)
 
     def __iter__(self) -> Iterator[Event]:
         return zip(self.times, self.kinds, self.rows, self.counters)
@@ -92,10 +100,10 @@ class EventLog:
         """The kept events, moved to a new log.  This log's columns are
         emptied in place, so the engine's bound appends still reach
         them."""
-        chunk = EventLog()
+        chunk = EventLog(self.keep)
         chunk.times, chunk.kinds = self.times[:], self.kinds[:]
         chunk.rows, chunk.counters = self.rows[:], self.counters[:]
-        self.drained += len(chunk)
+        self.forgotten += len(chunk)
         del self.times[:], self.kinds[:], self.rows[:], self.counters[:]
         return chunk
 
@@ -130,8 +138,11 @@ class BankEngine:
 
     Every command goes through `_log`, the one event writer, bound once
     here.  With `collect_log` on it appends the event to `log`, an
-    `EventLog`; with it off it is `_no_log`, so the log stays empty and
-    no counter is read for it.  `run_trace` keeps the whole log;
+    `EventLog`; given the kinds to keep instead, it appends events of
+    those kinds and counts the rest as forgotten (the wave attack keeps
+    only the `RFM` and `PROACT` lines it reads); with it off it is
+    `_no_log`, so the log stays empty, keeps no kind and counts nothing,
+    and no counter is read for it.  `run_trace` keeps the whole log;
     `stream_trace` drains it as it goes (`simulate` streams it into
     `events.csv` and the auditor that way), so its memory does not grow
     with the run's length.  Either way `len(log)` counts every event
@@ -139,26 +150,38 @@ class BankEngine:
 
     def __init__(self, scheme: SchemeConfig, geometry: DeviceGeometry,
                  refresh: Optional[RefreshConfig] = None, *,
-                 collect_log: bool = True) -> None:
+                 collect_log: Union[bool, Iterable[str]] = True) -> None:
         self.geometry = geometry
         self.refresh = refresh or RefreshConfig(
             tRFC=ns(scheme.tRFC_ns))
         self.scheme = SchemeState(scheme, geometry)
-        self.collect_log = collect_log
-        self.log = log = EventLog()
+        if collect_log is True:
+            collect_log = EVENT_KINDS
+        self.log = log = EventLog(collect_log or ())
         if collect_log:
             add_time, add_kind, add_row, add_counter = (
                 log.times.append, log.kinds.append, log.rows.append,
                 log.counters.append)
             get = self.scheme.bank.core.get
+            keep = log.keep
 
-            def _log(t: int, kind: str, row: int) -> None:
+            def _record(t: int, kind: str, row: int) -> None:
                 """Record one event with `row`'s current counter (0 for
                 row -1, no row)."""
                 add_time(t)
                 add_kind(kind)
                 add_row(row)
                 add_counter(get(row) if row >= 0 else 0)
+
+            def _filter(t: int, kind: str, row: int) -> None:
+                """Record one event of a kept kind; count and forget any
+                other."""
+                if kind in keep:
+                    _record(t, kind, row)
+                else:
+                    log.forgotten += 1
+
+            _log = _record if keep.issuperset(EVENT_KINDS) else _filter
         else:
             _log = _no_log
         self._log = _log

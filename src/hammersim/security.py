@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from .attacks import run_feinting, wave_layout
+from .attacks import WAVE_LOG, run_feinting, wave_layout
 from .counters import AGGRESSOR_COUNT, VICTIM_COUNT
 from .dram import ABO_ACT, N_MITS, RFM_NS, DeviceGeometry
 from .engine import BankEngine
@@ -377,8 +377,10 @@ def brute_force_oracle(scheme: str, n_bo: int, n_mit: int,
                        geometry: Optional[DeviceGeometry] = None
                        ) -> OracleCheck:
     """Replay the wave attack of `oracle_point` on a small bank; report
-    observed vs bound."""
+    observed vs bound.  The engine keeps only the log lines the wave
+    reads (`WAVE_LOG`); `len(engine.log)` still counts every event."""
     geometry = geometry or small_oracle_geometry()
     config, r1, bound = oracle_point(scheme, n_bo, n_mit, geometry)
-    result = run_feinting(BankEngine(config, geometry), r1)
+    engine = BankEngine(config, geometry, collect_log=WAVE_LOG)
+    result = run_feinting(engine, r1)
     return OracleCheck(scheme, n_mit, n_bo, r1, result.observed_hc, bound)

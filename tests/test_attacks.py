@@ -128,6 +128,36 @@ def test_observer_matches_eager_ledger(dsa, br, rows):
             r for r in range(48) if peak[r] == max(peak))
 
 
+READS = {
+    "damage": lambda obs, damage, peak: obs.damage == damage,
+    "peak": lambda obs, damage, peak: obs.peak == peak,
+    "max_peak": lambda obs, damage, peak: obs.max_peak() == max(peak),
+    "argmax_peak": lambda obs, damage, peak: obs.argmax_peak() == min(
+        r for r in range(len(peak)) if peak[r] == max(peak)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 8, 16]), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 47), st.integers(1, 8),
+                          st.sampled_from([None, *READS])), max_size=40))
+def test_observer_settles_runs_of_one_row(dsa, br, runs):
+    # Each run activates one row 1-8 times back to back, as the wave's
+    # setup does, and the ledger is read, through one accessor, only
+    # where a run draws a read, so owed bumps pile up between reads.
+    geometry = DeviceGeometry(rows_per_bank=48, banks=1, rows_per_dsa=dsa,
+                              counter_bits=16, blast_radius=br)
+    obs = DamageObserver(geometry)
+    ledger = eager_ledger(geometry, (row for row, length, _read in runs
+                                     for _ in range(length)))
+    for row, length, read in runs:
+        for _ in range(length):
+            obs.on_activation(row)
+            damage, peak = next(ledger)
+        if read is not None:
+            assert READS[read](obs, damage, peak), read
+
+
 # -- the wave attack ---------------------------------------------------------
 
 def test_wave_setup_charges_each_prepared_aggressor():
@@ -188,6 +218,16 @@ def test_wave_refuses_an_engine_without_a_log():
     with pytest.raises(ValueError, match="log"):
         run_feinting(engine, 8)
     assert engine.metrics.acts_issued == 0
+
+
+def test_wave_refuses_a_log_that_drops_rfm_lines():
+    # A log that keeps PROACT lines but no RFM ones would hide most of
+    # the rows the defense mitigated.
+    engine = BankEngine(SchemeConfig("PVAC", 8, proactive=False),
+                        small_geometry(), collect_log=["PROACT"])
+    with pytest.raises(ValueError, match="no RFM lines"):
+        run_feinting(engine, 8)
+    assert engine.metrics.acts_issued == 0 and len(engine.log) == 0
 
 
 def test_wave_reads_its_rounds_past_a_drained_log():

@@ -15,10 +15,14 @@ hammered count, read from a `DamageObserver` (the feinting wave's own),
 must not exceed `security.run_bound` of its scheme on the bank.
 
 Both matrices run once per kernel build, the pure-Python one and the
-compiled one `test_kernel.kernels()` builds, so they also check that the
-two builds give the same behaviour.  Each case but the feinting wave,
-which needs the log, runs once more with `collect_log=False`: its
-metrics must match the pinned digest and its log must stay empty.
+compiled one `test_kernel.compiled_kernel()` builds, so they also check
+that the two builds give the same behaviour.  Each case runs once more
+on the least log it needs: a trace case with `collect_log=False`, whose
+log must stay empty and count nothing, and a feinting case with only the
+`RFM` and `PROACT` lines the wave reads (`attacks.WAVE_LOG`), whose log
+must keep just those lines, as many as the pinned counts give, and
+count every event the pinned counts sum to.  Either way the metrics and
+wave digests must match the pins.
 
 Rewrite the JSON with:  python tests/test_golden.py --update
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,10 +48,14 @@ import tempfile
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import pytest
 from click.testing import CliRunner
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if __name__ == "__main__" and importlib.util.find_spec("hammersim") is None:
+    sys.path.append(str(SRC))  # run from a checkout with no install
 
 import hammersim
 from hammersim import _kernel_py, counters, schemes
@@ -58,7 +67,6 @@ from hammersim.engine import BankEngine, log_to_csv_lines
 from hammersim.schemes import SCHEMES, preset
 from hammersim.security import run_bound
 from hammersim.units import ms, ns, us
-from test_kernel import kernels
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -118,7 +126,8 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_engine(scheme: str, workload: str, collect_log: bool = True
+def run_engine(scheme: str, workload: str,
+               collect_log: Union[bool, Iterable[str]] = True
                ) -> Tuple[BankEngine, Optional[dict], int]:
     """One scheme × workload run on the live kernel classes: the engine
     after it, the feinting wave's result as a dict (None for a trace
@@ -153,19 +162,15 @@ def run_engine(scheme: str, workload: str, collect_log: bool = True
     return engine, wave, observed_hc
 
 
-def run_case(scheme: str, workload: str,
-             collect_log: bool = True) -> Tuple[dict, int]:
+def run_case(scheme: str, workload: str) -> Tuple[dict, int]:
     """Digests and per-kind event counts of one scheme × workload run,
-    and the run's observed hammered count; with `collect_log` off, the
-    log entry is the log itself, as a list, and no count is taken."""
-    engine, wave, observed_hc = run_engine(scheme, workload, collect_log)
+    and the run's observed hammered count."""
+    engine, wave, observed_hc = run_engine(scheme, workload)
     out = {}
     if wave is not None:
         out["feinting"] = _digest(wave)
-    if collect_log:
-        out["counts"] = {kind: engine.log.kinds.count(kind) for kind in KINDS}
-    out["log"] = (_digest(list(log_to_csv_lines(engine.log))) if collect_log
-                  else list(engine.log))
+    out["counts"] = {kind: engine.log.kinds.count(kind) for kind in KINDS}
+    out["log"] = _digest(list(log_to_csv_lines(engine.log)))
     out["metrics"] = _digest(dataclasses.asdict(engine.metrics))
     return out, observed_hc
 
@@ -177,10 +182,31 @@ def all_cases() -> Tuple[dict, dict]:
             {name: hc for name, (_out, hc) in runs.items()})
 
 
-def unlogged_cases() -> dict:
-    return {f"{s}/{w}": run_case(s, w, collect_log=False)[0]
-            for s in SCHEMES for w in WORKLOADS
-            if not w.startswith("feinting")}
+def least_log_cases(expected: dict) -> Tuple[dict, dict]:
+    """Each engine case rerun on the least log it needs, none for a trace
+    run and `attacks.WAVE_LOG` for the feinting wave, and what the rerun
+    must give by the case's pins: the metrics and wave digests, the
+    events its log counted and the per-kind count of the lines it kept."""
+    # Imported here: `--diff` runs this file on trees that lack it.
+    from hammersim.attacks import WAVE_LOG
+    got, want = {}, {}
+    for name, pinned in expected.items():
+        feinting = "feinting" in pinned
+        engine, wave, _hc = run_engine(*name.split("/"),
+                                       WAVE_LOG if feinting else False)
+        got[name] = {"metrics": _digest(dataclasses.asdict(engine.metrics)),
+                     "logged": len(engine.log),
+                     "kept": Counter(engine.log.kinds)}
+        want[name] = {"metrics": pinned["metrics"], "logged": 0,
+                      "kept": Counter()}
+        if feinting:
+            counts = pinned["counts"]
+            got[name]["feinting"] = _digest(wave)
+            # `+` drops a kind the case logs no line of.
+            want[name].update(
+                feinting=pinned["feinting"], logged=sum(counts.values()),
+                kept=+Counter({kind: counts[kind] for kind in WAVE_LOG}))
+    return got, want
 
 
 def run_cli_case(name: str, workdir: Path) -> dict:
@@ -215,10 +241,23 @@ def _expected(cli: bool) -> dict:
     return {k: v for k, v in golden.items() if k.startswith("cli/") == cli}
 
 
-@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
-def test_golden_digests_unchanged(mod, monkeypatch):
-    monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
-    monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
+def use_kernel(build: str, set_attr=setattr) -> None:
+    """Run the cases on kernel `build`: "python", as the pins are, or
+    "compiled".  `test_kernel` is imported only for the compiled build:
+    importing it compiles `_kernel.c`, which the script's own runs, all
+    on the Python build, do not need."""
+    if build == "python":
+        mod = _kernel_py
+    else:
+        from test_kernel import compiled_kernel
+        mod = compiled_kernel()
+    set_attr(counters, "CounterCore", mod.CounterCore)
+    set_attr(schemes, "TopQueue", mod.TopQueue)
+
+
+@pytest.mark.parametrize("build", ["python", "compiled"])
+def test_golden_digests_unchanged(build, monkeypatch):
+    use_kernel(build, monkeypatch.setattr)
     expected = _expected(cli=False)
     cases, observed = all_cases()
     above = []
@@ -232,25 +271,17 @@ def test_golden_digests_unchanged(mod, monkeypatch):
     assert ({name: case["counts"] for name, case in cases.items()}
             == {name: case["counts"] for name, case in expected.items()})
     assert cases == expected
-    assert unlogged_cases() == {
-        name: {"log": [], "metrics": digests["metrics"]}
-        for name, digests in expected.items() if "feinting" not in digests}
+    got, want = least_log_cases(expected)
+    assert got == want
 
 
-@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
-def test_cli_bytes_unchanged(mod, monkeypatch, tmp_path):
-    monkeypatch.setattr(counters, "CounterCore", mod.CounterCore)
-    monkeypatch.setattr(schemes, "TopQueue", mod.TopQueue)
+@pytest.mark.parametrize("build", ["python", "compiled"])
+def test_cli_bytes_unchanged(build, monkeypatch, tmp_path):
+    use_kernel(build, monkeypatch.setattr)
     assert all_cli_cases(tmp_path) == _expected(cli=True)
 
 
 # -- --diff: where a moved pin moved ------------------------------------
-
-def use_python_kernel() -> None:
-    """Run the cases on the pure-Python kernel build, as the pins are."""
-    counters.CounterCore = _kernel_py.CounterCore
-    schemes.TopQueue = _kernel_py.TopQueue
-
 
 def first_difference(a: Sequence[str], b: Sequence[str]
                      ) -> Optional[Tuple[int, str, str]]:
@@ -294,7 +325,7 @@ def dump(out: Path) -> None:
     `out`: each engine case's event log as `<scheme>-<workload>.csv`,
     its metrics and wave digests in `cases.json` (with the path of the
     package that ran), and the CLI cases' outputs under `cli/`."""
-    use_python_kernel()
+    use_kernel("python")
     (out / "cli").mkdir(parents=True)
     cases = {}
     for s in SCHEMES:
@@ -335,8 +366,7 @@ def diff_dumps(a: Path, b: Path) -> List[str]:
 def diff_trees(other_src: Path) -> List[str]:
     """Dump the cases under this tree's `src` and under `other_src`, each
     in its own interpreter at once, and report what moved."""
-    trees = (Path(__file__).resolve().parent.parent / "src",
-             other_src.resolve())
+    trees = (SRC, other_src.resolve())
     with tempfile.TemporaryDirectory() as workdir:
         outs = [Path(workdir) / side for side in ("this", "other")]
         runs = [subprocess.Popen(
@@ -350,6 +380,16 @@ def diff_trees(other_src: Path) -> List[str]:
             if Path(package).resolve().parent != src / "hammersim":
                 sys.exit(f"ran the hammersim in {package}, not in {src}")
         return diff_dumps(*outs)
+
+
+def test_script_runs_from_a_checkout_with_no_install(tmp_path):
+    # pytest puts `src` on the path; the bare script must find it too.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, __file__], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.startswith("usage: python tests/test_golden.py"), \
+        run.stderr
 
 
 def test_diff_report_gives_the_first_moved_event_and_count_deltas():
@@ -395,7 +435,7 @@ if __name__ == "__main__":
     elif args[:1] == ["--dump"] and len(args) == 2:
         dump(Path(args[1]))
     elif args == ["--update"]:
-        use_python_kernel()
+        use_kernel("python")
         with tempfile.TemporaryDirectory() as workdir:
             cases = {**all_cases()[0], **all_cli_cases(Path(workdir))}
         GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
