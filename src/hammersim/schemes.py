@@ -157,6 +157,26 @@ class SchemeState:
     the queue (and, for an adaptive scheme, `_hot`) in step with the
     kernel.  `CounterBank.apply_activation` bypasses both, so it must
     not be used on a bank a `SchemeState` owns.
+
+    Hold rule: a demand ACT of the row the last demand ACT walked, with
+    no other queue operation in between, is a repeat.  It is counted
+    (counters, alerts and `_hot` stay per ACT) but its queue writes wait
+    in `_pending`; `_settle` writes one `update(r, get(r))` per row the
+    repeats changed before any other queue operation: another row's
+    ACT, a REF or mitigation walk, the parked-alert check, or a read of
+    `queue`.  A repeat only ever adds 1 to the rows it changes.  Under
+    aggressor counting that is one row, and a run of +1 updates of one
+    row leaves the queue as its last update alone does (each is
+    rejected, accepted with the same eviction, or a rewrite), so a walk
+    always lets its row's repeats be held.  Under victim counting the
+    repeats interleave updates of several rows, and coalescing them is
+    exact only for rows already queued, whose updates just rewrite their
+    counts: a walk lets its row's repeats be held only if each of its
+    updates went in without an eviction (returned -1), which leaves
+    every row it changed queued.  Otherwise coalescing can change which
+    rows survive: in a depth-2 queue, victims 11/18/29/30 at counts
+    3/4/1/5 taken up 6 times to a cap of 8 leave {18, 30} written per
+    ACT and {11, 18} written once each.
     """
 
     def __init__(self, config: SchemeConfig,
@@ -169,12 +189,19 @@ class SchemeState:
         # damage observer here for ground-truth disturbance accounting.
         self.activation_observer = None
         self.bank = CounterBank(geometry)
-        self.queue = TopQueue(config.queue_depth)
+        self._queue = TopQueue(config.queue_depth)
         self.pending_alert = False
         # What a demand ACT and a refreshed row count, read once.
         rules = SCHEME_RULES[config.scheme]
         self._sem, self._ref_sem = rules.act_count, rules.ref_count
         self._adaptive = rules.adaptive
+        self._victim = self._sem == VICTIM_COUNT
+        # The hold rule (see the class docstring): the demand row whose
+        # repeats are held (-1: none), and the (row, count) changes of
+        # the first repeat since the last settle, a superset of every
+        # later repeat's, since a row at the cap changes no more.
+        self._held = -1
+        self._pending: Sequence[Tuple[int, int]] = ()
         # Adaptive schemes only: every row whose count is >= n_bo, and
         # maybe rows reset since, which `_prune_hot` drops.  A count
         # reaches n_bo only through a counted activation, and both
@@ -184,13 +211,33 @@ class SchemeState:
         self._neighbours = neighbour_offsets(geometry)
         # Bound once: each counted activation goes straight to the kernel.
         self._act = self.bank.core.act
-        self._q_update = self.queue.update
-        self._q_remove = self.queue.remove
+        self._q_update = self._queue.update
+        self._q_remove = self._queue.remove
         self._n_bo = config.n_bo
         self._proactive_period = config.proactive_period
         self._proactive_threshold = config.proactive_threshold
 
+    @property
+    def queue(self) -> TopQueue:
+        """The top-count queue, with the writes a run of repeats holds
+        (the hold rule, class docstring) settled first, so that it reads
+        as if every ACT had written it.
+
+        Internal readers test `_pending` inline and call `_settle`
+        instead: a property call per hook is measurable."""
+        if self._pending:
+            self._settle()
+        return self._queue
+
     # -- internal plumbing ------------------------------------------------
+
+    def _settle(self) -> None:
+        """Write the held repeats' queue updates, one per row they
+        changed, at the row's count now."""
+        get, update = self.bank.core.get, self._q_update
+        for r, _count in self._pending:
+            update(r, get(r))
+        self._pending = ()
 
     def _activate(self, rows: Sequence[int], sem: Optional[int]
                   ) -> List[int]:
@@ -234,9 +281,11 @@ class SchemeState:
         if not self.pending_alert:
             return None
         self.pending_alert = False
-        n_bo = self._n_bo
-        if self.queue.peek_max_count() >= n_bo:
-            return min(row for row, count in self.queue.items()
+        if self._pending:
+            self._settle()
+        n_bo, queue = self._n_bo, self._queue
+        if queue.peek_max_count() >= n_bo:
+            return min(row for row, count in queue.items()
                        if count >= n_bo)
         if self._adaptive:
             return self._hottest_if_hot()
@@ -274,16 +323,16 @@ class SchemeState:
         count >= n_bo; if the queue's top does not, the hottest row
         counted hot is taken, so a displaced hot row cannot be missed.
         """
-        victim = self._sem == VICTIM_COUNT
+        victim, queue = self._victim, self._queue
         applied: List[int] = []
         for _ in range(RFM_ROWS_PER_PVAC_BURST if victim else 1):
-            if require_hot and self.queue.peek_max_count() < self._n_bo:
+            if require_hot and queue.peek_max_count() < self._n_bo:
                 target = self._hottest_if_hot()
                 if target is None:
                     break
-                self.queue.remove(target)
+                queue.remove(target)
             else:
-                top = self.queue.pop_max()
+                top = queue.pop_max()
                 if top is None:
                     break
                 target = top[0]
@@ -306,17 +355,39 @@ class SchemeState:
             raise ValueError(f"row {row} outside bank")
         if self.activation_observer is not None:
             self.activation_observer(row)
-        # The _activate walk, inlined: it runs for every demand ACT.  A
-        # call to `_activate((row,), ...)` here read slower on perfbench's
-        # `trace_audited` in 4 of 4 paired runs (see CHANGES.md).
+        changed = self._act(row, self._sem)
+        n_bo = self._n_bo
         hot = []
-        for r, count in self._act(row, self._sem):
-            if count == 0:
-                self._q_remove(r)
-            else:
-                self._q_update(r, count)
-                if count >= self._n_bo:
+        if row == self._held:
+            # A repeat (the hold rule, class docstring): counted now,
+            # its queue writes left to `_settle`.
+            if not self._pending:
+                self._pending = changed
+            for r, count in changed:
+                if count >= n_bo:
                     hot.append(r)
+        else:
+            if self._pending:
+                self._settle()
+            # The _activate walk, inlined: it runs for every demand ACT.
+            # A call to `_activate((row,), ...)` here read slower on
+            # perfbench's `trace_audited` in 4 of 4 paired runs (see
+            # CHANGES.md).
+            all_in = True
+            for r, count in changed:
+                if count == 0:
+                    self._q_remove(r)
+                else:
+                    if self._q_update(r, count) != -1:
+                        all_in = False
+                    if count >= n_bo:
+                        hot.append(r)
+            # Hold this row's repeats?  An aggressor ACT changes one row,
+            # whose run of +1 writes always coalesces; a victim ACT
+            # changes several, whose writes coalesce only while each row
+            # stays queued, so only if every write here went in without
+            # an eviction (class docstring: the depth-2 counter-example).
+            self._held = row if all_in or not self._victim else -1
         if hot:
             if self._adaptive:
                 self._hot.update(hot)
@@ -333,6 +404,9 @@ class SchemeState:
         the alert to raise now.  A crossing in a REF whose hook ran is
         parked, then re-checked after the hook's refreshes."""
         self._refs_seen += 1
+        if self._pending:
+            self._settle()
+        self._held = -1
         hot = self._activate(rows, self._ref_sem)
         refreshed = self._proactive_if_due()
         if hot:
@@ -348,12 +422,15 @@ class SchemeState:
         if period is None or self._refs_seen % period != 0:
             return []
         threshold = self._proactive_threshold
-        if threshold is not None and self.queue.peek_max_count() < threshold:
+        if threshold is not None and self._queue.peek_max_count() < threshold:
             return []
         return self._one_mitigation_unit()
 
     def on_rfm(self) -> List[int]:
         """Service one RFM command; returns the rows it serviced."""
+        if self._pending:
+            self._settle()
+        self._held = -1
         return self._one_mitigation_unit(require_hot=self._adaptive)
 
     def burst_goes_on(self, issued: int) -> bool:

@@ -12,7 +12,9 @@ says why in CHANGES.md.
 
 Every case is also held against the analyzer's bound: its observed
 hammered count, read from a `DamageObserver` (the feinting wave's own),
-must not exceed `security.run_bound` of its scheme on the bank.
+must not exceed `security.run_bound` of its scheme on the bank.  Every
+PVAC case also holds the counters against that observer: at the end of
+the run each row's counter is its damage, capped.
 
 Both matrices run once per kernel build, the pure-Python one and the
 compiled one `test_kernel.compiled_kernel()` builds, so they also check
@@ -29,10 +31,11 @@ Rewrite the JSON with:  python tests/test_golden.py --update
 Say where another tree's outputs move from this one's with
 python tests/test_golden.py --diff <other src>: it runs every engine case
 and CLI case under each tree, each tree in its own interpreter, and
-prints, for each engine case that moved, its first differing event
-(index and both lines) and the per-kind count deltas, and for each CLI
-file that moved, its first differing line.  Lines starting `-` are this
-tree's, `+` the other's.
+prints each case a tree cannot run (an older tree may lack a name a
+case imports) with its error, then, for each engine case that moved,
+its first differing event (index and both lines) and the per-kind count
+deltas, and for each CLI file that moved, its first differing line.
+Lines starting `-` are this tree's, `+` the other's.
 """
 
 from __future__ import annotations
@@ -42,13 +45,14 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 import pytest
 from click.testing import CliRunner
@@ -57,16 +61,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if __name__ == "__main__" and importlib.util.find_spec("hammersim") is None:
     sys.path.append(str(SRC))  # run from a checkout with no install
 
+# `--diff` runs this file under another tree's `hammersim`, so the names
+# imported here are only those every tree has had since the first
+# commit; each function imports the rest it needs, and `dump` reports a
+# case whose names or run the other tree lacks instead of failing.
 import hammersim
-from hammersim import _kernel_py, counters, schemes
-from hammersim.cli import EXIT_OK, main
-from hammersim.attacks import (DamageObserver, RoundRobinSpec, gen_benign,
-                               gen_round_robin, run_feinting)
-from hammersim.dram import DeviceGeometry, RefreshConfig
-from hammersim.engine import BankEngine, log_to_csv_lines
-from hammersim.schemes import SCHEMES, preset
-from hammersim.security import run_bound
-from hammersim.units import ms, ns, us
+from hammersim.dram import DeviceGeometry
+from hammersim.units import us
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -117,7 +118,10 @@ oracle_check: {schemes: [PVAC, PRAC], n_bos: [8], n_mits: [4], rows: 64}
 }
 
 
-def _refresh(scheme: str) -> RefreshConfig:
+def _refresh(scheme: str):
+    from hammersim.dram import RefreshConfig
+    from hammersim.schemes import preset
+    from hammersim.units import ms, ns
     return RefreshConfig(tREFW=ms(1), tRFC=ns(preset(scheme, N_BO).tRFC_ns))
 
 
@@ -128,10 +132,16 @@ def _digest(obj) -> str:
 
 def run_engine(scheme: str, workload: str,
                collect_log: Union[bool, Iterable[str]] = True
-               ) -> Tuple[BankEngine, Optional[dict], int]:
+               ) -> Tuple[Any, Optional[dict], int]:
     """One scheme × workload run on the live kernel classes: the engine
     after it, the feinting wave's result as a dict (None for a trace
-    run) and the run's observed hammered count."""
+    run) and the run's observed hammered count.  The run's
+    `DamageObserver` stays attached to the engine's scheme."""
+    from hammersim.attacks import (DamageObserver, RoundRobinSpec,
+                                   gen_round_robin, run_feinting)
+    from hammersim.engine import BankEngine
+    from hammersim.schemes import preset
+    from hammersim.units import ns
     refresh = _refresh(scheme)
     engine = BankEngine(preset(scheme, N_BO), GEOMETRY, refresh,
                         collect_log=collect_log)
@@ -155,6 +165,7 @@ def run_engine(scheme: str, workload: str,
                                   base_row=64)
             events = gen_round_robin(pool, GEOMETRY)
         else:
+            from hammersim.attacks import gen_benign
             events = gen_benign(GEOMETRY, seed=0, act_gap_ps=ns(200),
                                 count=duration // ns(200))
         engine.run_trace(events, duration)
@@ -165,6 +176,7 @@ def run_engine(scheme: str, workload: str,
 def run_case(scheme: str, workload: str) -> Tuple[dict, int]:
     """Digests and per-kind event counts of one scheme × workload run,
     and the run's observed hammered count."""
+    from hammersim.engine import log_to_csv_lines
     engine, wave, observed_hc = run_engine(scheme, workload)
     out = {}
     if wave is not None:
@@ -177,6 +189,7 @@ def run_case(scheme: str, workload: str) -> Tuple[dict, int]:
 
 def all_cases() -> Tuple[dict, dict]:
     """Each case's pinned entry, and its observed hammered count."""
+    from hammersim.schemes import SCHEMES
     runs = {f"{s}/{w}": run_case(s, w) for s in SCHEMES for w in WORKLOADS}
     return ({name: out for name, (out, _hc) in runs.items()},
             {name: hc for name, (_out, hc) in runs.items()})
@@ -211,6 +224,7 @@ def least_log_cases(expected: dict) -> Tuple[dict, dict]:
 
 def run_cli_case(name: str, workdir: Path) -> dict:
     """SHA-256 of each CSV and manifest.yaml one CLI run writes."""
+    from hammersim.cli import EXIT_OK, main
     stem = name.replace("/", "-")
     outdir = workdir / stem
     argv = [name.split("/")[0], "--out", str(outdir)]
@@ -246,6 +260,7 @@ def use_kernel(build: str, set_attr=setattr) -> None:
     "compiled".  `test_kernel` is imported only for the compiled build:
     importing it compiles `_kernel.c`, which the script's own runs, all
     on the Python build, do not need."""
+    from hammersim import _kernel_py, counters, schemes
     if build == "python":
         mod = _kernel_py
     else:
@@ -257,6 +272,8 @@ def use_kernel(build: str, set_attr=setattr) -> None:
 
 @pytest.mark.parametrize("build", ["python", "compiled"])
 def test_golden_digests_unchanged(build, monkeypatch):
+    from hammersim.schemes import preset
+    from hammersim.security import run_bound
     use_kernel(build, monkeypatch.setattr)
     expected = _expected(cli=False)
     cases, observed = all_cases()
@@ -279,6 +296,25 @@ def test_golden_digests_unchanged(build, monkeypatch):
 def test_cli_bytes_unchanged(build, monkeypatch, tmp_path):
     use_kernel(build, monkeypatch.setattr)
     assert all_cli_cases(tmp_path) == _expected(cli=True)
+
+
+@pytest.mark.parametrize("build", ["python", "compiled"])
+def test_pvac_counters_are_the_capped_damage(build, monkeypatch):
+    # PVAC counts each row's disturbance since its last activation, as
+    # the observer does: at the end of every PVAC case each row's counter
+    # is its damage, saturated at the counter cap.
+    use_kernel(build, monkeypatch.setattr)
+    cap, off = GEOMETRY.counter_cap, {}
+    for workload in WORKLOADS:
+        engine, _wave, _hc = run_engine("PVAC", workload)
+        # The feinting wave attaches its own observer.
+        damage = engine.scheme.activation_observer.__self__.damage
+        counts = engine.scheme.bank.core.snapshot()
+        rows = [row for row, (count, d) in enumerate(zip(counts, damage))
+                if count != min(d, cap)]
+        if rows:
+            off[workload] = (rows[0], counts[rows[0]], damage[rows[0]])
+    assert not off, f"(first row, counter, damage) off: {off}"
 
 
 # -- --diff: where a moved pin moved ------------------------------------
@@ -321,42 +357,63 @@ def file_report(name: str, a: Sequence[str], b: Sequence[str]) -> List[str]:
 
 
 def dump(out: Path) -> None:
-    """Run every case on the Python kernel and write what it emits under
-    `out`: each engine case's event log as `<scheme>-<workload>.csv`,
-    its metrics and wave digests in `cases.json` (with the path of the
-    package that ran), and the CLI cases' outputs under `cli/`."""
+    """Run every pinned case on the Python kernel and write what it emits
+    under `out`: each engine case's event log as
+    `<scheme>-<workload>.csv`, its metrics and wave digests in
+    `cases.json` (with the path of the package that ran), and the CLI
+    cases' outputs under `cli/`.  A case this tree cannot run, for a
+    name it lacks or an error in its run, goes into `cases.json`'s
+    `failed` with its error, and the other cases still run."""
     use_kernel("python")
     (out / "cli").mkdir(parents=True)
-    cases = {}
-    for s in SCHEMES:
-        for w in WORKLOADS:
-            engine, wave, _hc = run_engine(s, w)
-            lines = log_to_csv_lines(engine.log)
-            (out / f"{s}-{w}.csv").write_text("\n".join(lines) + "\n")
-            cases[f"{s}/{w}"] = {
-                "metrics": _digest(dataclasses.asdict(engine.metrics)),
-                "feinting": wave and _digest(wave)}
-    all_cli_cases(out / "cli")
+    cases, failed = {}, {}
+    for name in _expected(cli=False):
+        try:
+            from hammersim.engine import log_to_csv_lines
+            engine, wave, _hc = run_engine(*name.split("/"))
+            lines = list(log_to_csv_lines(engine.log))
+        except Exception as exc:
+            failed[name] = f"{type(exc).__name__}: {exc}"
+            continue
+        (out / f"{name.replace('/', '-')}.csv").write_text(
+            "\n".join(lines) + "\n")
+        cases[name] = {"metrics": _digest(dataclasses.asdict(engine.metrics)),
+                       "feinting": wave and _digest(wave)}
+    for name in CLI_CASES:
+        try:
+            run_cli_case(name, out / "cli")
+        except Exception as exc:
+            failed[f"cli/{name}"] = f"{type(exc).__name__}: {exc}"
     (out / "cases.json").write_text(json.dumps(
-        {"package": hammersim.__file__, "cases": cases}))
+        {"package": hammersim.__file__, "cases": cases, "failed": failed}))
 
 
 def diff_dumps(a: Path, b: Path) -> List[str]:
-    """The report on two `dump` directories, engine cases first."""
-    cases_a, cases_b = (json.loads((out / "cases.json").read_text())["cases"]
-                        for out in (a, b))
-    report: List[str] = []
+    """The report on two `dump` directories: the cases either tree could
+    not run, then the engine cases that moved, then the CLI files."""
+    dumps = [json.loads((out / "cases.json").read_text()) for out in (a, b)]
+    report = [f"{name}: {side} tree cannot run it: {error}"
+              for side, dumped in zip(("this", "the other"), dumps)
+              for name, error in dumped["failed"].items()]
+    failed = {name for dumped in dumps for name in dumped["failed"]}
+    cases_a, cases_b = (dumped["cases"] for dumped in dumps)
     for name in cases_a:
+        if name in failed:
+            continue
         stem = name.replace("/", "-")
         report += log_report(name,
                              *((out / f"{stem}.csv").read_text().splitlines()
                                for out in (a, b)))
         report += [f"{name}: {key} digest moved" for key in cases_a[name]
                    if cases_a[name][key] != cases_b[name][key]]
+    skipped = tuple(name[len("cli/"):].replace("/", "-") + "/"
+                    for name in failed if name.startswith("cli/"))
     files = sorted({path.relative_to(out / "cli").as_posix()
                     for out in (a, b) for path in (out / "cli").rglob("*")
                     if path.suffix == ".csv" or path.name == "manifest.yaml"})
     for name in files:
+        if name.startswith(skipped):
+            continue
         report += file_report(f"cli/{name}", *(
             (out / "cli" / name).read_text().splitlines()
             if (out / "cli" / name).exists() else [] for out in (a, b)))
@@ -408,23 +465,58 @@ def test_diff_report_gives_the_first_moved_event_and_count_deltas():
 
 def test_diff_of_two_dumps_reports_engine_cases_then_cli_lines(tmp_path):
     header = "time_ns,bank,event,row,counter_after"
-    sides = {"a": ("0,0,REF,0,1", "m1", "seed: 0"),
-             "b": ("0,0,REF,0,2", "m2", "seed: 1")}
-    for side, (event, metrics, manifest) in sides.items():
+    sides = {"a": ("0,0,REF,0,1", "seed: 0"),
+             "b": ("0,0,REF,0,2", "seed: 1")}
+    for side, (event, manifest) in sides.items():
         out = tmp_path / side
         (out / "cli" / "simulate").mkdir(parents=True)
+        (out / "cli" / "domino").mkdir(parents=True)
         (out / "PVAC-idle.csv").write_text(f"{header}\n{event}\n")
-        (out / "cases.json").write_text(json.dumps({"package": "", "cases": {
-            "PVAC/idle": {"metrics": metrics, "feinting": None}}}))
         (out / "cli" / "simulate" / "manifest.yaml").write_text(
             f"scenario: simulate\n{manifest}\n")
     (tmp_path / "a" / "cli" / "simulate" / "summary.csv").write_text("w\n")
+    # A case the other tree cannot run is named once, and neither its
+    # engine log nor its CLI files are compared.
+    (tmp_path / "a" / "PRAC-idle.csv").write_text(f"{header}\n")
+    (tmp_path / "a" / "cli" / "domino" / "domino.csv").write_text("x\n")
+    for side, failed in (("a", {}), ("b", {
+            "PRAC/idle": "ImportError: no gen_benign",
+            "cli/domino": "ImportError: no gen_benign"})):
+        (tmp_path / side / "cases.json").write_text(json.dumps({
+            "package": "", "failed": failed, "cases": {
+                "PVAC/idle": {"metrics": f"m-{side}", "feinting": None},
+                **({"PRAC/idle": {"metrics": "m", "feinting": None}}
+                   if side == "a" else {})}}))
     assert diff_dumps(tmp_path / "a", tmp_path / "b") == [
+        "PRAC/idle: the other tree cannot run it: ImportError: no gen_benign",
+        "cli/domino: the other tree cannot run it: ImportError: no gen_benign",
         "PVAC/idle: event 0 differs", "  - 0,0,REF,0,1", "  + 0,0,REF,0,2",
         "  counts: unchanged", "PVAC/idle: metrics digest moved",
         "cli/simulate/manifest.yaml: line 2 differs", "  - seed: 0",
         "  + seed: 1", "cli/simulate/summary.csv: line 1 differs",
         "  - w", "  + <end>"]
+
+
+def test_diff_reports_the_cases_an_older_tree_cannot_run(tmp_path):
+    # A tree that lacks a name this file imports: here `gen_benign`,
+    # which `hammersim.cli` imports too.  `--diff` names every case it
+    # cannot run and compares the rest.
+    from hammersim.schemes import SCHEMES
+    other = tmp_path / "src"
+    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns(
+        "__pycache__", "*.so", "*.pyd"))
+    attacks = other / "hammersim" / "attacks.py"
+    attacks.write_text(attacks.read_text().replace(
+        "def gen_benign(", "def _gen_benign_not_yet("))
+    run = subprocess.run([sys.executable, __file__, "--diff", str(other)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = run.stdout.splitlines()
+    cannot = " the other tree cannot run it: ImportError: cannot import name "
+    assert all(cannot in line for line in report), report
+    engine_cases = {line.split(":")[0] for line in report
+                    if not line.startswith("cli/")}
+    assert engine_cases == {f"{scheme}/benign0" for scheme in SCHEMES}
 
 
 if __name__ == "__main__":

@@ -71,11 +71,17 @@ def test_gated_workload_matches_reference(name, tmp_path, monkeypatch):
 # A 128-row domino that PRAC crosses in its last window and PVAC from
 # the second on, so REF groups, RFM bursts and alerts all reach the
 # kernel; and one oracle point, the closed-loop wave.
-REPLAY_CALLS = (
+BASE_CALLS = (
     ("domino", "domino:\n  windows: 4\n  schemes: [PRAC, PVAC]\n"
      "  n_bo: 4\n  n_mit: 4\ngeometry:\n  rows_per_bank: 128\n"
      "  rows_per_dsa: 128\nrefresh:\n  tREFW_ns: 125000\n"),
     ("oracle-check", "oracle_check:\n  schemes: [PVAC]\n  n_bos: [8]\n"
+     "  n_mits: [4]\n  rows: 64\n"),
+)
+# The replay adds a PRAC oracle point: its wave's setup runs are repeats
+# of one aggressor, whose queue writes the scheme settles once.
+REPLAY_CALLS = BASE_CALLS + (
+    ("oracle-check", "oracle_check:\n  schemes: [PRAC]\n  n_bos: [8]\n"
      "  n_mits: [4]\n  rows: 64\n"),
 )
 
@@ -107,10 +113,11 @@ def test_kernel_op_stream_replays(mod, tmp_path, monkeypatch):
         assert matches, name
 
 
-# The replay runs, plus a simulate that reads a two-line trace file,
-# writes its event log and audits it, and a one-cell security table: the
-# runners' calls through `cli`'s module globals must reach the tracer.
-SPAN_CALLS = REPLAY_CALLS + (
+# The domino and the PVAC oracle point, plus a simulate that reads a
+# two-line trace file, writes its event log and audits it, and a
+# one-cell security table: the runners' calls through `cli`'s module
+# globals must reach the tracer.
+SPAN_CALLS = BASE_CALLS + (
     ("simulate", "scheme: {name: PVAC, n_bo: 32, n_mit: 4}\n"
      "geometry: {rows_per_bank: 4096}\nrefresh: {tREFW_ns: 1000000}\n"
      "simulate: {trace: two.trace, write_events: true}\n"),

@@ -552,3 +552,200 @@ def test_adaptive_burst_goes_on_while_a_row_is_hot_up_to_its_cap():
     cap = 16 * state.config.queue_depth
     assert state.burst_goes_on(1) and state.burst_goes_on(cap - 1)
     assert not state.burst_goes_on(cap)
+
+
+# -- the hold rule: a repeated demand row's queue writes settle once -------
+
+class EveryActWrites(SchemeState):
+    """The reference for the hold rule: the demand-ACT walk before it,
+    which writes the queue on every ACT."""
+
+    def on_act(self, row: int, alert_allowed: bool = True):
+        if not 0 <= row < self.geometry.rows_per_bank:
+            raise ValueError(f"row {row} outside bank")
+        hot = []
+        for r, count in self._act(row, self._sem):
+            if count == 0:
+                self._q_remove(r)
+            else:
+                self._q_update(r, count)
+                if count >= self._n_bo:
+                    hot.append(r)
+        if hot:
+            if self._adaptive:
+                self._hot.update(hot)
+            if alert_allowed:
+                return min(hot)
+            self.pending_alert = True
+        return None
+
+
+def held_and_reference(mod, config: SchemeConfig, geometry: DeviceGeometry):
+    """A state on `mod`'s kernel build and the every-ACT reference, each
+    on its own counters and queue."""
+    with mock.patch.object(counters, "CounterCore", mod.CounterCore), \
+            mock.patch.object(schemes, "TopQueue", mod.TopQueue):
+        return (SchemeState(config, geometry),
+                EveryActWrites(config, geometry))
+
+
+def spy_updates(state: SchemeState) -> list:
+    """The list each of `state`'s queue updates appends its row to."""
+    rows, update = [], state._q_update
+
+    def spy(row, count):
+        rows.append(row)
+        return update(row, count)
+    state._q_update = spy
+    return rows
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+def test_coalescing_victims_outside_the_queue_changes_who_survives(mod):
+    # Why a victim walk that leaves a changed row unqueued holds nothing:
+    # six +1 rounds of four rows, written per round or once each at the
+    # end, leave different rows in a depth-2 queue.
+    final = {}
+    for coalesce in (False, True):
+        queue, counts = mod.TopQueue(2), {11: 3, 18: 4, 29: 1, 30: 5}
+        for r, count in counts.items():
+            queue.update(r, count)
+        for _ in range(6):
+            for r in counts:
+                counts[r] = min(8, counts[r] + 1)
+                if not coalesce:
+                    queue.update(r, counts[r])
+        if coalesce:
+            for r, count in counts.items():
+                queue.update(r, count)
+        final[coalesce] = {r for r, _count in queue.items()}
+    assert final == {False: {18, 30}, True: {11, 18}}
+
+
+# A victim walk that leaves a row it changed unqueued, and its repeats:
+# (bits, blast radius, queue depth, demand row, counts from row - br
+# to row + br before the walk, ACTs, the queue after them).
+UNQUEUED_WALKS = {
+    # The case above on row 20's victims 18/19/21/22, at 3/4/1/5 after
+    # the first walk: into an empty depth-2 queue it rejects row 21.
+    "rejected": (3, 2, 2, 20, [2, 3, 0, 0, 4], 7, [(19, 7), (22, 7)]),
+    # Row 11's victims at 1 and 2 after the walk: row 12 evicts row 10
+    # from a depth-1 queue.  Written once each at the cap, 10 would win.
+    "evicted": (2, 1, 1, 11, [0, 0, 1], 4, [(12, 3)]),
+}
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@pytest.mark.parametrize("case", UNQUEUED_WALKS)
+def test_a_walk_that_leaves_a_victim_unqueued_holds_nothing(mod, case):
+    bits, br, depth, row, near, acts, queued = UNQUEUED_WALKS[case]
+    geometry = DeviceGeometry(rows_per_bank=64, rows_per_dsa=64,
+                              counter_bits=bits, blast_radius=br)
+    config = dataclasses.replace(preset("PVAC", geometry.counter_cap),
+                                 queue_depth=depth)
+    state, reference = held_and_reference(mod, config, geometry)
+    counts = [0] * 64
+    counts[row - br:row + br + 1] = near
+    for s in (state, reference):
+        s.bank.core.load(counts)
+    updates = {s: spy_updates(s) for s in (state, reference)}
+    for _ in range(acts):
+        assert state.on_act(row) == reference.on_act(row)
+    # Every ACT wrote each victim it changed, as the reference does.
+    assert updates[state] == updates[reference]
+    assert state.queue.items() == reference.queue.items() == queued
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@pytest.mark.parametrize("scheme", ["PRAC", "PVAC"])
+def test_a_repeated_row_settles_its_queue_writes_once(mod, scheme):
+    state, reference = held_and_reference(mod, preset(scheme, 64),
+                                          small_geometry())
+    updates = spy_updates(state)
+    for _ in range(10):
+        assert state.on_act(10) is reference.on_act(10) is None
+    # The first ACT walked; the nine repeats wait for a read.
+    victims = [8, 9, 11, 12] if scheme == "PVAC" else [10]
+    assert updates == victims
+    assert state.queue.items() == reference.queue.items()
+    assert updates == victims * 2
+    assert state.queue.items() == reference.queue.items()
+    assert updates == victims * 2  # a second read has nothing to write
+    # A REF or an RFM ends the hold: the next ACT of the row walks.
+    for hook in (lambda: state.on_refresh(range(200, 208)), state.on_rfm):
+        hook()
+        del updates[:]
+        state.on_act(10)
+        state.on_act(10)
+        assert updates == victims
+
+
+def hold_steps(rows: int):
+    """Hook calls on a `rows`-row bank: demand rows in runs of 1-10 ACTs
+    of one row (mostly rows 18-24, so counts build up and victims
+    share rows) with alerts allowed or held and the queue read after
+    every ACT or only at the next hook; REFs of 8-row groups (mostly
+    the two around the hot rows); RFMs; and parked-alert checks."""
+    row = st.integers(18, 24) | st.integers(0, rows - 1)
+    group = st.integers(2, 3) | st.integers(0, rows // 8 - 1)
+    return st.lists(st.one_of(
+        st.tuples(st.just("act"), row, st.integers(1, 10), st.booleans(),
+                  st.booleans()),
+        st.tuples(st.just("ref"), group),
+        st.just(("rfm",)), st.just(("take",))), min_size=4, max_size=40)
+
+
+@st.composite
+def hold_cases(draw):
+    rows = draw(st.sampled_from([64, 128, 256]))
+    geometry = DeviceGeometry(
+        rows_per_bank=rows, rows_per_dsa=draw(st.sampled_from([16, 32, 64])),
+        counter_bits=draw(st.sampled_from([2, 3, 4])),
+        blast_radius=draw(st.integers(1, 2)))
+    # Victim counting, where a walk may not hold, half the time.
+    scheme = draw(st.just("PVAC") | st.sampled_from(SCHEMES))
+    config = dataclasses.replace(
+        preset(scheme, draw(st.integers(2, min(8, geometry.counter_cap)))),
+        queue_depth=draw(st.integers(1, 4)))
+    return config, geometry, draw(hold_steps(rows))
+
+
+@pytest.mark.parametrize("mod", kernels(), ids=lambda m: m.KERNEL_BUILD)
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=hold_cases())
+def test_held_queue_writes_answer_like_every_act_writes(mod, case):
+    # After every hook the returned alert or rows, the parked alert and
+    # the counters equal the every-ACT reference's; the queue does at
+    # every read, which the drawn runs make after each ACT or only at
+    # the next hook, so that a run's repeats settle together.
+    config, geometry, steps = case
+    state, reference = held_and_reference(mod, config, geometry)
+
+    def same_queue():
+        assert state.queue.items() == reference._queue.items()
+
+    for step in steps:
+        if step[0] == "act":
+            _, row, run, allowed, read_each = step
+            for _ in range(run):
+                assert (state.on_act(row, alert_allowed=allowed)
+                        == reference.on_act(row, alert_allowed=allowed))
+                assert state.pending_alert == reference.pending_alert
+                assert (state.bank.core.snapshot()
+                        == reference.bank.core.snapshot())
+                if read_each:
+                    same_queue()
+            continue
+        if step[0] == "ref":
+            group = range(8 * step[1], 8 * step[1] + 8)
+            got, want = state.on_refresh(group), reference.on_refresh(group)
+        elif step[0] == "rfm":
+            got, want = state.on_rfm(), reference.on_rfm()
+        else:
+            got, want = (state.take_pending_alert(),
+                         reference.take_pending_alert())
+        assert got == want
+        assert state.pending_alert == reference.pending_alert
+        assert state.bank.core.snapshot() == reference.bank.core.snapshot()
+        same_queue()
+    same_queue()
